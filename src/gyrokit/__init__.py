@@ -18,9 +18,9 @@ from .actions import (ActionClassification, FiniteGSet, OrbitDecomposition,
                       validate_action)
 from .ball import (BallGyrogroup, ball_gyration_matrix, check_ball_laws,
                    einstein_add, lorentz_gamma, mobius_add)
-from .core import (CriterionError, Diagnostic, GyrationMap, GyroError,
-                   GyrogroupCarrier, InvalidElementError, NumericalError,
-                   ValidationError, check_axiom_residuals,
+from .core import (CriterionError, Diagnostic, GyroError, GyrogroupCarrier,
+                   InvalidElementError, NumericalError, ValidationError,
+                   cancellation_residuals, check_axiom_residuals,
                    check_cancellation_laws, check_cancellation_laws_exhaustive,
                    coaddition, cominus, conjugate, conjugate_set, gyration)
 from .coset_actions import (CriterionReport, build_coset_action,
@@ -38,4 +38,4 @@ from .finite import (CayleyTable, CosetPartition, FiniteGyrogroup,
                      serialize_cayley_table, subgyrogroup_closure,
                      validate_gyrogroup)
 from .pairs import (PairElement, PairGyrogroup, check_pair_axioms,
-                    pair_gyration, pair_oplus, rotation_quotient_gset)
+                    pair_gyration, rotation_quotient_gset)

@@ -264,12 +264,10 @@ def orbits_and_stabilizers(gset):
             raise GyroError(f"stab({x}) fails the subgyrogroup criterion")
         if not is_l_subgyrogroup(carrier, s):
             raise GyroError(f"stab({x}) is not an L-subgyrogroup")
-        sarr = np.array(s)
-        for a in range(n):
-            for b in range(n):
-                if not np.array_equal(np.sort(carrier.gyr[a, b][sarr]), sarr):
-                    raise GyroError(
-                        f"gyr[{a},{b}] does not preserve stab({x})")
+        leak = carrier.gyration_leak(s)
+        if leak is not None:
+            a, b, _ = leak
+            raise GyroError(f"gyr[{a},{b}] does not preserve stab({x})")
     return OrbitDecomposition(orbits=tuple(orbits), representatives=tuple(reps),
                               orbit_of=tuple(orbit_of), stabilizers=stabs,
                               fixed_points=fixed_points, fixed_by=fixed_by)
@@ -452,13 +450,11 @@ def faithful_quotient_action(gset):
     not assumed), and acts by (a + K).x = a.x.  The result is faithful.
     """
     carrier = gset.carrier
-    n = carrier.order
     kernel = build_representation(gset).kernel
-    karr = np.array(kernel)
-    for a in range(n):
-        for b in range(n):
-            if not np.array_equal(np.sort(carrier.gyr[a, b][karr]), karr):
-                raise GyroError(f"gyr[{a},{b}] does not preserve the kernel")
+    leak = carrier.gyration_leak(kernel)
+    if leak is not None:
+        a, b, _ = leak
+        raise GyroError(f"gyr[{a},{b}] does not preserve the kernel")
     part = left_cosets(carrier, kernel)
     if not part.is_partition:
         raise GyroError("kernel cosets do not partition the carrier")

@@ -297,6 +297,34 @@ def cmd_equiv(args):
     return {"command": "equiv", "status": "pass", "checks": checks}
 
 
+def _law_checks(command, suite, carrier, args):
+    """Run a sampled law suite; returns one report entry per residual and
+    whether every law held.  A sample count the suite rejects is a usage
+    error."""
+    try:
+        residuals = suite(carrier, args.samples, args.seed)
+    except ValueError as exc:
+        raise _Failure(USAGE_ERROR, {
+            "command": command, "status": "error",
+            "checks": [_entry("usage", "fail", witness=[str(exc)])]})
+    checks = []
+    ok = True
+    for name, value in sorted(residuals.items()):
+        if name in ("samples", "seed"):
+            continue
+        if name == "closure":
+            passed = bool(value)
+            checks.append(_entry("closure", "pass" if passed else "fail",
+                                 seed=args.seed, samples=args.samples))
+        else:
+            passed = value <= LAW_TOL
+            checks.append(_entry(name, "pass" if passed else "fail",
+                                 seed=args.seed, samples=args.samples,
+                                 tolerance=LAW_TOL, worst=value))
+        ok = ok and passed
+    return checks, ok
+
+
 def cmd_ball(args):
     carrier = BallGyrogroup(dim=args.dim, variant=args.variant, eps=args.eps)
     if (args.u is None) != (args.v is None):
@@ -318,22 +346,7 @@ def cmd_ball(args):
             "command": "ball", "status": "error",
             "checks": [_entry("usage", "fail",
                               witness=["--seed is required for sampling"])]})
-    residuals = check_ball_laws(carrier, args.samples, args.seed)
-    checks = []
-    ok = True
-    for name, value in sorted(residuals.items()):
-        if name in ("samples", "seed"):
-            continue
-        if name == "closure":
-            passed = bool(value)
-            checks.append(_entry("closure", "pass" if passed else "fail",
-                                 seed=args.seed, samples=args.samples))
-        else:
-            passed = value <= LAW_TOL
-            checks.append(_entry(name, "pass" if passed else "fail",
-                                 seed=args.seed, samples=args.samples,
-                                 tolerance=LAW_TOL, worst=value))
-        ok = ok and passed
+    checks, ok = _law_checks("ball", check_ball_laws, carrier, args)
     report = {"command": "ball", "status": "pass" if ok else "fail",
               "checks": checks}
     if not ok:
@@ -343,35 +356,18 @@ def cmd_ball(args):
 
 def cmd_pairs(args):
     carrier = PairGyrogroup(m=args.m, variant=args.variant)
-    residuals = check_pair_axioms(carrier, args.samples, args.seed)
-    checks = []
-    ok = True
-    for name, value in sorted(residuals.items()):
-        if name in ("samples", "seed"):
-            continue
-        if name == "closure":
-            passed = bool(value)
-            checks.append(_entry("closure", "pass" if passed else "fail",
-                                 seed=args.seed, samples=args.samples))
-        else:
-            passed = value <= LAW_TOL
-            checks.append(_entry(name, "pass" if passed else "fail",
-                                 seed=args.seed, samples=args.samples,
-                                 tolerance=LAW_TOL, worst=value))
-        ok = ok and passed
+    checks, ok = _law_checks("pairs", check_pair_axioms, carrier, args)
     crit = carrier.verify_hat_criterion(args.samples, args.seed)
     checks.append(_entry("hat_coset_criterion", crit["status"],
                          seed=args.seed, samples=args.samples))
     ok = ok and crit["status"] == "pass"
-    rng = np.random.default_rng(args.seed)
-    batch = carrier.sample_batch(rng, args.samples)
-    seen = sorted(set(int(r) for r in np.asarray(batch.r)))
-    coset_cover = seen == list(range(args.m))
-    checks.append(_entry("coset_count", "pass" if coset_cover else "fail",
-                         value=len(seen), seed=args.seed,
-                         samples=args.samples,
+    # one representative (0, k) per rotation index k
+    count = len({int(carrier.hat_coset_index(carrier.element([0.0, 0.0], k)))
+                 for k in range(args.m)})
+    checks.append(_entry("coset_count", "pass" if count == args.m else "fail",
+                         value=count, seed=args.seed, samples=args.samples,
                          detail=f"{args.m} cosets expected"))
-    ok = ok and coset_cover
+    ok = ok and count == args.m
     quotient = rotation_quotient_gset(carrier)
     flags = classify(quotient)
     regular = flags.sharply_transitive

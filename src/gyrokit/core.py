@@ -120,18 +120,6 @@ def conjugate_set(carrier, a, members):
     return tuple(sorted(conjugate(carrier, a, b) for b in members))
 
 
-class GyrationMap:
-    """The automorphism gyr[a, b] as a callable, c -> gyr[a, b]c."""
-
-    def __init__(self, carrier, a, b):
-        self.carrier = carrier
-        self.a = a
-        self.b = b
-
-    def __call__(self, c):
-        return gyration(self.carrier, self.a, self.b, c)
-
-
 @dataclass(frozen=True)
 class LawCheck:
     law: str
@@ -149,6 +137,25 @@ class LawCheck:
 def _worst(carrier, x, y):
     d = carrier.distance(x, y)
     return float(np.max(d))
+
+
+def cancellation_residuals(carrier, a, b):
+    """Worst residuals of the four cancellation laws over the pairs (a, b).
+
+    ``a`` and ``b`` are single elements or equal-length batches.  Returns a
+    dict keyed by law name (see :func:`check_cancellation_laws`); law (i)
+    is evaluated on the constructed collision c := -a + (a+b).
+    """
+    ab = carrier.oplus(a, b)
+    rec = carrier.oplus(carrier.oinv(a), ab)
+    out = {"left_cancellation": _worst(carrier, rec, b)}
+    out["general_left_cancellation"] = max(
+        _worst(carrier, carrier.oplus(a, rec), ab), out["left_cancellation"])
+    bma = carrier.oplus(b, carrier.oinv(a))
+    out["right_cancellation_1"] = _worst(carrier, coaddition(carrier, bma, a), b)
+    out["right_cancellation_2"] = _worst(
+        carrier, carrier.oplus(cominus(carrier, b, a), a), b)
+    return out
 
 
 def check_cancellation_laws(carrier, pairs, tol=0.0):
@@ -176,23 +183,9 @@ def check_cancellation_laws(carrier, pairs, tol=0.0):
     count = 0
     for a, b in pairs:
         count += 1
-        ab = carrier.oplus(a, b)
-        # (ii)
-        rec = carrier.oplus(carrier.oinv(a), ab)
-        laws["left_cancellation"].append(_worst(carrier, rec, b))
-        # (i) on the constructed collision
-        collide = carrier.oplus(a, rec)
-        r1 = max(_worst(carrier, collide, ab), _worst(carrier, rec, b))
-        laws["general_left_cancellation"].append(r1)
-        # (iii) (b - a) [+] a = b
-        bma = carrier.oplus(b, carrier.oinv(a))
-        laws["right_cancellation_1"].append(
-            _worst(carrier, coaddition(carrier, bma, a), b))
-        # (iv) (b [-] a) + a = b
-        laws["right_cancellation_2"].append(
-            _worst(carrier, carrier.oplus(cominus(carrier, b, a), a), b))
-        for name in laws:
-            if laws[name][-1] > tol and witnesses[name] is None:
+        for name, residual in cancellation_residuals(carrier, a, b).items():
+            laws[name].append(residual)
+            if residual > tol and witnesses[name] is None:
                 witnesses[name] = (a, b)
     for name, residuals in laws.items():
         worst = max(residuals) if residuals else 0.0
@@ -224,6 +217,26 @@ def check_cancellation_laws_exhaustive(carrier):
                     witness=witness)
     return [law1 if r.law == "general_left_cancellation" else r
             for r in results]
+
+
+def sampled_law_residuals(carrier, samples, seed, max_norm):
+    """The sampled law suite shared by the analytic carriers.
+
+    Draws ``samples`` triples a, b, c (in that order) with norms <=
+    ``max_norm`` from ``seed`` and returns (residuals, (a, b, c)), where
+    residuals holds :func:`check_axiom_residuals` on the triples,
+    :func:`cancellation_residuals` on the pairs (a, b), ``samples`` and
+    ``seed``.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    a, b, c = (carrier.sample_batch(rng, samples, max_norm) for _ in range(3))
+    out = check_axiom_residuals(carrier, a, b, c)
+    out.update(cancellation_residuals(carrier, a, b))
+    out["samples"] = samples
+    out["seed"] = seed
+    return out, (a, b, c)
 
 
 def check_axiom_residuals(carrier, a, b, c):

@@ -28,12 +28,7 @@ from .finite import is_subgyrogroup, left_cosets
 def self_action_witness(g):
     """A triple (a, b, c) with gyr[a, b]c != c, or None if all gyrations
     are the identity (i.e. a.x = a + x really is an action)."""
-    n = g.order
-    mism = np.argwhere(g.gyr != np.broadcast_to(np.arange(n), (n, n, n)))
-    if len(mism) == 0:
-        return None
-    a, b, c = map(int, mism[0])
-    return (a, b, c)
+    return g.nontrivial_gyration()
 
 
 def self_action_possible(g):
@@ -91,24 +86,11 @@ def coset_criterion(g, members):
     """Exhaustive criterion for a subgyrogroup of a finite carrier."""
     if not is_subgyrogroup(g, members):
         raise ValueError(f"{tuple(members)} is not a subgyrogroup")
-    n = g.order
-    harr = np.array(sorted(int(x) for x in members))
-    mask = np.zeros(n, dtype=bool)
-    mask[harr] = True
-    w1 = w2 = None
-    img = g.gyr[:, :, harr]
-    ok1 = bool(np.all(mask[img]))
-    if not ok1:
-        a, b, i = map(int, np.argwhere(~mask[img])[0])
-        w1 = (a, b, int(harr[i]))
-    defect = g.table[g.inv[None, None, :], g.gyr]
-    ok2 = bool(np.all(mask[defect]))
-    if not ok2:
-        a, b, x = map(int, np.argwhere(~mask[defect])[0])
-        w2 = (a, b, x)
-    return CriterionReport(passed=ok1 and ok2, mode="exhaustive",
-                           condition_gyr_preserves_subgroup=ok1,
-                           condition_translate_defect_in_subgroup=ok2,
+    w1 = g.gyration_leak(members)
+    w2 = g.defect_leak(members)
+    return CriterionReport(passed=w1 is None and w2 is None, mode="exhaustive",
+                           condition_gyr_preserves_subgroup=w1 is None,
+                           condition_translate_defect_in_subgroup=w2 is None,
                            witness1=w1, witness2=w2)
 
 
@@ -193,14 +175,10 @@ def induced_action_over_subgyrogroup(gset, members):
     if missing:
         raise CriterionError(
             f"hypothesis failed: kernel element {missing[0]} not in H")
-    harr = np.array(sorted(h))
-    mask = np.zeros(g.order, dtype=bool)
-    mask[harr] = True
-    img = g.gyr[:, :, harr]
-    if not np.all(mask[img]):
-        a, b, i = map(int, np.argwhere(~mask[img])[0])
-        raise CriterionError(
-            f"hypothesis failed: gyr[{a},{b}]({int(harr[i])}) leaves H")
+    leak = g.gyration_leak(h)
+    if leak is not None:
+        a, b, x = leak
+        raise CriterionError(f"hypothesis failed: gyr[{a},{b}]({x}) leaves H")
     report = coset_criterion(g, h)
     if not report.passed:
         raise GyroError("criterion must hold under the verified hypotheses")

@@ -4,6 +4,12 @@ Ingests magma tables (text format below), certifies or refutes the gyrogroup
 axioms exhaustively, and computes subgyrogroups, L-subgyrogroups, left
 cosets and the index formula.
 
+Only this module knows how gyrations are stored.  Other modules read them
+through the ``FiniteGyrogroup`` queries: ``gyration`` and ``gyr_perm`` for
+single values, ``gyration_leak`` for gyration invariance of a subset,
+``defect_leak`` for the translate defect -x + gyr[a, b]x, and
+``nontrivial_gyration`` for a gyration that is not the identity.
+
 Table file format (UTF-8 text)::
 
     gyro <n>
@@ -161,10 +167,40 @@ class FiniteGyrogroup(GyrogroupCarrier):
     def gyr_perm(self, a, b):
         return self.gyr[a, b]
 
+    def gyration_leak(self, members, over=None):
+        """The first (a, b, h), in row-major order over a in G, b in ``over``
+        (all of G by default) and h in sorted H = ``members``, with
+        gyr[a, b]h outside H; None if every such gyration maps H into H."""
+        h, inside = self._member_mask(members)
+        bs = np.arange(self.order) if over is None else self._member_mask(over)[0]
+        leak = _first_true(~inside[self.gyr[np.ix_(np.arange(self.order), bs, h)]])
+        if leak is None:
+            return None
+        a, j, i = leak
+        return (a, int(bs[j]), int(h[i]))
+
+    def defect_leak(self, members):
+        """The first (a, b, x) in row-major order with the translate defect
+        -x + gyr[a, b]x outside H = ``members``, or None."""
+        _, inside = self._member_mask(members)
+        # outside[x, y] is True iff -x + y lies outside H
+        outside = ~inside[self.table[self.inv]]
+        return _first_true(outside[np.arange(self.order), self.gyr])
+
+    def nontrivial_gyration(self):
+        """The first (a, b, c) in row-major order with gyr[a, b]c != c, or
+        None if every gyration is the identity."""
+        return _first_true(self.gyr != np.arange(self.order))
+
     def is_degenerate(self):
         """True iff every gyration is the identity, i.e. the table is a group."""
-        n = self.order
-        return bool(np.array_equal(self.gyr, np.broadcast_to(np.arange(n), (n, n, n))))
+        return self.nontrivial_gyration() is None
+
+    def _member_mask(self, members):
+        h = np.array(sorted(int(x) for x in members), dtype=np.int64)
+        inside = np.zeros(self.order, dtype=bool)
+        inside[h] = True
+        return h, inside
 
     def same_carrier(self, other):
         return self is other or np.array_equal(self.table, other.table)
@@ -172,6 +208,17 @@ class FiniteGyrogroup(GyrogroupCarrier):
     def __repr__(self):
         kind = "degenerate" if self.is_degenerate() else "nondegenerate"
         return f"FiniteGyrogroup(order={self.order}, {kind})"
+
+
+def _first_true(mask):
+    """Index tuple of the first True entry of ``mask`` in row-major order,
+    or None; found by a flat argmax, so no list of all hits is built."""
+    if not mask.size:
+        return None
+    k = int(np.argmax(mask))
+    if not mask.flat[k]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(k, mask.shape))
 
 
 def _triple_tables(t, inv):
@@ -192,6 +239,13 @@ def diagnose_gyrogroup(t):
     first violation inside a stage; the gyration stages are skipped (with a
     diagnostic) only when no two-sided inverse map exists to define them.
     """
+    return _diagnose(t)[0]
+
+
+def _diagnose(t):
+    """The diagnostics of :func:`diagnose_gyrogroup` with what they were
+    computed from: (diagnostics, table, inverses, gyrations).  The inverses
+    and gyrations are None when the inverse stage fails."""
     if isinstance(t, CayleyTable):
         table = t.table
     else:
@@ -249,7 +303,7 @@ def diagnose_gyrogroup(t):
         diags.append(Diagnostic(
             "gyration_checks_skipped", (),
             "gyrations undefined without unique two-sided inverses"))
-        return diags
+        return diags, table, None, None
 
     gyr, a_bc = _triple_tables(table, inv)
 
@@ -295,24 +349,15 @@ def diagnose_gyrogroup(t):
             "left_loop", (int(a), int(b), int(c)),
             f"gyr[{a}+{b},{b}]{c} = {int(shifted[a, b, c])} != "
             f"gyr[{a},{b}]{c} = {int(gyr[a, b, c])}"))
-    return diags
+    return diags, table, inv, gyr
 
 
 def validate_gyrogroup(t):
     """Certify a table as a gyrogroup or raise ValidationError with witnesses."""
-    diags = diagnose_gyrogroup(t)
+    diags, table, inv, gyr = _diagnose(t)
     if diags:
         raise ValidationError(diags)
-    if isinstance(t, CayleyTable):
-        table, labels = t.table, t.labels
-    else:
-        ct = CayleyTable(order=len(t), table=np.asarray(t))
-        table, labels = ct.table, None
-    n = table.shape[0]
-    inv = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        inv[a] = int(np.nonzero(table[:, a] == 0)[0][0])
-    gyr, _ = _triple_tables(table, inv)
+    labels = t.labels if isinstance(t, CayleyTable) else None
     return FiniteGyrogroup(table=table.copy(), inv=inv, gyr=gyr, labels=labels)
 
 
@@ -368,12 +413,7 @@ def is_l_subgyrogroup(g, members):
     """True iff gyr[a, h](H) = H for all a in G and h in H."""
     if not is_subgyrogroup(g, members):
         return False
-    h = np.array(sorted(int(x) for x in members))
-    for a in range(g.order):
-        for x in h:
-            if not np.array_equal(np.sort(g.gyr[a, x][h]), h):
-                return False
-    return True
+    return g.gyration_leak(members, over=members) is None
 
 
 @dataclass(frozen=True)

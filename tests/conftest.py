@@ -79,3 +79,51 @@ def classical_coset_table(g, members):
             row.append(cosets.index(image))
         table.append(row)
     return np.array(table), cosets
+
+
+# Reference loops for the FiniteGyrogroup gyration queries: plain row-major
+# scans over single gyration values.
+
+def gyration_leak_loop(g, members, over=None):
+    """First (a, b, h) with gyr[a, b]h outside H, b ranging over ``over``."""
+    h = sorted(members)
+    bs = range(g.order) if over is None else sorted(over)
+    for a in range(g.order):
+        for b in bs:
+            for x in h:
+                if g.gyration(a, b, x) not in h:
+                    return (a, b, x)
+    return None
+
+
+def defect_leak_loop(g, members):
+    """First (a, b, x) with -x + gyr[a, b]x outside H."""
+    n = g.order
+    for a in range(n):
+        for b in range(n):
+            for x in range(n):
+                if g.oplus(g.oinv(x), g.gyration(a, b, x)) not in members:
+                    return (a, b, x)
+    return None
+
+
+def nontrivial_gyration_loop(g):
+    """First (a, b, c) with gyr[a, b]c != c."""
+    n = g.order
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if g.gyration(a, b, c) != c:
+                    return (a, b, c)
+    return None
+
+
+# subsets of twisted21() that some gyration moves out of themselves; the
+# last one is the index-3 L-subgyrogroup plus one element
+T21_NON_INVARIANT = ((0, 1), (1, 2), (2, 7, 11), (0, 3, 6, 9, 12, 15, 18, 1))
+
+
+@pytest.fixture(scope="session")
+def fixture_carriers(groups, t21):
+    """Every catalog fixture: the group tables and twisted21()."""
+    return {**groups, "T21": t21}

@@ -216,3 +216,22 @@ def test_pairs_suite_and_json_determinism(capsys):
     names = {c["check"] for c in report["checks"]}
     assert {"hat_coset_criterion", "coset_count",
             "coset_action_transitive"} <= names
+
+
+@pytest.mark.parametrize("argv", [["ball", "--seed", "1", "--samples", "0"],
+                                  ["pairs", "--seed", "1", "--samples", "0"]])
+def test_sampled_suites_reject_zero_samples(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "samples must be >= 1" in err
+
+
+def test_pairs_coset_count_is_exact(capsys):
+    # three samples miss some rotation indices; the count does not sample
+    code, out, _ = run(capsys, "--report", "json", "pairs", "--seed", "1",
+                       "--samples", "3")
+    assert code == 0
+    by_name = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert by_name["coset_count"]["status"] == "pass"
+    assert by_name["coset_count"]["value"] == 6

@@ -9,7 +9,8 @@ from gyrokit import (CriterionError, ValidationError, build_coset_action,
                      left_cosets, orbits_and_stabilizers, self_action_possible,
                      self_action_witness, validate_action)
 
-from conftest import classical_coset_table, trivial_action
+from conftest import (classical_coset_table, defect_leak_loop,
+                      gyration_leak_loop, trivial_action)
 
 
 def test_self_action_possible_for_groups(groups):
@@ -50,6 +51,15 @@ def test_criterion_witness_for_non_l_subgyrogroup(t21):
     assert not rep.passed and not rep.condition_gyr_preserves_subgroup
     a, b, x = rep.witness1
     assert x in h3 and t21.gyration(a, b, x) not in h3
+
+
+def test_criterion_witnesses_match_loops(fixture_carriers):
+    for name, g in fixture_carriers.items():
+        for h in enumerate_subgyrogroups(g):
+            rep = coset_criterion(g, h)
+            assert rep.witness1 == gyration_leak_loop(g, h), (name, h)
+            assert rep.witness2 == defect_leak_loop(g, h), (name, h)
+            assert rep.passed == (rep.witness1 is None and rep.witness2 is None)
 
 
 def test_criterion_rejects_non_subgyrogroup(z6):

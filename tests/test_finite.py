@@ -11,7 +11,8 @@ from gyrokit import (CayleyTable, GyroError, TableFormatError,
                      validate_gyrogroup)
 from gyrokit.catalog import cyclic, frobenius21, square_root_twist, symmetric
 
-from conftest import group_tables
+from conftest import (T21_NON_INVARIANT, group_tables, gyration_leak_loop,
+                      nontrivial_gyration_loop)
 
 
 def group_axioms_hold(table):
@@ -241,3 +242,28 @@ def test_non_l_subgyrogroup_cosets_overlap(t21):
 def test_left_cosets_rejects_non_subgyrogroup(z6):
     with pytest.raises(ValueError):
         left_cosets(z6, (0, 1))
+
+
+# -- gyration queries against the reference loops ------------------------
+
+def test_gyration_leak_matches_loop(fixture_carriers):
+    leaks = []
+    for name, g in fixture_carriers.items():
+        subsets = list(enumerate_subgyrogroups(g))
+        if name == "T21":
+            subsets += T21_NON_INVARIANT
+        for s in subsets:
+            for over in (None, s):
+                leak = g.gyration_leak(s, over=over)
+                assert leak == gyration_leak_loop(g, s, over=over), (name, s, over)
+                leaks.append(leak)
+    # the non-L order-3 subgroups and the non-invariant subsets do leak
+    assert sum(leak is not None for leak in leaks) == 2 * (7 + len(T21_NON_INVARIANT))
+
+
+def test_nontrivial_gyration_matches_loop(fixture_carriers):
+    for name, g in fixture_carriers.items():
+        witness = nontrivial_gyration_loop(g)
+        assert g.nontrivial_gyration() == witness, name
+        assert g.is_degenerate() == (witness is None), name
+        assert (witness is None) == (name != "T21")
