@@ -4,11 +4,14 @@ Exit codes: 0 success, 1 validation or analysis failure (with witnesses),
 2 usage or parse errors.  ``--report json`` emits a machine-readable report
 with stable key names (check, status, witness, seed, samples, tolerance);
 identical inputs and seeds produce byte-identical JSON.  Stochastic
-subcommands require an explicit --seed.
+subcommands require an explicit --seed.  A reader that closes the output
+early (``| head``) ends the command quietly, with the exit code it would
+otherwise have had.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,8 +49,14 @@ def _entry(check, status, witness=None, seed=None, samples=None,
     return out
 
 
-def _emit(report, mode, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def _usage_failure(command, reason):
+    """A usage error (exit 2) naming the rejected arguments."""
+    return _Failure(USAGE_ERROR, {
+        "command": command, "status": "error",
+        "checks": [_entry("usage", "fail", witness=[str(reason)])]})
+
+
+def _emit(report, mode, stream):
     if mode == "json":
         stream.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return
@@ -304,9 +313,7 @@ def _law_checks(command, suite, carrier, args):
     try:
         residuals = suite(carrier, args.samples, args.seed)
     except ValueError as exc:
-        raise _Failure(USAGE_ERROR, {
-            "command": command, "status": "error",
-            "checks": [_entry("usage", "fail", witness=[str(exc)])]})
+        raise _usage_failure(command, exc)
     checks = []
     ok = True
     for name, value in sorted(residuals.items()):
@@ -326,12 +333,12 @@ def _law_checks(command, suite, carrier, args):
 
 
 def cmd_ball(args):
-    carrier = BallGyrogroup(dim=args.dim, variant=args.variant, eps=args.eps)
+    try:
+        carrier = BallGyrogroup(dim=args.dim, variant=args.variant, eps=args.eps)
+    except ValueError as exc:
+        raise _usage_failure("ball", exc)
     if (args.u is None) != (args.v is None):
-        raise _Failure(USAGE_ERROR, {
-            "command": "ball", "status": "error",
-            "checks": [_entry("usage", "fail",
-                              witness=["--u and --v must be given together"])]})
+        raise _usage_failure("ball", "--u and --v must be given together")
     if args.u is not None:
         u = carrier.element(_parse_vector(args.u, args.dim))
         v = carrier.element(_parse_vector(args.v, args.dim))
@@ -342,10 +349,7 @@ def cmd_ball(args):
             _entry("lorentz_gamma", "pass", value=float(lorentz_gamma(u)),
                    detail="gamma of the first argument")]}
     if args.seed is None:
-        raise _Failure(USAGE_ERROR, {
-            "command": "ball", "status": "error",
-            "checks": [_entry("usage", "fail",
-                              witness=["--seed is required for sampling"])]})
+        raise _usage_failure("ball", "--seed is required for sampling")
     checks, ok = _law_checks("ball", check_ball_laws, carrier, args)
     report = {"command": "ball", "status": "pass" if ok else "fail",
               "checks": checks}
@@ -355,7 +359,10 @@ def cmd_ball(args):
 
 
 def cmd_pairs(args):
-    carrier = PairGyrogroup(m=args.m, variant=args.variant)
+    try:
+        carrier = PairGyrogroup(m=args.m, variant=args.variant)
+    except ValueError as exc:
+        raise _usage_failure("pairs", exc)
     checks, ok = _law_checks("pairs", check_pair_axioms, carrier, args)
     crit = carrier.verify_hat_criterion(args.samples, args.seed)
     checks.append(_entry("hat_coset_criterion", crit["status"],
@@ -478,19 +485,28 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    stream = sys.stdout
     try:
         report = args.func(args)
+        code = 0 if report.get("status") != "fail" else ANALYSIS_ERROR
     except _Failure as f:
-        _emit(f.report, args.report,
-              sys.stderr if f.code == USAGE_ERROR else None)
-        return f.code
+        report, code = f.report, f.code
+        if code == USAGE_ERROR:
+            stream = sys.stderr
     except (CriterionError, ValidationError, GyroError) as exc:
-        _emit({"command": args.command, "status": "fail",
-               "checks": [_entry("error", "fail", witness=[str(exc)])]},
-              args.report)
-        return ANALYSIS_ERROR
-    _emit(report, args.report)
-    return 0 if report.get("status") != "fail" else ANALYSIS_ERROR
+        report = {"command": args.command, "status": "fail",
+                  "checks": [_entry("error", "fail", witness=[str(exc)])]}
+        code = ANALYSIS_ERROR
+    try:
+        _emit(report, args.report, stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader is gone; point the stream at devnull so that the
+        # interpreter's own flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,11 +4,18 @@ Ingests magma tables (text format below), certifies or refutes the gyrogroup
 axioms exhaustively, and computes subgyrogroups, L-subgyrogroups, left
 cosets and the index formula.
 
-Only this module knows how gyrations are stored.  Other modules read them
-through the ``FiniteGyrogroup`` queries: ``gyration`` and ``gyr_perm`` for
-single values, ``gyration_leak`` for gyration invariance of a subset,
-``defect_leak`` for the translate defect -x + gyr[a, b]x, and
-``nontrivial_gyration`` for a gyration that is not the identity.
+Only this module knows how gyrations are stored.  A carrier keeps each
+distinct gyration once: ``gyr_perms[d, n]`` holds the d distinct maps and
+``gyr_index[n, n]`` names the one gyr[a, b] is, so a carrier of order n
+takes O(n^2 + dn) memory (d = 29 of the 41,209 pairs of the order-203
+square-root twist).  Validation builds the n^3 triple tables a block of
+rows at a time, and decides bijectivity and the automorphism law once per
+distinct map.  Other modules read gyrations through the
+``FiniteGyrogroup`` queries, each of which works on the d distinct maps:
+``gyration`` and ``gyr_perm`` for single values, ``gyration_leak`` for
+gyration invariance of a subset, ``defect_leak`` for the translate defect
+-x + gyr[a, b]x, and ``nontrivial_gyration`` for a gyration that is not
+the identity.
 
 Table file format (UTF-8 text)::
 
@@ -51,7 +58,8 @@ class CayleyTable:
     labels: tuple | None = None
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.table, dtype=np.int64)
+        # a private copy: freezing it leaves the caller's array writable
+        t = np.array(self.table, dtype=np.int64, order="C", copy=True)
         if t.shape != (self.order, self.order):
             raise ValueError(f"table shape {t.shape} != ({self.order}, {self.order})")
         if t.size and (t.min() < 0 or t.max() >= self.order):
@@ -124,18 +132,22 @@ def serialize_cayley_table(t):
 
 
 class FiniteGyrogroup(GyrogroupCarrier):
-    """A validated finite gyrogroup: table, cached inverses, gyration table.
+    """A validated finite gyrogroup: table, cached inverses, gyration store.
 
+    Gyrations are stored once per distinct map: ``gyr_perms[k]`` is the k-th
+    distinct gyration met in row-major (a, b) order, as a one-line map of
+    0..n-1, and ``gyr_index[a, b]`` is the k with gyr[a, b] = gyr_perms[k].
     Construct through :func:`validate_gyrogroup`; the constructor itself
     trusts its inputs.
     """
 
-    def __init__(self, table, inv, gyr, labels=None):
+    def __init__(self, table, inv, gyr_index, gyr_perms, labels=None):
         self.table = table
         self.inv = inv
-        self.gyr = gyr
+        self.gyr_index = gyr_index
+        self.gyr_perms = gyr_perms
         self.labels = labels
-        for arr in (self.table, self.inv, self.gyr):
+        for arr in (self.table, self.inv, self.gyr_index, self.gyr_perms):
             arr.flags.writeable = False
         self.zero = 0
 
@@ -162,10 +174,10 @@ class FiniteGyrogroup(GyrogroupCarrier):
         return isinstance(a, (int, np.integer)) and 0 <= a < self.order
 
     def gyration(self, a, b, c):
-        return int(self.gyr[a, b, c])
+        return int(self.gyr_perms[self.gyr_index[a, b], c])
 
     def gyr_perm(self, a, b):
-        return self.gyr[a, b]
+        return self.gyr_perms[self.gyr_index[a, b]]
 
     def gyration_leak(self, members, over=None):
         """The first (a, b, h), in row-major order over a in G, b in ``over``
@@ -173,7 +185,7 @@ class FiniteGyrogroup(GyrogroupCarrier):
         gyr[a, b]h outside H; None if every such gyration maps H into H."""
         h, inside = self._member_mask(members)
         bs = np.arange(self.order) if over is None else self._member_mask(over)[0]
-        leak = _first_true(~inside[self.gyr[np.ix_(np.arange(self.order), bs, h)]])
+        leak = self._first_hit(~inside[self.gyr_perms[:, h]], bs)
         if leak is None:
             return None
         a, j, i = leak
@@ -185,16 +197,28 @@ class FiniteGyrogroup(GyrogroupCarrier):
         _, inside = self._member_mask(members)
         # outside[x, y] is True iff -x + y lies outside H
         outside = ~inside[self.table[self.inv]]
-        return _first_true(outside[np.arange(self.order), self.gyr])
+        return self._first_hit(outside[np.arange(self.order), self.gyr_perms])
 
     def nontrivial_gyration(self):
         """The first (a, b, c) in row-major order with gyr[a, b]c != c, or
         None if every gyration is the identity."""
-        return _first_true(self.gyr != np.arange(self.order))
+        return self._first_hit(self.gyr_perms != np.arange(self.order))
 
     def is_degenerate(self):
         """True iff every gyration is the identity, i.e. the table is a group."""
         return self.nontrivial_gyration() is None
+
+    def _first_hit(self, hits, bs=None):
+        """The first (a, j, i) in row-major order with hits[k, i] True for
+        the distinct gyration k = gyr[a, bs[j]] (bs = all of G by default).
+        ``hits`` has one row per distinct gyration, so each question is
+        answered on d rows and only its first pair is expanded."""
+        index = self.gyr_index if bs is None else self.gyr_index[:, bs]
+        pair = _first_true(hits.any(axis=1)[index])
+        if pair is None:
+            return None
+        a, j = pair
+        return (a, j, int(np.argmax(hits[index[a, j]])))
 
     def _member_mask(self, members):
         h = np.array(sorted(int(x) for x in members), dtype=np.int64)
@@ -221,15 +245,41 @@ def _first_true(mask):
     return tuple(int(i) for i in np.unravel_index(k, mask.shape))
 
 
-def _triple_tables(t, inv):
-    """gyr[a,b,c] per the gyrator identity plus a+(b+c), all (n,n,n)."""
+# Cells of one block of the (n, n, n) triple tables; a block holds whole
+# rows a, at least one.  Small blocks stay in cache: at n = 203, blocks of
+# 2^16 cells validate faster than blocks of 2^20 and peak 45 MB lower.
+_BLOCK_CELLS = 1 << 16
+
+
+def _triple_blocks(t, inv):
+    """Yield (a0, a_bc, gyr) over consecutive blocks of rows a = a0 + i:
+    a_bc[i, b, c] = a+(b+c) and gyr[i, b, c] = gyr[a, b]c per the gyrator
+    identity -(a+b) + (a+(b+c))."""
     n = t.shape[0]
-    ai = np.arange(n)
-    # a_bc[a,b,c] = t[a, t[b,c]]
-    a_bc = t[ai[:, None, None], t[None, :, :]]
+    rows = max(1, _BLOCK_CELLS // (n * n))
     ginv = inv[t]  # -(a+b)
-    gyr = t[ginv[:, :, None], a_bc]
-    return gyr, a_bc
+    for a0 in range(0, n, rows):
+        a_bc = t[np.arange(a0, min(a0 + rows, n))[:, None, None], t[None, :, :]]
+        yield a0, a_bc, t[ginv[a0:a0 + rows, :, None], a_bc]
+
+
+def _index_rows(rows, seen, distinct):
+    """The index in ``distinct`` of every row of the 2-D array ``rows``.
+
+    ``seen`` maps a row's bytes to its index; rows not seen before are
+    appended to ``distinct`` in row order.  Rows are compared exactly, by
+    sorting them as opaque byte strings.
+    """
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                  return_inverse=True)
+    ids = np.empty(len(first), dtype=np.int64)
+    for u in np.argsort(first):
+        row = rows[first[u]]
+        ids[u] = seen.setdefault(row.tobytes(), len(seen))
+        if ids[u] == len(distinct):
+            distinct.append(row.copy())
+    return ids[inverse.ravel()]
 
 
 def diagnose_gyrogroup(t):
@@ -244,12 +294,12 @@ def diagnose_gyrogroup(t):
 
 def _diagnose(t):
     """The diagnostics of :func:`diagnose_gyrogroup` with what they were
-    computed from: (diagnostics, table, inverses, gyrations).  The inverses
-    and gyrations are None when the inverse stage fails."""
+    computed from: (diagnostics, table, inverses, gyr_index, gyr_perms).
+    The last three are None when the inverse stage fails."""
     if isinstance(t, CayleyTable):
         table = t.table
     else:
-        table = CayleyTable(order=len(t), table=np.asarray(t)).table
+        table = CayleyTable(order=len(t), table=t).table
     n = table.shape[0]
     ai = np.arange(n)
     diags = []
@@ -303,62 +353,82 @@ def _diagnose(t):
         diags.append(Diagnostic(
             "gyration_checks_skipped", (),
             "gyrations undefined without unique two-sided inverses"))
-        return diags, table, None, None
+        return diags, table, None, None, None
 
-    gyr, a_bc = _triple_tables(table, inv)
+    # Build the gyration store block by block, checking (5) on each block
+    # while its triple tables are live: the left gyroassociative law
+    # a+(b+c) = (a+b)+gyr[a,b]c over all n^3 triples.
+    gyr_index = np.empty((n, n), dtype=np.int64)
+    seen, distinct = {}, []
+    assoc_diags, assoc_count = [], 0
+    for a0, a_bc, gyr in _triple_blocks(table, inv):
+        gyr_index[a0:a0 + len(gyr)] = _index_rows(
+            gyr.reshape(-1, n), seen, distinct).reshape(-1, n)
+        rhs = table[table[a0:a0 + len(gyr), :, None], gyr]
+        mism = a_bc != rhs
+        assoc_count += int(np.count_nonzero(mism))
+        for i, b, c in np.argwhere(mism)[:MAX_WITNESSES - len(assoc_diags)]:
+            a = a0 + i
+            assoc_diags.append(Diagnostic(
+                "left_gyroassociative", (int(a), int(b), int(c)),
+                f"{a}+({b}+{c}) = {int(a_bc[i, b, c])} but "
+                f"({a}+{b})+gyr[{a},{b}]{c} = {int(rhs[i, b, c])}"))
+    gyr_perms = np.array(distinct)
 
-    # (4) each gyr[a,b] is a bijection and respects the operation (G3)
-    flat = gyr.reshape(n * n, n)
-    not_bij = np.nonzero((np.sort(flat, axis=1) != ai).any(axis=1))[0]
-    for k in not_bij[:MAX_WITNESSES]:
+    # (4) each gyr[a,b] is a bijection and respects the operation (G3),
+    # decided once per distinct gyration and reported per pair (a, b)
+    not_bij = (np.sort(gyr_perms, axis=1) != ai).any(axis=1)
+    for k in np.flatnonzero(not_bij[gyr_index])[:MAX_WITNESSES]:
         a, b = divmod(int(k), n)
         diags.append(Diagnostic("gyration_bijective", (a, b),
                                 f"gyr[{a},{b}] is not a bijection"))
-    auto_count = 0
-    for a in range(n):
-        for b in range(n):
-            p = gyr[a, b]
-            lhs = p[table]
-            rhs = table[np.ix_(p, p)]
-            if not np.array_equal(lhs, rhs):
-                auto_count += 1
-                if auto_count <= MAX_WITNESSES:
-                    u, v = map(int, np.argwhere(lhs != rhs)[0])
-                    diags.append(Diagnostic(
-                        "gyration_automorphism", (a, b, u, v),
-                        f"gyr[{a},{b}]({u}+{v}) != gyr[{a},{b}]{u}+gyr[{a},{b}]{v}"))
-
-    # (5) left gyroassociative law over all n^3 triples
-    rhs = table[table[:, :, None], gyr]
-    mism = np.argwhere(a_bc != rhs)
-    for a, b, c in mism[:MAX_WITNESSES]:
+    # auto_uv[k] is the first (u, v) with p(u+v) != p(u)+p(v), p = gyr_perms[k]
+    auto_bad = np.zeros(len(gyr_perms), dtype=bool)
+    auto_uv = np.zeros((len(gyr_perms), 2), dtype=np.int64)
+    chunk = max(1, _BLOCK_CELLS // (n * n))
+    for k0 in range(0, len(gyr_perms), chunk):
+        p = gyr_perms[k0:k0 + chunk]
+        mism = (p[:, table] != table[p[:, :, None], p[:, None, :]]).reshape(len(p), -1)
+        first = np.argmax(mism, axis=1)
+        auto_bad[k0:k0 + len(p)] = mism[np.arange(len(p)), first]
+        auto_uv[k0:k0 + len(p)] = np.stack(np.divmod(first, n), axis=1)
+    for k in np.flatnonzero(auto_bad[gyr_index])[:MAX_WITNESSES]:
+        a, b = divmod(int(k), n)
+        u, v = map(int, auto_uv[gyr_index[a, b]])
         diags.append(Diagnostic(
-            "left_gyroassociative", (int(a), int(b), int(c)),
-            f"{a}+({b}+{c}) = {int(a_bc[a, b, c])} but "
-            f"({a}+{b})+gyr[{a},{b}]{c} = {int(rhs[a, b, c])}"))
-    if len(mism) > MAX_WITNESSES:
-        diags.append(Diagnostic(
-            "left_gyroassociative_count", (int(len(mism)),),
-            f"{len(mism)} of {n ** 3} triples violate gyroassociativity"))
+            "gyration_automorphism", (a, b, u, v),
+            f"gyr[{a},{b}]({u}+{v}) != gyr[{a},{b}]{u}+gyr[{a},{b}]{v}"))
 
-    # (6) left loop property: gyr[a+b, b] = gyr[a, b] pointwise (G4)
-    shifted = gyr[table[:, :, None], ai[None, :, None], ai[None, None, :]]
-    mism = np.argwhere(shifted != gyr)
-    for a, b, c in mism[:MAX_WITNESSES]:
+    diags.extend(assoc_diags)
+    if assoc_count > MAX_WITNESSES:
+        diags.append(Diagnostic(
+            "left_gyroassociative_count", (assoc_count,),
+            f"{assoc_count} of {n ** 3} triples violate gyroassociativity"))
+
+    # (6) left loop property: gyr[a+b, b] = gyr[a, b] pointwise (G4).  Equal
+    # indices mean equal maps, so only pairs whose indices differ are
+    # scanned over c; each such pair has at least one witness c.
+    shifted = gyr_index[table, ai[None, :]]
+    triples = []
+    for a, b in np.argwhere(shifted != gyr_index)[:MAX_WITNESSES]:
+        moved, kept = gyr_perms[shifted[a, b]], gyr_perms[gyr_index[a, b]]
+        triples.extend((a, b, c, moved[c], kept[c])
+                       for c in np.flatnonzero(moved != kept))
+    for a, b, c, x, y in triples[:MAX_WITNESSES]:
         diags.append(Diagnostic(
             "left_loop", (int(a), int(b), int(c)),
-            f"gyr[{a}+{b},{b}]{c} = {int(shifted[a, b, c])} != "
-            f"gyr[{a},{b}]{c} = {int(gyr[a, b, c])}"))
-    return diags, table, inv, gyr
+            f"gyr[{a}+{b},{b}]{c} = {int(x)} != gyr[{a},{b}]{c} = {int(y)}"))
+    return diags, table, inv, gyr_index, gyr_perms
 
 
 def validate_gyrogroup(t):
     """Certify a table as a gyrogroup or raise ValidationError with witnesses."""
-    diags, table, inv, gyr = _diagnose(t)
+    diags, table, inv, gyr_index, gyr_perms = _diagnose(t)
     if diags:
         raise ValidationError(diags)
     labels = t.labels if isinstance(t, CayleyTable) else None
-    return FiniteGyrogroup(table=table.copy(), inv=inv, gyr=gyr, labels=labels)
+    return FiniteGyrogroup(table=table, inv=inv, gyr_index=gyr_index,
+                           gyr_perms=gyr_perms, labels=labels)
 
 
 def is_subgyrogroup(g, members):

@@ -3,7 +3,9 @@ import pytest
 
 from gyrokit import validate_action, validate_gyrogroup
 from gyrokit.catalog import (cyclic, dihedral, klein_four, quaternion,
-                             symmetric, twisted21)
+                             square_root_twist, symmetric, twisted21)
+from gyrokit.core import Diagnostic
+from gyrokit.finite import MAX_WITNESSES
 
 
 def group_tables():
@@ -127,3 +129,90 @@ T21_NON_INVARIANT = ((0, 1), (1, 2), (2, 7, 11), (0, 3, 6, 9, 12, 15, 18, 1))
 def fixture_carriers(groups, t21):
     """Every catalog fixture: the group tables and twisted21()."""
     return {**groups, "T21": t21}
+
+
+# Reference oracle for validation stages 4-6: the dense algorithm, with the
+# full (n, n, n) gyration array and the automorphism law checked once per
+# pair (a, b).  It lives only here; the library stores each distinct
+# gyration once.
+
+GYRATION_CHECKS = ("gyration_bijective", "gyration_automorphism",
+                   "left_gyroassociative", "left_gyroassociative_count",
+                   "left_loop")
+
+
+def two_sided_inverses(table):
+    """inv[a] = the unique b with b + a = 0 = a + b, or None."""
+    zeros = table == 0
+    if not np.all(zeros.sum(axis=0) == 1):
+        return None
+    inv = np.argmax(zeros, axis=0)
+    if not np.all(table[np.arange(len(table)), inv] == 0):
+        return None
+    return inv
+
+
+def dense_gyration_diagnostics(table):
+    """Stages 4-6 of the validator on a table with two-sided inverses."""
+    table = np.asarray(table, dtype=np.int64)
+    inv = two_sided_inverses(table)
+    n = table.shape[0]
+    ai = np.arange(n)
+    a_bc = table[ai[:, None, None], table[None, :, :]]
+    gyr = table[inv[table][:, :, None], a_bc]
+    diags = []
+
+    flat = gyr.reshape(n * n, n)
+    not_bij = np.nonzero((np.sort(flat, axis=1) != ai).any(axis=1))[0]
+    for k in not_bij[:MAX_WITNESSES]:
+        a, b = divmod(int(k), n)
+        diags.append(Diagnostic("gyration_bijective", (a, b),
+                                f"gyr[{a},{b}] is not a bijection"))
+    auto_count = 0
+    for a in range(n):
+        for b in range(n):
+            p = gyr[a, b]
+            lhs = p[table]
+            rhs = table[np.ix_(p, p)]
+            if not np.array_equal(lhs, rhs):
+                auto_count += 1
+                if auto_count <= MAX_WITNESSES:
+                    u, v = map(int, np.argwhere(lhs != rhs)[0])
+                    diags.append(Diagnostic(
+                        "gyration_automorphism", (a, b, u, v),
+                        f"gyr[{a},{b}]({u}+{v}) != gyr[{a},{b}]{u}+gyr[{a},{b}]{v}"))
+
+    rhs = table[table[:, :, None], gyr]
+    mism = np.argwhere(a_bc != rhs)
+    for a, b, c in mism[:MAX_WITNESSES]:
+        diags.append(Diagnostic(
+            "left_gyroassociative", (int(a), int(b), int(c)),
+            f"{a}+({b}+{c}) = {int(a_bc[a, b, c])} but "
+            f"({a}+{b})+gyr[{a},{b}]{c} = {int(rhs[a, b, c])}"))
+    if len(mism) > MAX_WITNESSES:
+        diags.append(Diagnostic(
+            "left_gyroassociative_count", (int(len(mism)),),
+            f"{len(mism)} of {n ** 3} triples violate gyroassociativity"))
+
+    shifted = gyr[table[:, :, None], ai[None, :, None], ai[None, None, :]]
+    mism = np.argwhere(shifted != gyr)
+    for a, b, c in mism[:MAX_WITNESSES]:
+        diags.append(Diagnostic(
+            "left_loop", (int(a), int(b), int(c)),
+            f"gyr[{a}+{b},{b}]{c} = {int(shifted[a, b, c])} != "
+            f"gyr[{a},{b}]{c} = {int(gyr[a, b, c])}"))
+    return diags
+
+
+def frobenius(p, q, r):
+    """Z_p semidirect Z_q, Z_q acting by multiplication by r (r^q = 1 mod p);
+    element i*q + j is the pair (i, j)."""
+    i, j = np.arange(p * q) // q, np.arange(p * q) % q
+    rj = np.array([pow(r, int(k), p) for k in j])
+    return ((i[:, None] + rj[:, None] * i[None, :]) % p) * q \
+        + (j[:, None] + j[None, :]) % q
+
+
+def twisted39():
+    """Order-39 nondegenerate carrier: square-root twist of Z13 : Z3."""
+    return square_root_twist(frobenius(13, 3, 3))

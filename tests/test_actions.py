@@ -163,7 +163,7 @@ def test_gyration_invariance_of_stabilizers(t21):
         s = set(dec.stabilizers[x])
         for a in range(21):
             for b in range(21):
-                assert {int(t21.gyr[a, b, c]) for c in s} == s
+                assert {t21.gyration(a, b, c) for c in s} == s
 
 
 # -- the counting theorems ----------------------------------------------------

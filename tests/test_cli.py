@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,3 +238,29 @@ def test_pairs_coset_count_is_exact(capsys):
     by_name = {c["check"]: c for c in json.loads(out)["checks"]}
     assert by_name["coset_count"]["status"] == "pass"
     assert by_name["coset_count"]["value"] == 6
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pairs", "--m", "0", "--seed", "1"], "m must be >= 1"),
+    (["ball", "--dim", "0", "--seed", "1"], "dim must be >= 1")])
+def test_invalid_carrier_size_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader closes the pipe while the command is still sleeping
+    script = ("import sys, time; time.sleep(0.5); from gyrokit.cli import main; "
+              "sys.exit(main(['--report', 'json', 'ball', '--dim', '2', "
+              "'--seed', '1', '--samples', '100']))")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""

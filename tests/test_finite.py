@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from gyrokit import finite
 from gyrokit import (CayleyTable, GyroError, TableFormatError,
                      ValidationError, diagnose_gyrogroup,
                      enumerate_subgyrogroups, is_l_subgyrogroup,
                      is_subgyrogroup, left_cosets, parse_cayley_table,
                      serialize_cayley_table, subgyrogroup_closure,
                      validate_gyrogroup)
-from gyrokit.catalog import cyclic, frobenius21, square_root_twist, symmetric
+from gyrokit.catalog import (cyclic, dihedral, frobenius21,
+                             square_root_twist, symmetric, twisted21)
 
-from conftest import (T21_NON_INVARIANT, group_tables, gyration_leak_loop,
-                      nontrivial_gyration_loop)
+from conftest import (GYRATION_CHECKS, T21_NON_INVARIANT,
+                      dense_gyration_diagnostics, group_tables,
+                      gyration_leak_loop, nontrivial_gyration_loop,
+                      twisted39, two_sided_inverses)
 
 
 def group_axioms_hold(table):
@@ -267,3 +271,69 @@ def test_nontrivial_gyration_matches_loop(fixture_carriers):
         assert g.nontrivial_gyration() == witness, name
         assert g.is_degenerate() == (witness is None), name
         assert (witness is None) == (name != "T21")
+
+
+# -- the distinct-gyration store ------------------------------------------
+
+def test_validation_leaves_callers_array_writable():
+    t = cyclic(4)
+    g = validate_gyrogroup(t)
+    t[0, 0] = 1
+    assert g.oplus(0, 0) == 0
+
+
+def test_gyr_perm_matches_gyrator_identity(t21):
+    t = twisted21()
+    inv = two_sided_inverses(t)
+    for a in range(21):
+        for b in range(21):
+            expected = [t[inv[t[a, b]], t[a, t[b, c]]] for c in range(21)]
+            assert t21.gyr_perm(a, b).tolist() == expected, (a, b)
+
+
+def test_distinct_gyrations_are_stored_once(groups, t21):
+    assert len(t21.gyr_perms) == 7
+    for name, g in groups.items():
+        assert len(g.gyr_perms) == 1, name
+
+
+def entry_transpositions(table, axis, count, seed):
+    """``count`` seeded copies of ``table`` with two entries of one row
+    (axis 1) or of one column (axis 0) exchanged, each keeping unique
+    two-sided inverses so that the gyration stages run."""
+    rng = np.random.default_rng(seed)
+    n = len(table)
+    out = []
+    while len(out) < count:
+        bad = np.array(table)
+        line = int(rng.integers(1, n))
+        i, j = rng.choice(n, 2, replace=False)
+        if axis == 1:
+            bad[line, [i, j]] = bad[line, [j, i]]
+        else:
+            bad[[i, j], line] = bad[[j, i], line]
+        if two_sided_inverses(bad) is not None:
+            out.append(bad)
+    return out
+
+
+def gyration_part(diags):
+    return [(d.check, d.witness, d.message) for d in diags
+            if d.check in GYRATION_CHECKS]
+
+
+def test_gyration_diagnostics_match_dense_oracle(monkeypatch):
+    seen = set()
+    for seed, table in enumerate((twisted21(), twisted39(), dihedral(6))):
+        for axis in (0, 1):
+            for bad in entry_transpositions(table, axis, 12, [seed, axis]):
+                want = gyration_part(dense_gyration_diagnostics(bad))
+                assert gyration_part(diagnose_gyrogroup(bad)) == want
+                with monkeypatch.context() as m:
+                    # one row a per block and one gyration per automorphism
+                    # chunk, so that witnesses past the first block count
+                    m.setattr(finite, "_BLOCK_CELLS", 1)
+                    assert gyration_part(diagnose_gyrogroup(bad)) == want
+                seen.update(check for check, _, _ in want)
+    # every gyration check fired somewhere, so no stage was compared vacuously
+    assert seen == set(GYRATION_CHECKS)
