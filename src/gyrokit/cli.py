@@ -24,9 +24,9 @@ from .ball import BallGyrogroup, check_ball_laws, lorentz_gamma
 from .core import CriterionError, GyroError, ValidationError
 from .coset_actions import build_coset_action, coset_criterion
 from .equivalence import match_components
-from .finite import (TableFormatError, enumerate_subgyrogroups,
-                     is_l_subgyrogroup, left_cosets, parse_cayley_table,
-                     validate_gyrogroup)
+from .finite import (SUBGROUP_ENUM_CAP, TableFormatError,
+                     enumerate_subgyrogroups, is_l_subgyrogroup, left_cosets,
+                     parse_cayley_table, validate_gyrogroup)
 from .pairs import PairGyrogroup, check_pair_axioms, rotation_quotient_gset
 
 LAW_TOL = 1e-9
@@ -422,7 +422,7 @@ def build_parser():
 
     s = sub.add_parser("subgyro", help="enumerate subgyrogroups")
     s.add_argument("table")
-    s.add_argument("--cap", type=int, default=64)
+    s.add_argument("--cap", type=int, default=SUBGROUP_ENUM_CAP)
     s.set_defaults(func=cmd_subgyro)
 
     s = sub.add_parser("cosets", help="left cosets of a subgyrogroup")

@@ -216,3 +216,47 @@ def frobenius(p, q, r):
 def twisted39():
     """Order-39 nondegenerate carrier: square-root twist of Z13 : Z3."""
     return square_root_twist(frobenius(13, 3, 3))
+
+
+# Reference oracle for the subgyrogroup lattice: the closure search over
+# Python sets, closing s + {x} for every found s and every x outside it.
+# It lives only here; the library extends by cyclic closures over masks.
+
+def set_closure(g, seed):
+    """Smallest subset containing seed and 0 closed under + and inverse."""
+    return _set_closure(g.table.tolist(), g.inv.tolist(), seed)
+
+
+def _set_closure(table, inv, seed):
+    s = {int(x) for x in seed} | {0}
+    while True:
+        new = {inv[a] for a in s}
+        new.update(table[a][b] for a in s for b in s)
+        if new <= s:
+            return tuple(sorted(s))
+        s |= new
+
+
+def closure_search_subgyrogroups(g):
+    """Every subgyrogroup, sorted by (size, members)."""
+    table, inv = g.table.tolist(), g.inv.tolist()
+    found = {_set_closure(table, inv, ())}
+    frontier = list(found)
+    while frontier:
+        s = frontier.pop()
+        for x in range(g.order):
+            if x not in s:
+                c = _set_closure(table, inv, s + (x,))
+                if c not in found:
+                    found.add(c)
+                    frontier.append(c)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def is_subgyrogroup_loop(g, members):
+    """Contains 0, lies in 0..n-1, closed under + and inverse."""
+    s = {int(x) for x in members}
+    if 0 not in s or not all(0 <= x < g.order for x in s):
+        return False
+    return all(g.oinv(a) in s and all(g.oplus(a, b) in s for b in s)
+               for a in s)

@@ -13,6 +13,7 @@ from gyrokit import (CayleyTable, serialize_action_table,
                      validate_gyrogroup)
 from gyrokit.catalog import cyclic, symmetric, twisted21
 from gyrokit.cli import main
+from gyrokit.finite import SUBGROUP_ENUM_CAP
 
 from conftest import conjugation_table
 
@@ -109,6 +110,17 @@ def test_subgyro_lists_orders(files, capsys):
     report = json.loads(out)
     orders = sorted(c["detail"]["order"] for c in report["checks"])
     assert orders == [1, 2, 3, 6]
+
+
+def test_subgyro_default_cap_is_the_library_cap(tmp_path, capsys):
+    p = tmp_path / "big.gyro"
+    n = SUBGROUP_ENUM_CAP + 1
+    p.write_text(serialize_cayley_table(CayleyTable(n, cyclic(n))))
+    code, out, err = run(capsys, "--report", "json", "subgyro", str(p))
+    assert code == 2
+    assert f"exceeds enumeration cap {SUBGROUP_ENUM_CAP}" in out + err
+    code, _, _ = run(capsys, "subgyro", str(p), "--cap", str(n))
+    assert code == 0
 
 
 def test_cosets_partition(files, capsys):

@@ -14,9 +14,11 @@ from gyrokit.catalog import (cyclic, dihedral, frobenius21,
                              square_root_twist, symmetric, twisted21)
 
 from conftest import (GYRATION_CHECKS, T21_NON_INVARIANT,
-                      dense_gyration_diagnostics, group_tables,
-                      gyration_leak_loop, nontrivial_gyration_loop,
-                      twisted39, two_sided_inverses)
+                      closure_search_subgyrogroups,
+                      dense_gyration_diagnostics, frobenius, group_tables,
+                      gyration_leak_loop, is_subgyrogroup_loop,
+                      nontrivial_gyration_loop, set_closure, twisted39,
+                      two_sided_inverses)
 
 
 def group_axioms_hold(table):
@@ -128,6 +130,14 @@ def test_missing_inverse_detected():
     assert any(d.check.startswith("left_inverse") for d in diags)
 
 
+def test_order_zero_table_is_rejected():
+    empty = np.zeros((0, 0), dtype=np.int64)
+    for check in (diagnose_gyrogroup, validate_gyrogroup,
+                  lambda t: CayleyTable(0, t)):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            check(empty)
+
+
 def test_validation_never_stops_at_first_witness():
     table = cyclic(6).copy()
     table[1, 1], table[1, 2] = table[1, 2], table[1, 1]
@@ -192,6 +202,60 @@ def test_t21_subgyrogroup_inventory(t21):
     subs = enumerate_subgyrogroups(t21)
     assert sorted(len(h) for h in subs) == [1, 3, 3, 3, 3, 3, 3, 3, 7, 21]
     assert (0, 3, 6, 9, 12, 15, 18) in subs
+
+
+def test_enumeration_matches_closure_search(fixture_carriers):
+    carriers = dict(fixture_carriers, T39=validate_gyrogroup(twisted39()),
+                    F57=validate_gyrogroup(frobenius(19, 3, 7)))
+    for name, g in carriers.items():
+        subs = enumerate_subgyrogroups(g)
+        assert subs == closure_search_subgyrogroups(g), name
+        # plain ints, as the CLI serialises them to JSON
+        assert all(type(x) is int for h in subs for x in h), name
+
+
+@pytest.mark.parametrize("table, count", [
+    (square_root_twist(frobenius(43, 3, 6)), 46), (dihedral(32), 69)],
+    ids=["twist129", "D32"])
+def test_enumeration_is_complete(table, count):
+    g = validate_gyrogroup(table)
+    subs = enumerate_subgyrogroups(g, cap=g.order)
+    assert len(set(subs)) == len(subs) == count
+    assert subs == sorted(subs, key=lambda s: (len(s), s))
+    assert all(is_subgyrogroup(g, h) for h in subs)
+    # the list holds {0} and every closure of a member plus one element, so
+    # it holds every subgyrogroup: each is the top of such a chain from {0}
+    found = set(subs)
+    assert (0,) in found
+    for h in subs:
+        for x in range(g.order):
+            if x not in h:
+                assert subgyrogroup_closure(g, h + (x,)) in found, (h, x)
+
+
+def test_closure_of_every_singleton_matches_set_loop(fixture_carriers):
+    carriers = dict(fixture_carriers, T39=validate_gyrogroup(twisted39()))
+    for name, g in carriers.items():
+        for x in range(g.order):
+            assert subgyrogroup_closure(g, (x,)) == set_closure(g, (x,)), (name, x)
+
+
+def test_is_subgyrogroup_matches_loop(fixture_carriers):
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for name, g in fixture_carriers.items():
+        n = g.order
+        subsets = [(), (n,), (0, n), (-1, 0), (0, 2 ** 70), tuple(range(1, n))]
+        for h in enumerate_subgyrogroups(g):
+            subsets += [h, h + (n,), h[1:]]
+        for _ in range(20):
+            s = tuple(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+            subsets += [s, s + (0,), tuple(x for x in s if x)]
+        for s in subsets:
+            want = is_subgyrogroup_loop(g, s)
+            assert is_subgyrogroup(g, s) == want, (name, s)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- L-subgyrogroups and cosets ------------------------------------------
