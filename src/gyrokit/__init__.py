@@ -38,4 +38,4 @@ from .finite import (CayleyTable, CosetPartition, FiniteGyrogroup,
                      serialize_cayley_table, subgyrogroup_closure,
                      validate_gyrogroup)
 from .pairs import (PairElement, PairGyrogroup, check_pair_axioms,
-                    pair_gyration, rotation_quotient_gset)
+                    rotation_quotient_gset)

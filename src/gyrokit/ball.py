@@ -8,6 +8,22 @@ The two additions are evaluated exactly as written:
     einstein:  (1 / (1 + <u,v>)) [u + v/g_u + (g_u/(1+g_u)) <u,v> u],
                g_u = 1 / sqrt(1 - |u|^2)
 
+and each carrier supplies its gyrations in closed form (Ungar, Analytic
+Hyperbolic Geometry, 2005):
+
+    mobius:    gyr[u, v]w = w + 2(A u + B v) / D,
+               A = -<u,w>|v|^2 + <v,w> + 2<u,v><v,w>,
+               B = -<v,w>|u|^2 - <u,w>,
+               D = 1 + 2<u,v> + |u|^2 |v|^2
+
+    einstein:  the Mobius form at u/(1 + sqrt(1 - |u|^2)) and
+               v/(1 + sqrt(1 - |v|^2)), the Mobius points the isomorphism
+               x -> 2x/(1 + |x|^2) sends to u and v; it commutes with
+               rotations, so w itself is not mapped.
+
+The law suites cross-check these against the gyrator identity of
+``core.gyration`` on every sampled triple.
+
 All functions broadcast over leading axes, so a "point" may be a single
 vector of shape (dim,) or a batch of shape (N, dim).  Results are never
 clamped: a sum with norm >= 1 signals a numerical error.
@@ -34,11 +50,19 @@ SAMPLE_MAX_NORM = 0.99
 
 
 def _dot(u, v):
-    return np.sum(np.asarray(u) * np.asarray(v), axis=-1, keepdims=True)
+    return np.einsum("...i,...i->...", u, v)[..., None]
 
 
 def _norm(u):
     return np.linalg.norm(np.asarray(u, dtype=float), axis=-1)
+
+
+def _squared_norm_in_ball(u):
+    """|u|^2 (keepdims) of a point or batch; raises unless every |u| < 1."""
+    nu2 = _dot(u, u)
+    if np.any(nu2 >= 1.0):
+        raise InvalidElementError("argument outside the open unit ball")
+    return nu2
 
 
 def lorentz_gamma(u):
@@ -50,10 +74,24 @@ def lorentz_gamma(u):
 
 
 def _gram_defect(u, v):
-    """|u|^2 |v|^2 - <u,v>^2 without cancellation (Lagrange identity)."""
-    cross = u[..., :, None] * v[..., None, :]
-    w = cross - np.swapaxes(cross, -1, -2)
-    return 0.5 * np.sum(w * w, axis=(-2, -1))[..., None]
+    """|u|^2 |v|^2 - <u,v>^2 without cancellation: by the Lagrange identity,
+    the sum of the squared 2 x 2 minors u_i v_j - u_j v_i over i < j."""
+    out = 0.0
+    for i in range(u.shape[-1]):
+        for j in range(i + 1, u.shape[-1]):
+            minor = u[..., i:i + 1] * v[..., j:j + 1] - u[..., j:j + 1] * v[..., i:i + 1]
+            out = out + minor * minor
+    return out
+
+
+def _mobius_den(u, v, uv):
+    """1 + 2<u,v> + |u|^2 |v|^2 as (1 + <u,v>)^2 + (|u|^2 |v|^2 - <u,v>^2),
+    which keeps its significant digits when u ~ -v near the boundary;
+    ``uv`` is <u,v>."""
+    den = (1.0 + uv) ** 2 + _gram_defect(u, v)
+    if np.any(np.abs(den) < DENOM_GUARD):
+        raise NumericalError("mobius denominator underflow")
+    return den
 
 
 def mobius_add(u, v):
@@ -71,14 +109,13 @@ def mobius_add(u, v):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    uv = _dot(u, v)
-    nu2 = _dot(u, u)
+    return _mobius_add(u, v, _dot(u, u))
+
+
+def _mobius_add(u, v, nu2):
     s = u + v
-    s2 = _dot(s, s)
-    den = (1.0 + uv) ** 2 + _gram_defect(u, v)
-    if np.any(np.abs(den) < DENOM_GUARD):
-        raise NumericalError("mobius denominator underflow")
-    return ((1.0 - nu2) * s + s2 * u) / den
+    den = _mobius_den(u, v, _dot(u, v))
+    return ((1.0 - nu2) * s + _dot(s, s) * u) / den
 
 
 def einstein_add(u, v):
@@ -95,20 +132,39 @@ def einstein_add(u, v):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    uv = _dot(u, v)
-    nu2 = _dot(u, u)
+    return _einstein_add(u, v, _dot(u, u))
+
+
+def _einstein_add(u, v, nu2):
     if np.any(nu2 >= 1.0):
         raise NumericalError("Lorentz factor overflow: |u| >= 1")
     g2 = 1.0 / (1.0 - nu2)
     gu = np.sqrt(g2)
-    den = 1.0 + uv
+    den = 1.0 + _dot(u, v)
     if np.any(np.abs(den) < DENOM_GUARD):
         raise NumericalError("einstein denominator underflow")
     c = (g2 * den - 1.0) / (gu * (1.0 + gu))
     return ((u + v) / gu + c * u) / den
 
 
-_ADDS = {"mobius": mobius_add, "einstein": einstein_add}
+def _mobius_gyration(u, v, w, nu2, nv2):
+    """Ungar's gyr[u, v]w = w + 2(A u + B v)/D on the Mobius ball."""
+    uv = _dot(u, v)
+    uw = _dot(u, w)
+    vw = _dot(v, w)
+    a = vw * (1.0 + 2.0 * uv) - uw * nv2
+    b = -(vw * nu2 + uw)
+    return w + 2.0 * (a * u + b * v) / _mobius_den(u, v, uv)
+
+
+def _to_mobius(u, nu2):
+    """The Mobius point u/(1 + sqrt(1 - |u|^2)) of the Einstein point u,
+    with its squared norm ``nu2`` = |u|^2 scaled alike."""
+    k = 1.0 / (1.0 + np.sqrt(1.0 - nu2))
+    return k * u, k * k * nu2
+
+
+_ADDS = {"mobius": _mobius_add, "einstein": _einstein_add}
 
 
 class BallGyrogroup(GyrogroupCarrier):
@@ -139,29 +195,44 @@ class BallGyrogroup(GyrogroupCarrier):
                 f"norm {float(np.max(_norm(u)))} >= 1 - delta ({1.0 - self.delta})")
         return u
 
-    def _require_in_ball(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(_norm(u) >= 1.0):
-            raise InvalidElementError("argument outside the open unit ball")
-        return u
-
     def oplus(self, u, v):
-        out = self._add(self._require_in_ball(u), self._require_in_ball(v))
-        if np.any(_norm(out) >= 1.0):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        nu2 = _squared_norm_in_ball(u)
+        _squared_norm_in_ball(v)
+        out = self._add(u, v, nu2)
+        if np.any(_dot(out, out) >= 1.0):
             raise NumericalError(f"{self.variant} sum left the ball")
         return out
 
     def oinv(self, u):
-        return -self._require_in_ball(u)
+        u = np.asarray(u, dtype=float)
+        _squared_norm_in_ball(u)
+        return -u
+
+    def gyration(self, a, b, c):
+        """gyr[a, b]c in closed form (see the module docstring)."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        na2 = _squared_norm_in_ball(a)
+        nb2 = _squared_norm_in_ball(b)
+        _squared_norm_in_ball(c)
+        if self.variant == "einstein":
+            a, na2 = _to_mobius(a, na2)
+            b, nb2 = _to_mobius(b, nb2)
+        return _mobius_gyration(a, b, c, na2, nb2)
 
     def distance(self, u, v):
-        return _norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
+        d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
+        return np.sqrt(_dot(d, d)[..., 0])
 
     def equals(self, u, v):
         return bool(np.all(self.distance(u, v) <= self.eps))
 
     def contains(self, u):
-        return _norm(u) < 1.0
+        u = np.asarray(u, dtype=float)
+        return _dot(u, u)[..., 0] < 1.0
 
     def sample(self, rng, max_norm=SAMPLE_MAX_NORM):
         return self.sample_batch(rng, 1, max_norm)[0]
@@ -170,8 +241,8 @@ class BallGyrogroup(GyrogroupCarrier):
         """Uniform points of the ball scaled to norms <= max_norm."""
         g = rng.standard_normal((count, self.dim))
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        radii = max_norm * rng.random((count, 1)) ** (1.0 / self.dim)
-        return g * radii
+        g *= max_norm * rng.random((count, 1)) ** (1.0 / self.dim)
+        return g
 
     def __repr__(self):
         return f"BallGyrogroup(dim={self.dim}, variant={self.variant!r})"

@@ -20,14 +20,15 @@ from . import __version__
 from .actions import (burnside_count, check_orbit_stabilizer, classify,
                       orbit_decomposition_equation, orbits_and_stabilizers,
                       parse_action_table, validate_action)
-from .ball import BallGyrogroup, check_ball_laws, lorentz_gamma
-from .core import CriterionError, GyroError, ValidationError
+from .ball import SAMPLE_MAX_NORM, BallGyrogroup, lorentz_gamma
+from .core import (CriterionError, GyroError, ValidationError,
+                   sampled_law_residuals)
 from .coset_actions import build_coset_action, coset_criterion
 from .equivalence import match_components
 from .finite import (SUBGROUP_ENUM_CAP, TableFormatError,
                      enumerate_subgyrogroups, is_l_subgyrogroup, left_cosets,
                      parse_cayley_table, validate_gyrogroup)
-from .pairs import PairGyrogroup, check_pair_axioms, rotation_quotient_gset
+from .pairs import PairGyrogroup, rotation_quotient_gset
 
 LAW_TOL = 1e-9
 
@@ -306,12 +307,20 @@ def cmd_equiv(args):
     return {"command": "equiv", "status": "pass", "checks": checks}
 
 
-def _law_checks(command, suite, carrier, args):
-    """Run a sampled law suite; returns one report entry per residual and
-    whether every law held.  A sample count the suite rejects is a usage
-    error."""
+def _plain(x):
+    """A sampled element as JSON: ball coordinates as a list, a pair as
+    [coordinates, rotation index]."""
+    return x.tolist() if hasattr(x, "tolist") else [_plain(p) for p in x]
+
+
+def _law_checks(command, carrier, args):
+    """Run the sampled law suite; returns one report entry per residual and
+    whether every law held.  A failing law's witness is [i, a, b, c]: its
+    worst triple and that triple's index in the draw.  A sample count the
+    suite rejects is a usage error."""
     try:
-        residuals = suite(carrier, args.samples, args.seed)
+        residuals, worst_at = sampled_law_residuals(
+            carrier, args.samples, args.seed, SAMPLE_MAX_NORM)
     except ValueError as exc:
         raise _usage_failure(command, exc)
     checks = []
@@ -325,7 +334,10 @@ def _law_checks(command, suite, carrier, args):
                                  seed=args.seed, samples=args.samples))
         else:
             passed = value <= LAW_TOL
+            i, *triple = worst_at[name]
             checks.append(_entry(name, "pass" if passed else "fail",
+                                 witness=None if passed else
+                                 [i] + [_plain(x) for x in triple],
                                  seed=args.seed, samples=args.samples,
                                  tolerance=LAW_TOL, worst=value))
         ok = ok and passed
@@ -350,7 +362,7 @@ def cmd_ball(args):
                    detail="gamma of the first argument")]}
     if args.seed is None:
         raise _usage_failure("ball", "--seed is required for sampling")
-    checks, ok = _law_checks("ball", check_ball_laws, carrier, args)
+    checks, ok = _law_checks("ball", carrier, args)
     report = {"command": "ball", "status": "pass" if ok else "fail",
               "checks": checks}
     if not ok:
@@ -363,7 +375,7 @@ def cmd_pairs(args):
         carrier = PairGyrogroup(m=args.m, variant=args.variant)
     except ValueError as exc:
         raise _usage_failure("pairs", exc)
-    checks, ok = _law_checks("pairs", check_pair_axioms, carrier, args)
+    checks, ok = _law_checks("pairs", carrier, args)
     crit = carrier.verify_hat_criterion(args.samples, args.seed)
     checks.append(_entry("hat_coset_criterion", crit["status"],
                          seed=args.seed, samples=args.samples))

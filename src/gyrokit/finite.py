@@ -468,9 +468,15 @@ def _close(g, mask, new):
 
 
 def subgyrogroup_closure(g, seed):
-    """Smallest subgyrogroup containing ``seed``, as a sorted tuple."""
+    """Smallest subgyrogroup containing ``seed``, as a sorted tuple.
+
+    Raises ValueError for a seed member outside 0..n-1."""
+    members = [int(x) for x in seed]
+    outside = [x for x in members if not 0 <= x < g.order]
+    if outside:
+        raise ValueError(f"seed member {outside[0]} is outside 0..{g.order - 1}")
     mask = np.zeros(g.order, dtype=bool)
-    mask[[0, *(int(x) for x in seed)]] = True
+    mask[[0, *members]] = True
     return tuple(np.flatnonzero(_close(g, mask, np.flatnonzero(mask))).tolist())
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gyrokit import validate_action, validate_gyrogroup
+from gyrokit import BallGyrogroup, validate_action, validate_gyrogroup
 from gyrokit.catalog import (cyclic, dihedral, klein_four, quaternion,
                              square_root_twist, symmetric, twisted21)
 from gyrokit.core import Diagnostic
@@ -260,3 +260,17 @@ def is_subgyrogroup_loop(g, members):
         return False
     return all(g.oinv(a) in s and all(g.oplus(a, b) in s for b in s)
                for a in s)
+
+
+class WrongGyrationBall(BallGyrogroup):
+    """A ball whose gyr[a, b] is off by 1e-3 in the first coordinate exactly
+    when a is the point ``bad``: every law that reads gyr[a, b] fails at
+    the triples drawn with that a, and no other."""
+
+    def __init__(self, bad, **kwargs):
+        super().__init__(**kwargs)
+        self.bad = np.asarray(bad)
+
+    def gyration(self, a, b, c):
+        hit = np.all(np.asarray(a) == self.bad, axis=-1)[..., None]
+        return super().gyration(a, b, c) + 1e-3 * hit * np.eye(self.dim)[0]

@@ -182,3 +182,101 @@ def test_gyration_broadcasts_over_batches():
     batch = gyration(ball, a, b, c)
     single = np.stack([gyration(ball, a[i], b[i], c[i]) for i in range(64)])
     assert np.allclose(batch, single, atol=1e-15, rtol=0)
+
+
+def test_mobius_dim2_seed5_left_loop_passes():
+    # the gyrator identity read 1.02e-9 here, a false failure of the law
+    out = check_ball_laws(BallGyrogroup(dim=2, variant="mobius"), 50_000, seed=5)
+    assert out["left_loop"] <= 1e-9
+    assert out["gyration_closed_form"] <= 1e-9
+
+
+def _edge_triples(ball, rng, count):
+    """Seeded triples with norms <= 0.9, then the same with each slot in
+    turn pushed out to norm 0.999, and the zero triple."""
+    base = [ball.sample_batch(rng, count, 0.9) for _ in range(3)]
+    triples = [base]
+    for slot in range(3):
+        t = [x.copy() for x in base]
+        t[slot] *= 0.999 / np.linalg.norm(t[slot], axis=-1, keepdims=True)
+        triples.append(t)
+    triples.append([np.zeros((1, ball.dim))] * 3)
+    return [np.concatenate(xs) for xs in zip(*triples)]
+
+
+@pytest.mark.parametrize("variant", ["mobius", "einstein"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_closed_form_gyration_matches_gyrator(variant, dim):
+    ball = BallGyrogroup(dim=dim, variant=variant)
+    a, b, c = _edge_triples(ball, np.random.default_rng(dim), 50)
+    assert np.abs(np.linalg.norm(a, axis=-1).max() - 0.999) < 1e-15
+    got = ball.gyration(a, b, c)
+    assert np.linalg.norm(got - gyration(ball, a, b, c), axis=-1).max() <= 1e-11
+    # gyrations are isometries, and fix 0
+    assert np.abs(np.linalg.norm(got, axis=-1)
+                  - np.linalg.norm(c, axis=-1)).max() <= 1e-13
+    assert np.array_equal(ball.gyration(a, b, np.zeros_like(c)), np.zeros_like(c))
+
+
+def test_closed_form_gyration_exact_near_boundary():
+    """Against the gyrator identity in exact rationals, where the float
+    gyrator loses digits: a at norm 0.999."""
+    ball = BallGyrogroup(dim=3, variant="mobius")
+    rng = np.random.default_rng(11)
+    a = ball.sample_batch(rng, 6, 0.9)
+    a *= 0.999 / np.linalg.norm(a, axis=-1, keepdims=True)
+    b, c = ball.sample_batch(rng, 6, 0.9), ball.sample_batch(rng, 6, 0.9)
+    got = ball.gyration(a, b, c)
+    for i in range(6):
+        exact = rational_gyr(*(tuple(F(x) for x in v[i]) for v in (a, b, c)))
+        assert np.linalg.norm(got[i] - [float(x) for x in exact]) <= 1e-15
+
+
+def test_closed_form_gyration_single_points_and_domain():
+    ball = BallGyrogroup(dim=2, variant="mobius")
+    got = ball.gyration([0.3, 0.0], [0.0, 0.4], [0.1, 0.0])
+    assert np.allclose(got, [154 / 1585, -15 / 634], atol=1e-15, rtol=0)
+    with pytest.raises(InvalidElementError):
+        ball.gyration([1.0, 0.0], [0.0, 0.4], [0.1, 0.0])
+    with pytest.raises(InvalidElementError):
+        ball.gyration([0.3, 0.0], [0.0, 0.4], [0.0, 1.2])
+
+
+def test_carrier_gyrations_do_not_use_the_gyrator(monkeypatch):
+    from gyrokit import PairGyrogroup, core
+
+    def refuse(*args):
+        raise AssertionError("core.gyration called")
+
+    monkeypatch.setattr(core, "gyration", refuse)
+    a, b, c = np.array([0.3, 0.1]), np.array([-0.2, 0.5]), np.array([0.4, 0.0])
+    for variant in ("mobius", "einstein"):
+        assert BallGyrogroup(dim=2, variant=variant).gyration(a, b, c).shape == (2,)
+        pairs = PairGyrogroup(m=6, variant=variant)
+        x = pairs.gyration(pairs.element(a, 1), pairs.element(b, 2),
+                           pairs.element(c, 3))
+        assert x.u.shape == (2,) and x.r == 3
+
+
+@pytest.mark.parametrize("variant", ["mobius", "einstein"])
+def test_law_suite_independent_of_block_size(monkeypatch, variant):
+    from gyrokit import PairGyrogroup, check_pair_axioms, core
+    ball = BallGyrogroup(dim=3, variant=variant)
+    pairs = PairGyrogroup(m=6, variant=variant)
+    default = check_ball_laws(ball, 1000, seed=3), check_pair_axioms(pairs, 1000, 3)
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 7)
+    assert (check_ball_laws(ball, 1000, seed=3),
+            check_pair_axioms(pairs, 1000, 3)) == default
+
+
+def test_sample_batch_draw_is_frozen():
+    from gyrokit import PairGyrogroup
+    x = BallGyrogroup(dim=3).sample_batch(np.random.default_rng(2024), 1000)
+    assert x[[0, 999]].tolist() == [
+        [0.1539247835987138, 0.24564367828533684, 0.17155792988348095],
+        [0.09251656349793118, 0.6959902741612641, -0.5628573725148344]]
+    p = PairGyrogroup(m=6).sample_batch(np.random.default_rng(2024), 1000)
+    assert p.u[[0, 999]].tolist() == [
+        [0.4843584074041923, 0.7729722142301437],
+        [-0.5656108036921905, -0.5241533115138216]]
+    assert p.r[[0, 999]].tolist() == [5, 0]

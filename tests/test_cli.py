@@ -213,6 +213,27 @@ def test_ball_law_suite(capsys):
     assert by_name["gyroassociativity"]["seed"] == 42
 
 
+def test_ball_failing_law_reports_its_worst_triple(capsys, monkeypatch):
+    import gyrokit.cli
+    from gyrokit import BallGyrogroup
+
+    from conftest import WrongGyrationBall
+    samples, k = 20_000, 17_000
+    rng = np.random.default_rng(6)
+    a, b, c = (BallGyrogroup(dim=2).sample_batch(rng, samples) for _ in range(3))
+    monkeypatch.setattr(gyrokit.cli, "BallGyrogroup",
+                        lambda **kw: WrongGyrationBall(a[k], **kw))
+    code, out, _ = run(capsys, "--report", "json", "ball", "--dim", "2",
+                       "--seed", "6", "--samples", str(samples))
+    assert code == 1
+    by_name = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert by_name["left_loop"]["status"] == "fail"
+    assert by_name["left_loop"]["witness"] == [
+        k, a[k].tolist(), b[k].tolist(), c[k].tolist()]
+    assert by_name["left_inverse"]["status"] == "pass"
+    assert by_name["left_inverse"]["witness"] is None
+
+
 def test_pairs_requires_seed(capsys):
     assert main(["pairs", "--m", "6"]) == 2
 

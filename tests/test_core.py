@@ -144,3 +144,35 @@ def test_cancellation_law_failure_reports_witness():
     assert not law1.passed
     a, b1, b2 = law1.witness
     assert broken.oplus(a, b1) == broken.oplus(a, b2) and b1 != b2
+
+
+def test_sampled_witness_is_the_wrong_triple_past_the_first_block():
+    from gyrokit.ball import SAMPLE_MAX_NORM
+    from gyrokit.core import _BLOCK_TRIPLES, sampled_law_residuals
+
+    from conftest import WrongGyrationBall
+    samples, k = _BLOCK_TRIPLES + 50, _BLOCK_TRIPLES + 17
+    rng = np.random.default_rng(4)
+    a, b, c = (BallGyrogroup(dim=3).sample_batch(rng, samples) for _ in range(3))
+    carrier = WrongGyrationBall(a[k], dim=3)
+    residuals, worst_at = sampled_law_residuals(carrier, samples, 4,
+                                                SAMPLE_MAX_NORM)
+    for law in ("gyroassociativity", "left_loop", "automorphism",
+                "gyration_closed_form"):
+        assert residuals[law] > 1e-6, law
+        i, wa, wb, wc = worst_at[law]
+        assert i == k, law
+        assert (wa.tolist(), wb.tolist(), wc.tolist()) == (
+            a[k].tolist(), b[k].tolist(), c[k].tolist())
+    assert residuals["left_inverse"] <= 1e-9
+
+
+def test_sampled_witness_of_pair_carrier_is_a_pair():
+    from gyrokit import PairElement, PairGyrogroup
+    from gyrokit.core import sampled_law_residuals
+    carrier = PairGyrogroup(m=6)
+    residuals, worst_at = sampled_law_residuals(carrier, 100, 2, 0.99)
+    i, x, y, z = worst_at["left_loop"]
+    draw = carrier.sample_batch(np.random.default_rng(2), 100, 0.99)
+    assert isinstance(x, PairElement) and 0 <= i < 100
+    assert x.u.tolist() == draw.u[i].tolist() and int(x.r) == int(draw.r[i])

@@ -233,6 +233,13 @@ def test_enumeration_is_complete(table, count):
                 assert subgyrogroup_closure(g, h + (x,)) in found, (h, x)
 
 
+@pytest.mark.parametrize("seed", [(6,), (-1,), (2, 7)])
+def test_closure_rejects_seed_outside_the_carrier(z6, seed):
+    bad = next(x for x in seed if not 0 <= x < 6)
+    with pytest.raises(ValueError, match=f"member {bad} is outside 0..5"):
+        subgyrogroup_closure(z6, seed)
+
+
 def test_closure_of_every_singleton_matches_set_loop(fixture_carriers):
     carriers = dict(fixture_carriers, T39=validate_gyrogroup(twisted39()))
     for name, g in carriers.items():

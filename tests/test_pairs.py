@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gyrokit import (CriterionError, PairElement, PairGyrogroup,
-                     check_pair_axioms, classify, gyration, pair_gyration,
+                     check_pair_axioms, classify, gyration,
                      rotation_quotient_gset)
 from gyrokit.coset_actions import (coset_criterion_sampled,
                                    self_action_possible_sampled)
@@ -47,7 +47,7 @@ def test_pair_gyration_keeps_rotation_slot(carrier):
     x = carrier.element([0.3, 0.1], 2)
     y = carrier.element([-0.2, 0.4], 5)
     z = carrier.element([0.0, 0.0], 3)
-    g = pair_gyration(carrier, x, y, z)
+    g = carrier.gyration(x, y, z)
     assert np.allclose(g.u, 0.0, atol=1e-12)
     assert g.r == 3
 
@@ -56,7 +56,7 @@ def test_pair_gyration_collinear_ball_parts(carrier):
     x = carrier.element([0.3, 0.0], 1)
     y = carrier.element([0.6, 0.0], 2)
     z = carrier.element([0.2, 0.5], 4)
-    g = pair_gyration(carrier, x, y, z)
+    g = carrier.gyration(x, y, z)
     assert carrier.equals(g, z)
 
 
@@ -65,7 +65,7 @@ def test_closed_form_matches_gyrator_identity(carrier):
     x = carrier.sample_batch(rng, 2000)
     y = carrier.sample_batch(rng, 2000)
     z = carrier.sample_batch(rng, 2000)
-    direct = pair_gyration(carrier, x, y, z)
+    direct = carrier.gyration(x, y, z)
     generic = gyration(carrier, x, y, z)
     assert np.all(np.asarray(direct.r) == np.asarray(generic.r))
     assert float(np.max(carrier.distance(direct, generic))) <= 1e-9
@@ -81,6 +81,12 @@ def test_axiom_suite(variant):
                 "gyration_closed_form"):
         assert out[law] <= 1e-9, (law, out[law])
     assert out["automorphism"] <= 1e-8
+
+
+def test_closed_form_cross_check_compares_two_computations(carrier):
+    # identically 0.0 when the pair gyration was the gyrator itself
+    out = check_pair_axioms(carrier, 2000, seed=1)
+    assert 0.0 < out["gyration_closed_form"] <= 1e-9
 
 
 def test_not_degenerate(carrier):
