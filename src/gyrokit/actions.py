@@ -2,10 +2,15 @@
 
 Everything in this module is exact: tables are integer arrays and the
 orbit count is a Fraction.  The classical theorem suite (orbit-stabilizer,
-orbit decomposition, double counting, conjugate stabilizers, kernel as
-intersection of stabilizers, gyration invariance of stabilizers) is
-re-verified on every computed decomposition rather than assumed; a failure
-raises, since it cannot happen for a validated input.
+orbit decomposition, double counting, conjugate stabilizers, gyration
+invariance of stabilizers) is re-verified on every computed decomposition
+rather than assumed; a failure raises, since it cannot happen for a
+validated input.
+
+Each G-set is decomposed once: ``FiniteGSet.decomposition`` is computed on
+first use, kept, and read by every analysis; its stabilizer theorems are
+checked once per distinct stabilizer.  The action law a.(b.x) = (a+b).x is
+checked once, when a table is certified.
 
 Action table file format (UTF-8 text)::
 
@@ -17,12 +22,14 @@ Comments start with '#'.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .core import Diagnostic, GyroError, ValidationError, conjugate_set
-from .finite import (MAX_WITNESSES, TableFormatError, is_l_subgyrogroup,
-                     is_subgyrogroup, left_cosets, validate_gyrogroup)
+from .finite import (MAX_WITNESSES, TableFormatError, _read_table,
+                     is_l_subgyrogroup, is_subgyrogroup, left_cosets,
+                     validate_gyrogroup)
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,17 @@ class FiniteGSet:
 
     def act(self, a, x):
         return int(self.table[a, x])
+
+    @cached_property
+    def decomposition(self):
+        """The verified OrbitDecomposition, computed on first use and kept
+        (the table is read-only)."""
+        return _decompose(self)
+
+    def _require_points(self, points):
+        for y in points:
+            if not 0 <= y < self.points:
+                raise ValueError(f"point {y} is outside 0..{self.points - 1}")
 
 
 @dataclass(frozen=True)
@@ -88,47 +106,19 @@ class CheckReport:
         return out
 
 
+def _sizes(args, lineno):
+    try:
+        n, k = int(args[0]), int(args[1])
+    except ValueError:
+        raise TableFormatError("non-integer sizes in header", lineno)
+    if n < 1 or k < 1:
+        raise TableFormatError("sizes must be >= 1", lineno)
+    return n, k
+
+
 def parse_action_table(text):
     """Parse the action file format; returns (group_order, points, table)."""
-    n = k = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if parts[0] != "action" or len(parts) != 3:
-                raise TableFormatError("expected header 'action <n> <k>'", lineno)
-            try:
-                n, k = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise TableFormatError("non-integer sizes in header", lineno)
-            if n < 1 or k < 1:
-                raise TableFormatError("sizes must be >= 1", lineno)
-            continue
-        if len(rows) == n:
-            raise TableFormatError(f"extra row; table already has {n} rows", lineno)
-        if len(parts) != k:
-            raise TableFormatError(
-                f"row {len(rows)} has {len(parts)} entries, expected {k}", lineno)
-        row = []
-        for col, p in enumerate(parts):
-            try:
-                v = int(p)
-            except ValueError:
-                raise TableFormatError(f"entry {p!r} is not an integer", lineno, col)
-            if not 0 <= v < k:
-                raise TableFormatError(f"entry {v} out of range 0..{k - 1}",
-                                       lineno, col)
-            row.append(v)
-        rows.append(row)
-    if n is None:
-        raise TableFormatError("missing 'action <n> <k>' header", 1)
-    if len(rows) != n:
-        raise TableFormatError(f"expected {n} rows, found {len(rows)}",
-                               len(text.splitlines()) or 1)
-    return n, k, np.array(rows, dtype=np.int64)
+    return _read_table(text, "action <n> <k>", _sizes)[:3]
 
 
 def serialize_action_table(gset):
@@ -142,37 +132,38 @@ def diagnose_action(carrier, table):
     """Check both action axioms exhaustively; return all diagnostics."""
     t = np.ascontiguousarray(table, dtype=np.int64)
     n = carrier.order
-    diags = []
     if t.ndim != 2 or t.shape[0] != n:
-        diags.append(Diagnostic("table_shape", t.shape,
-                                f"expected {n} rows, one per carrier element"))
-        return diags
+        return [Diagnostic("table_shape", t.shape,
+                           f"expected {n} rows, one per carrier element")]
     k = t.shape[1]
-    if t.size and (t.min() < 0 or t.max() >= k):
-        diags.append(Diagnostic("table_range", (),
-                                f"entries must lie in 0..{k - 1}"))
-        return diags
-    xi = np.arange(k)
-    for x in np.nonzero(t[0] != xi)[0][:MAX_WITNESSES]:
-        diags.append(Diagnostic("identity_acts_trivially", (int(x),),
-                                f"0.{x} = {int(t[0, x])} != {x}"))
-    # a.(b.x) = (a+b).x ; a violation exhibits a nonidentity gyration at work
-    lhs = t[np.arange(n)[:, None, None], t[None, :, :]]
-    rhs = t[carrier.table[:, :, None], xi[None, None, :]]
-    mism = np.argwhere(lhs != rhs)
-    for a, b, x in mism[:MAX_WITNESSES]:
+    if k < 1:
+        return [Diagnostic("table_shape", t.shape, "expected at least one point")]
+    if t.min() < 0 or t.max() >= k:
+        return [Diagnostic("table_range", (), f"entries must lie in 0..{k - 1}")]
+    diags = [Diagnostic("identity_acts_trivially", (int(x),),
+                        f"0.{x} = {int(t[0, x])} != {x}")
+             for x in np.nonzero(t[0] != np.arange(k))[0][:MAX_WITNESSES]]
+    # a violation of the action law exhibits a nonidentity gyration at work
+    for a, b, x, lhs, rhs in _action_law_violations(carrier, t)[:MAX_WITNESSES]:
         diags.append(Diagnostic(
             "action_compatible", (int(a), int(b), int(x)),
-            f"{a}.({b}.{x}) = {int(lhs[a, b, x])} != ({a}+{b}).{x} = "
-            f"{int(rhs[a, b, x])} (gyr[{a},{b}] obstruction)"))
+            f"{a}.({b}.{x}) = {lhs} != ({a}+{b}).{x} = {rhs} "
+            f"(gyr[{a},{b}] obstruction)"))
     return diags
 
 
-def validate_action(carrier, table, point_labels=None):
-    """Certify an action table or raise ValidationError with witnesses."""
-    diags = diagnose_action(carrier, table)
-    if diags:
-        raise ValidationError(diags)
+def _action_law_violations(carrier, t):
+    """Every (a, b, x, a.(b.x), (a+b).x) with a.(b.x) != (a+b).x, in
+    row-major order over (a, b, x); t has entries in 0..k-1."""
+    n, k = t.shape
+    lhs = t[np.arange(n)[:, None, None], t[None, :, :]]
+    rhs = t[carrier.table[:, :, None], np.arange(k)[None, None, :]]
+    bad = np.nonzero(lhs != rhs)
+    return np.column_stack((*bad, lhs[bad], rhs[bad]))
+
+
+def _gset(carrier, table, point_labels=None):
+    """A G-set over a read-only copy of a certified action table."""
     t = np.ascontiguousarray(table, dtype=np.int64).copy()
     t.flags.writeable = False
     if point_labels is None:
@@ -180,66 +171,70 @@ def validate_action(carrier, table, point_labels=None):
     return FiniteGSet(carrier=carrier, table=t, point_labels=tuple(point_labels))
 
 
+def validate_action(carrier, table, point_labels=None):
+    """Certify an action table or raise ValidationError with witnesses."""
+    diags = diagnose_action(carrier, table)
+    if diags:
+        raise ValidationError(diags)
+    return _gset(carrier, table, point_labels)
+
+
 def build_representation(gset):
     """The afforded homomorphism a -> sigma_a, with its kernel.
 
-    Re-verifies that each sigma_a is a permutation and that
-    sigma_(a+b) = sigma_a o sigma_b, then reads off the kernel
-    {a : sigma_a = id}.
+    Reads the kernel {a : sigma_a = id} off the certified table and checks
+    nothing again: sigma_(a+b) = sigma_a o sigma_b and sigma_0 = id hold,
+    so sigma_a o sigma_(-a) = id and each sigma_a is a permutation.
     """
     t = gset.table
-    n, k = t.shape
-    xi = np.arange(k)
-    if not np.all(np.sort(t, axis=1) == xi):
-        bad = int(np.nonzero((np.sort(t, axis=1) != xi).any(axis=1))[0][0])
-        raise GyroError(f"sigma_{bad} is not a permutation")
-    comp = t[np.arange(n)[:, None, None], t[None, :, :]]
-    direct = t[gset.carrier.table[:, :, None], xi[None, None, :]]
-    if not np.array_equal(comp, direct):
-        a, b, x = map(int, np.argwhere(comp != direct)[0])
-        raise GyroError(f"homomorphism property fails at ({a}, {b}, {x})")
-    kernel = tuple(int(a) for a in np.nonzero((t == xi).all(axis=1))[0])
-    return Representation(gset=gset, perms=t, kernel=kernel)
+    kernel = np.flatnonzero((t == np.arange(gset.points)).all(axis=1))
+    return Representation(gset=gset, perms=t, kernel=tuple(kernel.tolist()))
 
 
 def action_from_homomorphism(carrier, perms):
     """Build the action a.x = perms[a][x] from a homomorphism into
-    permutations; rejects non-homomorphic assignments with a witness."""
+    permutations; rejects non-homomorphic assignments with a witness.  Such a
+    homomorphism is an action: sigma_0 o sigma_0 = sigma_0, so sigma_0 = id.
+    """
     p = np.ascontiguousarray(perms, dtype=np.int64)
     n = carrier.order
     if p.ndim != 2 or p.shape[0] != n:
         raise ValidationError([Diagnostic("perm_shape", p.shape,
                                           f"expected {n} permutations")])
     k = p.shape[1]
-    xi = np.arange(k)
-    diags = []
-    bad = np.nonzero((np.sort(p, axis=1) != xi).any(axis=1))[0]
-    for a in bad[:MAX_WITNESSES]:
-        diags.append(Diagnostic("permutation", (int(a),),
-                                f"row {a} is not a permutation of 0..{k - 1}"))
+    if k < 1:
+        raise ValidationError([Diagnostic("perm_shape", p.shape,
+                                          "expected at least one point")])
+    bad = np.nonzero((np.sort(p, axis=1) != np.arange(k)).any(axis=1))[0]
+    diags = [Diagnostic("permutation", (int(a),),
+                        f"row {a} is not a permutation of 0..{k - 1}")
+             for a in bad[:MAX_WITNESSES]]
     if not diags:
-        comp = p[np.arange(n)[:, None, None], p[None, :, :]]
-        direct = p[carrier.table[:, :, None], xi[None, None, :]]
-        mism = np.argwhere(comp != direct)
-        for a, b, x in mism[:MAX_WITNESSES]:
-            diags.append(Diagnostic(
-                "homomorphism", (int(a), int(b)),
-                f"perm({a}+{b}) != perm({a}) o perm({b}) at point {x}"))
+        bad = _action_law_violations(carrier, p)[:MAX_WITNESSES, :3]
+        diags = [Diagnostic("homomorphism", (int(a), int(b)),
+                            f"perm({a}+{b}) != perm({a}) o perm({b}) at point {x}")
+                 for a, b, x in bad]
     if diags:
         raise ValidationError(diags)
-    return validate_action(carrier, p)
+    return _gset(carrier, p)
 
 
 def orbits_and_stabilizers(gset):
     """Full orbit decomposition with per-point stabilizers and fixed sets.
 
+    Returns ``gset.decomposition``, which is computed once per G-set.
     Orbits are computed by sweeping every carrier element per point (no
     generator closure: gyrogroups need not be generated efficiently).  The
     stabilizer theorems are re-verified on the result: each stabilizer must
-    be an L-subgyrogroup invariant under every gyration.
+    be an L-subgyrogroup invariant under every gyration.  Each distinct
+    stabilizer is checked once; a failure names the first point with it.
     """
+    return gset.decomposition
+
+
+def _decompose(gset):
     t = gset.table
-    n, k = t.shape
+    k = gset.points
     carrier = gset.carrier
     orbit_of = [-1] * k
     orbits = []
@@ -247,19 +242,18 @@ def orbits_and_stabilizers(gset):
     for x in range(k):
         if orbit_of[x] >= 0:
             continue
-        members = tuple(sorted(set(int(v) for v in t[:, x])))
-        idx = len(orbits)
+        members = tuple(np.unique(t[:, x]).tolist())
         for y in members:
-            orbit_of[y] = idx
+            orbit_of[y] = len(orbits)
         orbits.append(members)
         reps.append(x)
-    stabs = tuple(tuple(int(a) for a in np.nonzero(t[:, x] == x)[0])
-                  for x in range(k))
-    fixed_points = tuple(int(x) for x in range(k)
-                         if np.all(t[:, x] == x))
-    fixed_by = tuple(tuple(int(x) for x in np.nonzero(t[a] == np.arange(k))[0])
-                     for a in range(n))
+    fixes = t == np.arange(k)  # fixes[a, x]: a.x = x
+    stabs = tuple(tuple(np.flatnonzero(col).tolist()) for col in fixes.T)
+    checked = set()
     for x, s in enumerate(stabs):
+        if s in checked:
+            continue
+        checked.add(s)
         if not is_subgyrogroup(carrier, s):
             raise GyroError(f"stab({x}) fails the subgyrogroup criterion")
         if not is_l_subgyrogroup(carrier, s):
@@ -268,9 +262,11 @@ def orbits_and_stabilizers(gset):
         if leak is not None:
             a, b, _ = leak
             raise GyroError(f"gyr[{a},{b}] does not preserve stab({x})")
-    return OrbitDecomposition(orbits=tuple(orbits), representatives=tuple(reps),
-                              orbit_of=tuple(orbit_of), stabilizers=stabs,
-                              fixed_points=fixed_points, fixed_by=fixed_by)
+    return OrbitDecomposition(
+        orbits=tuple(orbits), representatives=tuple(reps),
+        orbit_of=tuple(orbit_of), stabilizers=stabs,
+        fixed_points=tuple(np.flatnonzero(fixes.all(axis=0)).tolist()),
+        fixed_by=tuple(tuple(np.flatnonzero(row).tolist()) for row in fixes))
 
 
 def check_orbit_stabilizer(gset, decomposition=None):
@@ -280,51 +276,43 @@ def check_orbit_stabilizer(gset, decomposition=None):
     well defined and injective: a.x = b.x iff (-b + a).x = x iff
     a + stab(x) = b + stab(x).
     """
-    dec = decomposition or orbits_and_stabilizers(gset)
+    dec = decomposition or gset.decomposition
     t = gset.table
     carrier = gset.carrier
     n, k = t.shape
+    beta = carrier.table[carrier.inv[:, None], np.arange(n)[None, :]]  # -b + a
     per_point = []
-    passed = True
-    witness = None
-    coset_cache = {}
+    same_coset = {}  # per distinct stabilizer: a + stab = b + stab at [a, b]
     for x in range(k):
         orb = dec.orbits[dec.orbit_of[x]]
         stab = dec.stabilizers[x]
         product_ok = n == len(orb) * len(stab)
-        if stab not in coset_cache:
-            coset_cache[stab] = left_cosets(carrier, stab)
-        part = coset_cache[stab]
-        coset_of = np.array(part.coset_of)
+        if stab not in same_coset:
+            coset_of = np.array(left_cosets(carrier, stab).coset_of)
+            same_coset[stab] = coset_of[:, None] == coset_of[None, :]
         images = t[:, x]
         # theta well defined and injective: equal cosets <-> equal images
-        same_coset = coset_of[:, None] == coset_of[None, :]
         same_image = images[:, None] == images[None, :]
-        beta = carrier.table[carrier.inv[:, None], np.arange(n)[None, :]]
         lemma_mid = t[beta, x] == x  # (-b + a).x = x at [b, a]
-        theta_ok = bool(np.array_equal(same_coset, same_image)
+        theta_ok = bool(np.array_equal(same_coset[stab], same_image)
                         and np.array_equal(lemma_mid.T, same_image))
-        ok = product_ok and theta_ok
         per_point.append({"point": x, "orbit": len(orb), "stabilizer": len(stab),
                           "product_ok": product_ok, "bijection_ok": theta_ok})
-        if not ok and witness is None:
-            witness = (x,)
-        passed = passed and ok
-    return CheckReport(check="orbit_stabilizer", passed=passed,
-                       detail={"order": n, "points": per_point}, witness=witness)
+    bad = [p["point"] for p in per_point
+           if not (p["product_ok"] and p["bijection_ok"])]
+    return CheckReport(check="orbit_stabilizer", passed=not bad,
+                       detail={"order": n, "points": per_point},
+                       witness=(bad[0],) if bad else None)
 
 
 def orbit_decomposition_equation(gset, decomposition=None):
     """Verify |X| = |Fix(X)| + sum of [G : stab(x_i)] over representatives
     of the nonsingleton orbits, with indexes from actual coset counts."""
-    dec = decomposition or orbits_and_stabilizers(gset)
+    dec = decomposition or gset.decomposition
     carrier = gset.carrier
-    indexes = []
-    for rep, orbit in zip(dec.representatives, dec.orbits):
-        if len(orbit) > 1:
-            part = left_cosets(carrier, dec.stabilizers[rep])
-            indexes.append(part.index)
-    indexes.sort()
+    indexes = sorted(left_cosets(carrier, dec.stabilizers[rep]).index
+                     for rep, orbit in zip(dec.representatives, dec.orbits)
+                     if len(orbit) > 1)
     total = len(dec.fixed_points) + sum(indexes)
     passed = total == gset.points
     return CheckReport(
@@ -342,7 +330,7 @@ def burnside_count(gset, decomposition=None):
     The result must be an integer equal to the direct orbit count; any
     discrepancy raises.
     """
-    dec = decomposition or orbits_and_stabilizers(gset)
+    dec = decomposition or gset.decomposition
     n = gset.carrier.order
     count = Fraction(sum(len(f) for f in dec.fixed_by), n)
     if count.denominator != 1 or count != len(dec.orbits):
@@ -358,7 +346,7 @@ def classify(gset, decomposition=None):
     and then checked against its two characterisations (transitive + free,
     transitive + semiregular); free implies semiregular implies faithful.
     """
-    dec = decomposition or orbits_and_stabilizers(gset)
+    dec = decomposition or gset.decomposition
     t = gset.table
     k = gset.points
     kernel = build_representation(gset).kernel
@@ -366,12 +354,9 @@ def classify(gset, decomposition=None):
     transitive = len(dec.orbits) == 1
     free = all(s == (0,) for s in dec.stabilizers)
     semiregular = any(s == (0,) for s in dec.stabilizers)
-    sharply = True
-    for x in range(k):
-        counts = np.bincount(t[:, x], minlength=k)
-        if not np.all(counts == 1):
-            sharply = False
-            break
+    # a.x = y has exactly one solution a for all x, y: columns permute 0..k-1
+    sharply = t.shape[0] == k and \
+        bool(np.all(np.sort(t, axis=0) == np.arange(k)[:, None]))
     if sharply != (transitive and free) or sharply != (transitive and semiregular):
         raise GyroError("sharp-transitivity characterisation violated")
     if free and not semiregular:
@@ -388,11 +373,13 @@ def classify(gset, decomposition=None):
 def stabilizer_of_translate(gset, a, x):
     """stab(a.x) computed two ways: direct scan, and as the conjugate of
     stab(x) by a.  The two must agree; returns the set."""
+    gset._require_points([x])
+    if not 0 <= a < gset.carrier.order:
+        raise ValueError(f"element {a} is outside 0..{gset.carrier.order - 1}")
     t = gset.table
     y = int(t[a, x])
-    direct = tuple(int(g) for g in np.nonzero(t[:, y] == y)[0])
-    stab_x = tuple(int(g) for g in np.nonzero(t[:, x] == x)[0])
-    conj = conjugate_set(gset.carrier, a, stab_x)
+    direct = tuple(np.flatnonzero(t[:, y] == y).tolist())
+    conj = conjugate_set(gset.carrier, a, gset.decomposition.stabilizers[x])
     if direct != conj:
         raise GyroError(
             f"stab({a}.{x}) != conjugate of stab({x}) by {a}: {direct} vs {conj}")
@@ -405,37 +392,38 @@ def restrict_to_invariant(gset, points):
     ys = sorted(int(y) for y in set(points))
     if not ys:
         raise ValueError("empty subset")
-    pos = {y: i for i, y in enumerate(ys)}
-    t = gset.table
-    sub = t[:, ys]
-    for a, j in np.argwhere(~np.isin(sub, ys))[:1]:
+    gset._require_points(ys)
+    sub = gset.table[:, ys]
+    position = np.full(gset.points, -1)
+    position[ys] = np.arange(len(ys))
+    new = position[sub]
+    for a, j in np.argwhere(new < 0)[:1]:
         raise ValidationError([Diagnostic(
             "invariant_subset", (int(a), ys[int(j)], int(sub[a, j])),
             f"{a}.{ys[int(j)]} = {int(sub[a, j])} is outside the subset")])
-    new = np.vectorize(pos.__getitem__)(sub)
     labels = tuple(gset.point_labels[y] for y in ys)
     return validate_action(gset.carrier, new, point_labels=labels)
 
 
 def disjoint_union(gsets):
     """Disjoint union of actions of the same carrier."""
+    if not gsets:
+        raise ValueError("disjoint union of no actions")
     first = gsets[0]
     if not all(g.carrier.same_carrier(first.carrier) for g in gsets):
         raise ValueError("all actions must share one carrier")
-    tables = []
-    labels = []
-    offset = 0
-    for g in gsets:
-        tables.append(g.table + offset)
-        labels.extend(g.point_labels)
-        offset += g.points
-    return validate_action(first.carrier, np.hstack(tables),
-                           point_labels=tuple(labels))
+    offsets = np.cumsum([0] + [g.points for g in gsets])
+    table = np.hstack([g.table + o for g, o in zip(gsets, offsets)])
+    labels = tuple(y for g in gsets for y in g.point_labels)
+    return validate_action(first.carrier, table, point_labels=labels)
 
 
 def relabel_points(gset, perm):
     """Conjugate the action by a permutation of the points."""
     perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (gset.points,) or \
+            not np.array_equal(np.sort(perm), np.arange(gset.points)):
+        raise ValueError(f"perm must be a permutation of 0..{gset.points - 1}")
     inv = np.argsort(perm)
     new = perm[gset.table[:, inv]]
     labels = tuple(gset.point_labels[int(inv[y])] for y in range(gset.points))
@@ -462,17 +450,18 @@ def faithful_quotient_action(gset):
     reps = np.array(part.representatives)
     q = part.index
     qt = coset_of[carrier.table[reps[:, None], reps[None, :]]]
-    full = coset_of[carrier.table]
-    if not np.array_equal(full, qt[coset_of[:, None], coset_of[None, :]]):
-        a, b = map(int, np.argwhere(
-            full != qt[coset_of[:, None], coset_of[None, :]])[0])
+    bad = np.argwhere(coset_of[carrier.table]
+                      != qt[coset_of[:, None], coset_of[None, :]])
+    if len(bad):
+        a, b = map(int, bad[0])
         raise ValidationError([Diagnostic(
             "quotient_well_defined", (a, b),
             "coset operation depends on the choice of representatives")])
     qcarrier = validate_gyrogroup(qt)
     qa = gset.table[reps, :]
-    if not np.array_equal(gset.table, qa[coset_of, :]):
-        a, x = map(int, np.argwhere(gset.table != qa[coset_of, :])[0])
+    bad = np.argwhere(gset.table != qa[coset_of, :])
+    if len(bad):
+        a, x = map(int, bad[0])
         raise ValidationError([Diagnostic(
             "quotient_action_well_defined", (a, x),
             "action depends on the choice of coset representatives")])

@@ -73,16 +73,21 @@ def quaternion():
     return t
 
 
+def frobenius(p, q, r):
+    """Z/p semidirect Z/q of order pq, the Z/q part acting by multiplication
+    by r: (i, j) + (i', j') = (i + r^j i', j + j').  Element i*q + j is the
+    pair (i, j).  Needs r^q = 1 (mod p), so that j may be read mod q."""
+    if p < 2 or q < 1 or pow(r, q, p) != 1:
+        raise ValueError(f"need p >= 2, q >= 1 and r^q = 1 (mod p), not {p, q, r}")
+    i, j = np.arange(p * q) // q, np.arange(p * q) % q
+    rj = np.array([pow(r, int(e), p) for e in j], dtype=np.int64)
+    return ((i[:, None] + rj[:, None] * i[None, :]) % p) * q \
+        + (j[:, None] + j[None, :]) % q
+
+
 def frobenius21():
-    """The nonabelian group of order 21: Z/7 semidirect Z/3, with the
-    Z/3 part acting by multiplication by 2 (2^3 = 1 mod 7)."""
-    els = [(i, j) for i in range(7) for j in range(3)]
-    idx = {e: k for k, e in enumerate(els)}
-    t = np.empty((21, 21), dtype=np.int64)
-    for a, (i1, j1) in enumerate(els):
-        for b, (i2, j2) in enumerate(els):
-            t[a, b] = idx[((i1 + pow(2, j1, 7) * i2) % 7, (j1 + j2) % 3)]
-    return t
+    """The nonabelian group of order 21: ``frobenius(7, 3, 2)``."""
+    return frobenius(7, 3, 2)
 
 
 def square_root_twist(group_table):

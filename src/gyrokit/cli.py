@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .actions import (burnside_count, check_orbit_stabilizer, classify,
-                      orbit_decomposition_equation, orbits_and_stabilizers,
-                      parse_action_table, validate_action)
+                      orbit_decomposition_equation, parse_action_table,
+                      validate_action)
 from .ball import SAMPLE_MAX_NORM, BallGyrogroup, lorentz_gamma
 from .core import (CriterionError, GyroError, ValidationError,
                    sampled_law_residuals)
@@ -215,9 +215,9 @@ def cmd_cosets(args):
 def cmd_act(args):
     g = _load_carrier(args.table, "act")
     gset = _load_action(args.action, g, "act")
-    dec = orbits_and_stabilizers(gset)
-    osr = check_orbit_stabilizer(gset, dec)
-    ode = orbit_decomposition_equation(gset, dec)
+    dec = gset.decomposition
+    osr = check_orbit_stabilizer(gset)
+    ode = orbit_decomposition_equation(gset)
     checks = [
         _entry("action_axioms", "pass"),
         _entry("orbits", "pass", value=[list(o) for o in dec.orbits]),
@@ -239,8 +239,8 @@ def cmd_act(args):
 def cmd_burnside(args):
     g = _load_carrier(args.table, "burnside")
     gset = _load_action(args.action, g, "burnside")
-    dec = orbits_and_stabilizers(gset)
-    count = burnside_count(gset, dec)
+    dec = gset.decomposition
+    count = burnside_count(gset)
     fix_sizes = [len(f) for f in dec.fixed_by]
     return {"command": "burnside", "status": "pass", "checks": [
         _entry("fix_sizes", "pass", value=fix_sizes,

@@ -126,17 +126,15 @@ def build_coset_action(g, members, criterion=None):
     postconditions are re-verified on the constructed table.
     """
     report = criterion or coset_criterion(g, members)
+    part = left_cosets(g, members)
     if not report.passed:
-        part = left_cosets(g, members)
-        extra = ""
-        if not part.is_partition:
-            extra = f"; cosets overlap, witnesses {part.overlaps[:3]}"
+        extra = "" if part.is_partition else \
+            f"; cosets overlap, witnesses {part.overlaps[:3]}"
         raise CriterionError(
             f"coset criterion fails for H={tuple(sorted(members))}: "
             f"gyr-invariance={report.condition_gyr_preserves_subgroup}, "
             f"translate-defect={report.condition_translate_defect_in_subgroup}"
             f"{extra}")
-    part = left_cosets(g, members)
     if not (part.is_partition and part.equal_sizes):
         raise GyroError("criterion passed but cosets do not partition")
     if g.order != part.index * len(part.subgroup):
@@ -155,9 +153,9 @@ def build_coset_action(g, members, criterion=None):
     if len(part.subgroup) > 1 and flags.semiregular:
         raise GyroError("coset action with H != {0} cannot be semiregular")
     h = sorted(part.subgroup)
+    stabs = gset.decomposition.stabilizers
     for i, rep in enumerate(part.representatives):
-        direct = tuple(int(a) for a in np.nonzero(act[:, i] == i)[0])
-        if direct != conjugate_set(g, int(rep), h):
+        if stabs[i] != conjugate_set(g, int(rep), h):
             raise GyroError(f"stab of coset {i} is not the conjugate of H")
     return gset
 
@@ -167,19 +165,15 @@ def induced_action_over_subgyrogroup(gset, members):
     invariant under all gyrations; both hypotheses are checked and named
     in the error when violated."""
     g = gset.carrier
-    h = set(int(x) for x in members)
-    if not is_subgyrogroup(g, h):
-        raise ValueError(f"{tuple(sorted(h))} is not a subgyrogroup")
-    kernel = build_representation(gset).kernel
-    missing = sorted(set(kernel) - h)
+    h = tuple(sorted(set(int(x) for x in members)))
+    report = coset_criterion(g, h)
+    missing = sorted(set(build_representation(gset).kernel) - set(h))
     if missing:
         raise CriterionError(
             f"hypothesis failed: kernel element {missing[0]} not in H")
-    leak = g.gyration_leak(h)
-    if leak is not None:
-        a, b, x = leak
+    if report.witness1 is not None:
+        a, b, x = report.witness1
         raise CriterionError(f"hypothesis failed: gyr[{a},{b}]({x}) leaves H")
-    report = coset_criterion(g, h)
     if not report.passed:
         raise GyroError("criterion must hold under the verified hypotheses")
     return build_coset_action(g, h, criterion=report)

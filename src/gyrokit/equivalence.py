@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .actions import orbits_and_stabilizers, restrict_to_invariant
+from .actions import restrict_to_invariant
 from .core import GyroError, conjugate_set
 from .coset_actions import induced_action_over_subgyrogroup
 
@@ -59,13 +59,13 @@ def fundamental_isomorphism(gset, z):
     original action to the orbit of z, and verifies that the quoted map is
     a bijective G-map.
     """
-    t = gset.table
-    stab_z = tuple(int(a) for a in np.nonzero(t[:, z] == z)[0])
-    cosets = induced_action_over_subgyrogroup(gset, stab_z)
-    orbit = sorted(set(int(v) for v in t[:, z]))
+    gset._require_points([z])
+    dec = gset.decomposition
+    cosets = induced_action_over_subgyrogroup(gset, dec.stabilizers[z])
+    orbit = dec.orbits[dec.orbit_of[z]]
     target = restrict_to_invariant(gset, orbit)
     pos = {y: i for i, y in enumerate(orbit)}
-    mapping = tuple(pos[int(t[rep, z])] for rep in cosets.point_labels)
+    mapping = tuple(pos[int(gset.table[rep, z])] for rep in cosets.point_labels)
     phi = GMap(source=cosets, target=target, mapping=mapping)
     if not is_equivalence(phi):
         raise GyroError("fundamental isomorphism map failed verification")
@@ -92,11 +92,11 @@ def are_equivalent_transitive(x, y):
     """
     _require_same_carrier(x, y)
     for g in (x, y):
-        if len(orbits_and_stabilizers(g).orbits) != 1:
+        if len(g.decomposition.orbits) != 1:
             raise ValueError("both G-sets must be transitive")
     carrier = x.carrier
-    stab_x = tuple(int(v) for v in np.nonzero(x.table[:, 0] == 0)[0])
-    stab_y = tuple(int(v) for v in np.nonzero(y.table[:, 0] == 0)[0])
+    stab_x = x.decomposition.stabilizers[0]
+    stab_y = y.decomposition.stabilizers[0]
     found = None
     for a in range(carrier.order):
         if stab_x == conjugate_set(carrier, a, stab_y):
@@ -105,13 +105,11 @@ def are_equivalent_transitive(x, y):
     witness = None
     if found is not None:
         # stab_x = stab(found . y0), so both fundamental isomorphisms factor
-        # through the same coset space G/stab_x
+        # through the same coset space G/stab_x: the first c with c.0 = p
+        # sends p to c.y0
         y0 = int(y.table[found, 0])
-        mapping = [None] * x.points
-        for p in range(x.points):
-            c = int(np.nonzero(x.table[:, 0] == p)[0][0])
-            mapping[p] = int(y.table[c, y0])
-        witness = GMap(source=x, target=y, mapping=tuple(mapping))
+        _, c = np.unique(x.table[:, 0], return_index=True)
+        witness = GMap(source=x, target=y, mapping=tuple(y.table[c, y0].tolist()))
         if not is_equivalence(witness):
             raise GyroError("conjugate stabilizers produced a non-equivalence")
     if x.points <= BRUTE_FORCE_LIMIT and y.points <= BRUTE_FORCE_LIMIT:
@@ -125,8 +123,7 @@ def are_equivalent_transitive(x, y):
 def transitive_components(gset):
     """The orbits of a G-set as transitive sub-G-sets, ordered by their
     smallest point."""
-    dec = orbits_and_stabilizers(gset)
-    return [restrict_to_invariant(gset, orbit) for orbit in dec.orbits]
+    return [restrict_to_invariant(gset, o) for o in gset.decomposition.orbits]
 
 
 @dataclass(frozen=True)
@@ -149,10 +146,8 @@ def match_components(x, y):
     witnesses are assembled into one global equivalence and re-verified.
     """
     _require_same_carrier(x, y)
-    dec_x = orbits_and_stabilizers(x)
-    dec_y = orbits_and_stabilizers(y)
-    comps_x = [restrict_to_invariant(x, orbit) for orbit in dec_x.orbits]
-    comps_y = [restrict_to_invariant(y, orbit) for orbit in dec_y.orbits]
+    dec_x, dec_y = x.decomposition, y.decomposition
+    comps_x, comps_y = transitive_components(x), transitive_components(y)
     nx, ny = len(comps_x), len(comps_y)
     adj = [[] for _ in range(nx)]
     witnesses = {}
@@ -178,16 +173,11 @@ def match_components(x, y):
 
     matched = sum(augment(i, set()) for i in range(nx))
     if matched < nx or matched < ny:
-        match_x = [-1] * nx
-        for j, i in enumerate(match_y):
-            if i >= 0:
-                match_x[i] = j
+        # the smallest unmatched component, of the first G-set if it has one
         if matched < nx:
-            i = match_x.index(-1)
-            side, orbit = "first", dec_x.orbits[i]
+            side, orbit = "first", dec_x.orbits[min(set(range(nx)) - set(match_y))]
         else:
-            j = match_y.index(-1)
-            side, orbit = "second", dec_y.orbits[j]
+            side, orbit = "second", dec_y.orbits[match_y.index(-1)]
         return ComponentMatch(
             equivalent=False, pairs=(), mapping=None, unmatched=tuple(orbit),
             message=f"component {set(orbit)} of the {side} G-set has no "

@@ -78,10 +78,13 @@ class CayleyTable:
             raise ValueError("label count != order")
 
 
-def parse_cayley_table(text):
-    """Parse the text format into a CayleyTable, with positional diagnostics."""
-    n = None
-    labels = None
+def _read_table(text, header, sizes, labels=False):
+    """Read a table of integers in 0..k-1 under a header such as 'gyro <n>',
+    whose words after the keyword ``sizes(words, line)`` turns into (n, k);
+    with ``labels``, a 'labels' line may precede the rows.  Returns
+    (n, k, table, labels), or raises TableFormatError with the position."""
+    keyword, words = header.split()[0], len(header.split())
+    n = k = names = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -89,26 +92,21 @@ def parse_cayley_table(text):
             continue
         parts = line.split()
         if n is None:
-            if parts[0] != "gyro" or len(parts) != 2:
-                raise TableFormatError("expected header 'gyro <n>'", lineno)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise TableFormatError(f"order {parts[1]!r} is not an integer", lineno)
-            if n < 1:
-                raise TableFormatError("order must be >= 1", lineno)
+            if parts[0] != keyword or len(parts) != words:
+                raise TableFormatError(f"expected header '{header}'", lineno)
+            n, k = sizes(parts[1:], lineno)
             continue
-        if parts[0] == "labels" and labels is None and not rows:
+        if labels and parts[0] == "labels" and names is None and not rows:
             if len(parts) != n + 1:
                 raise TableFormatError(
                     f"expected {n} labels, got {len(parts) - 1}", lineno)
-            labels = tuple(parts[1:])
+            names = tuple(parts[1:])
             continue
         if len(rows) == n:
             raise TableFormatError(f"extra row; table already has {n} rows", lineno)
-        if len(parts) != n:
+        if len(parts) != k:
             raise TableFormatError(
-                f"row {len(rows)} has {len(parts)} entries, expected {n}", lineno)
+                f"row {len(rows)} has {len(parts)} entries, expected {k}", lineno)
         row = []
         for col, p in enumerate(parts):
             try:
@@ -116,17 +114,33 @@ def parse_cayley_table(text):
             except ValueError:
                 raise TableFormatError(f"entry {p!r} is not an integer",
                                        lineno, col)
-            if not 0 <= v < n:
+            if not 0 <= v < k:
                 raise TableFormatError(
-                    f"entry {v} out of range 0..{n - 1}", lineno, col)
+                    f"entry {v} out of range 0..{k - 1}", lineno, col)
             row.append(v)
         rows.append(row)
     if n is None:
-        raise TableFormatError("missing 'gyro <n>' header", 1)
+        raise TableFormatError(f"missing '{header}' header", 1)
     if len(rows) != n:
         raise TableFormatError(f"expected {n} rows, found {len(rows)}",
                                len(text.splitlines()) or 1)
-    return CayleyTable(order=n, table=np.array(rows, dtype=np.int64), labels=labels)
+    return n, k, np.array(rows, dtype=np.int64), names
+
+
+def _order(args, lineno):
+    try:
+        n = int(args[0])
+    except ValueError:
+        raise TableFormatError(f"order {args[0]!r} is not an integer", lineno)
+    if n < 1:
+        raise TableFormatError("order must be >= 1", lineno)
+    return n, n
+
+
+def parse_cayley_table(text):
+    """Parse the text format into a CayleyTable, with positional diagnostics."""
+    n, _, table, labels = _read_table(text, "gyro <n>", _order, labels=True)
+    return CayleyTable(order=n, table=table, labels=labels)
 
 
 def serialize_cayley_table(t):
@@ -550,32 +564,27 @@ class CosetPartition:
 
 
 def left_cosets(g, members):
-    """The coset space G/H as a CosetPartition (H must be a subgyrogroup)."""
+    """The coset space G/H as a CosetPartition (H must be a subgyrogroup),
+    cosets in order of their first representative a."""
     if not is_subgyrogroup(g, members):
         raise ValueError(f"{tuple(members)} is not a subgyrogroup")
     h = sorted(int(x) for x in members)
-    seen = {}
-    cosets = []
-    reps = []
-    for a in range(g.order):
-        c = tuple(sorted(g.oplus(a, x) for x in h))
-        if c not in seen:
-            seen[c] = len(cosets)
-            cosets.append(c)
-            reps.append(a)
-    overlaps = []
-    hit = {}
-    for i, c in enumerate(cosets):
-        for x in c:
-            if x in hit and len(overlaps) < MAX_WITNESSES:
-                overlaps.append((hit[x], i, x))
-            hit.setdefault(x, i)
-    is_partition = not overlaps and len(hit) == g.order
-    equal = all(len(c) == len(h) for c in cosets)
-    coset_of = None
-    if is_partition:
-        coset_of = tuple(hit[x] for x in range(g.order))
-    return CosetPartition(subgroup=tuple(h), cosets=tuple(cosets),
-                          representatives=tuple(reps), index=len(cosets),
-                          is_partition=is_partition, equal_sizes=equal,
-                          overlaps=tuple(overlaps), coset_of=coset_of)
+    sums = np.ascontiguousarray(np.sort(g.table[:, h], axis=1))  # row a: a+H
+    rows = sums.view(np.dtype((np.void, sums.itemsize * len(h)))).ravel()
+    reps = np.sort(np.unique(rows, return_index=True)[1])  # compared as bytes
+    cosets = sums[reps]
+    flat = cosets.ravel()
+    elements, at = np.unique(flat, return_index=True)
+    owner = np.full(g.order, -1)
+    owner[elements] = at // len(h)  # the first coset holding each element
+    again = np.ones(len(flat), dtype=bool)
+    again[at] = False
+    overlaps = tuple((int(owner[flat[i]]), i // len(h), int(flat[i]))
+                     for i in np.flatnonzero(again)[:MAX_WITNESSES].tolist())
+    is_partition = not overlaps and len(elements) == g.order
+    return CosetPartition(subgroup=tuple(h), cosets=tuple(map(tuple, cosets.tolist())),
+                          representatives=tuple(reps.tolist()), index=len(reps),
+                          is_partition=is_partition,
+                          equal_sizes=True,  # each a+H lists |H| sums
+                          overlaps=overlaps,
+                          coset_of=tuple(owner.tolist()) if is_partition else None)

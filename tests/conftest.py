@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gyrokit import BallGyrogroup, validate_action, validate_gyrogroup
-from gyrokit.catalog import (cyclic, dihedral, klein_four, quaternion,
-                             square_root_twist, symmetric, twisted21)
+from gyrokit.catalog import (cyclic, dihedral, frobenius, klein_four,
+                             quaternion, square_root_twist, symmetric,
+                             twisted21)
 from gyrokit.core import Diagnostic
 from gyrokit.finite import MAX_WITNESSES
 
@@ -204,15 +205,6 @@ def dense_gyration_diagnostics(table):
     return diags
 
 
-def frobenius(p, q, r):
-    """Z_p semidirect Z_q, Z_q acting by multiplication by r (r^q = 1 mod p);
-    element i*q + j is the pair (i, j)."""
-    i, j = np.arange(p * q) // q, np.arange(p * q) % q
-    rj = np.array([pow(r, int(k), p) for k in j])
-    return ((i[:, None] + rj[:, None] * i[None, :]) % p) * q \
-        + (j[:, None] + j[None, :]) % q
-
-
 def twisted39():
     """Order-39 nondegenerate carrier: square-root twist of Z13 : Z3."""
     return square_root_twist(frobenius(13, 3, 3))
@@ -260,6 +252,28 @@ def is_subgyrogroup_loop(g, members):
         return False
     return all(g.oinv(a) in s and all(g.oplus(a, b) in s for b in s)
                for a in s)
+
+
+def left_cosets_loop(g, h):
+    """Reference for left_cosets: cosets a+H in order of first representative
+    a, then overlaps (first coset, coset, element) in coset-then-element
+    order, capped at MAX_WITNESSES; coset_of only for a partition."""
+    h = sorted(h)
+    cosets, reps = [], []
+    for a in range(g.order):
+        c = tuple(sorted(g.oplus(a, x) for x in h))
+        if c not in cosets:
+            cosets.append(c)
+            reps.append(a)
+    overlaps, hit = [], {}
+    for i, c in enumerate(cosets):
+        for x in c:
+            if x in hit and len(overlaps) < MAX_WITNESSES:
+                overlaps.append((hit[x], i, x))
+            hit.setdefault(x, i)
+    partition = not overlaps and len(hit) == g.order
+    return (tuple(cosets), tuple(reps), tuple(overlaps), partition,
+            tuple(hit[x] for x in range(g.order)) if partition else None)
 
 
 class WrongGyrationBall(BallGyrogroup):

@@ -365,3 +365,108 @@ def test_random_actions_are_seeded_and_verified(t21):
     assert np.array_equal(g1.table, g2.table)
     g3 = random_action(t21, seed=124)
     assert g1.points != g3.points or not np.array_equal(g1.table, g3.table)
+
+
+# -- arguments outside the G-set --------------------------------------------
+
+@pytest.mark.parametrize("x", [-1, 6])
+def test_stabilizer_of_translate_rejects_outside_point(s3, x):
+    with pytest.raises(ValueError, match=f"point {x} is outside 0..5"):
+        stabilizer_of_translate(regular_action(s3), 1, x)
+
+
+@pytest.mark.parametrize("a", [-1, 6])
+def test_stabilizer_of_translate_rejects_outside_element(s3, a):
+    with pytest.raises(ValueError, match=f"element {a} is outside 0..5"):
+        stabilizer_of_translate(regular_action(s3), a, 1)
+
+
+@pytest.mark.parametrize("points, bad", [([6], 6), ([-1], -1), ([0, 2, 7], 7)])
+def test_restrict_rejects_outside_points(s3, points, bad):
+    with pytest.raises(ValueError, match=f"point {bad} is outside 0..5"):
+        restrict_to_invariant(regular_action(s3), points)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2, 3, 4], [2, 0, 1],
+                                  [0, 1, 2, 3, 4, 6], [[0, 1, 2, 3, 4, 5]]])
+def test_relabel_rejects_non_permutation(s3, perm):
+    with pytest.raises(ValueError, match="permutation of 0..5"):
+        relabel_points(regular_action(s3), perm)
+
+
+def test_disjoint_union_of_nothing_is_rejected():
+    with pytest.raises(ValueError, match="no actions"):
+        disjoint_union([])
+
+
+def test_zero_point_table_is_rejected(s3):
+    from gyrokit.actions import diagnose_action
+    empty = np.zeros((6, 0), dtype=np.int64)
+    [d] = diagnose_action(s3, empty)
+    assert (d.check, d.witness) == ("table_shape", (6, 0))
+    for build in (validate_action, action_from_homomorphism):
+        with pytest.raises(ValidationError) as exc:
+            build(s3, empty)
+        assert "at least one point" in str(exc.value)
+
+
+# -- one analysis per G-set ---------------------------------------------------
+
+def test_one_decomposition_per_gset(monkeypatch, s3):
+    from gyrokit import actions, equivalence
+    from gyrokit.coset_actions import build_coset_action
+    decomposed = []
+    real = actions._decompose
+    monkeypatch.setattr(actions, "_decompose",
+                        lambda g: decomposed.append(g) or real(g))
+    gset = validate_action(s3, build_coset_action(s3, (0, 1)).table)
+    dec = orbits_and_stabilizers(gset)
+    classify(gset)
+    check_orbit_stabilizer(gset)
+    orbit_decomposition_equation(gset)
+    burnside_count(gset)
+    equivalence.match_components(gset, gset)
+    equivalence.are_equivalent_transitive(gset, gset)
+    assert orbits_and_stabilizers(gset) is dec is gset.decomposition
+    assert sum(g is gset for g in decomposed) == 1
+    # every G-set built along the way is decomposed at most once too
+    assert len({id(g) for g in decomposed}) == len(decomposed)
+
+
+def test_each_distinct_stabilizer_is_checked_once(monkeypatch):
+    from gyrokit import actions, validate_gyrogroup
+    from gyrokit.catalog import dihedral
+    calls = []
+    real = actions.is_l_subgyrogroup
+    monkeypatch.setattr(actions, "is_l_subgyrogroup",
+                        lambda g, h: calls.append(h) or real(g, h))
+    regular = regular_action(validate_gyrogroup(dihedral(32)))
+    assert orbits_and_stabilizers(regular).stabilizers == ((0,),) * 64
+    assert calls == [(0,)]
+
+
+def test_stabilizer_failure_names_first_point_with_it(t21):
+    from gyrokit import GyroError
+    from gyrokit.actions import FiniteGSet
+    # not an action: point x is fixed exactly by the members of stabs[x];
+    # (0, 1, 2) is a subgyrogroup of twisted21() but not an L-subgyrogroup
+    stabs = [(0, 3, 6, 9, 12, 15, 18), (0, 1, 2), (0, 3, 6, 9, 12, 15, 18),
+             (0, 1, 2)]
+    table = np.array([[x if a in s else (x + 1) % 4 for x, s in enumerate(stabs)]
+                      for a in range(21)])
+    fake = FiniteGSet(carrier=t21, table=table, point_labels=(0, 1, 2, 3))
+    with pytest.raises(GyroError, match=r"^stab\(1\) is not an L-subgyrogroup$"):
+        orbits_and_stabilizers(fake)
+
+
+def test_homomorphism_is_certified_by_one_law_check(monkeypatch, s3_conjugation):
+    from gyrokit import actions
+    calls = []
+    real = actions._action_law_violations
+    monkeypatch.setattr(actions, "_action_law_violations",
+                        lambda g, t: calls.append(t) or real(g, t))
+    monkeypatch.setattr(actions, "diagnose_action", None)
+    out = action_from_homomorphism(s3_conjugation.carrier, s3_conjugation.table)
+    assert np.array_equal(out.table, s3_conjugation.table)
+    assert len(calls) == 1 and not out.table.flags.writeable
+    assert build_representation(out).kernel == (0,)

@@ -178,3 +178,9 @@ def test_match_refusal_names_component(z6):
     assert not m.equivalent
     assert m.unmatched is not None
     assert "no equivalent partner" in m.message
+
+
+@pytest.mark.parametrize("z", [-1, 6])
+def test_fundamental_isomorphism_rejects_outside_point(s3, z):
+    with pytest.raises(ValueError, match=f"point {z} is outside 0..5"):
+        fundamental_isomorphism(regular_action(s3), z)

@@ -10,15 +10,15 @@ from gyrokit import (CayleyTable, GyroError, TableFormatError,
                      is_subgyrogroup, left_cosets, parse_cayley_table,
                      serialize_cayley_table, subgyrogroup_closure,
                      validate_gyrogroup)
-from gyrokit.catalog import (cyclic, dihedral, frobenius21,
+from gyrokit.catalog import (cyclic, dihedral, frobenius, frobenius21,
                              square_root_twist, symmetric, twisted21)
 
 from conftest import (GYRATION_CHECKS, T21_NON_INVARIANT,
                       closure_search_subgyrogroups,
-                      dense_gyration_diagnostics, frobenius, group_tables,
+                      dense_gyration_diagnostics, group_tables,
                       gyration_leak_loop, is_subgyrogroup_loop,
-                      nontrivial_gyration_loop, set_closure, twisted39,
-                      two_sided_inverses)
+                      left_cosets_loop, nontrivial_gyration_loop, set_closure,
+                      twisted39, two_sided_inverses)
 
 
 def group_axioms_hold(table):
@@ -92,9 +92,27 @@ def test_all_group_tables_validate_as_degenerate():
 
 
 def test_twisted21_validates_and_is_nondegenerate():
-    g = validate_gyrogroup(square_root_twist(frobenius21()))
+    g = validate_gyrogroup(square_root_twist(frobenius(7, 3, 2)))
     assert not g.is_degenerate()
     assert g.order == 21
+
+
+def test_frobenius_matches_pair_loop():
+    # (i, j) + (i', j') = (i + 2^j i', j + j') on Z7 x Z3, element 3i + j
+    els = [(i, j) for i in range(7) for j in range(3)]
+    loop = [[els.index(((i1 + pow(2, j1, 7) * i2) % 7, (j1 + j2) % 3))
+             for i2, j2 in els] for i1, j1 in els]
+    t = frobenius(7, 3, 2)
+    assert t.dtype == np.int64 and t.tolist() == loop
+    assert np.array_equal(frobenius21(), t)
+    assert validate_gyrogroup(frobenius(19, 3, 7)).is_degenerate()
+
+
+@pytest.mark.parametrize("args", [(7, 3, 3), (7, 3, 0), (13, 3, 2), (7, 0, 2),
+                                  (1, 1, 1)])
+def test_frobenius_rejects_bad_parameters(args):
+    with pytest.raises(ValueError, match="r\\^q = 1"):
+        frobenius(*args)
 
 
 def test_swapped_entries_rejected_with_witness():
@@ -312,6 +330,21 @@ def test_non_l_subgyrogroup_cosets_overlap(t21):
     i, j, x = part.overlaps[0]
     assert x in part.cosets[i] and x in part.cosets[j]
     assert not part.index_formula_holds(21)
+
+
+def test_left_cosets_match_loop(fixture_carriers):
+    carriers = dict(fixture_carriers, T39=validate_gyrogroup(twisted39()),
+                    D8=validate_gyrogroup(dihedral(8)))
+    overlapping = 0
+    for g in carriers.values():
+        for h in enumerate_subgyrogroups(g):
+            part = left_cosets(g, h)
+            got = (part.cosets, part.representatives, part.overlaps,
+                   part.is_partition, part.coset_of)
+            assert got == left_cosets_loop(g, h), h
+            assert part.index == len(part.cosets) and part.equal_sizes
+            overlapping += not part.is_partition
+    assert overlapping >= 10  # the non-L subgyrogroups of the twists
 
 
 def test_left_cosets_rejects_non_subgyrogroup(z6):
