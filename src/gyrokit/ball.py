@@ -28,6 +28,16 @@ All functions broadcast over leading axes, so a "point" may be a single
 vector of shape (dim,) or a batch of shape (N, dim).  Results are never
 clamped: a sum with norm >= 1 signals a numerical error.
 
+The kernels are evaluated coordinate-major: each public function copies
+its arguments once into arrays whose axis 0 indexes the coordinates, each
+coordinate one contiguous row, so that per-point scalars such as |u|^2
+broadcast along whole rows and dot products sum over rows.  Results are
+point-major views (``np.moveaxis``) of coordinate-major memory, so a
+result passed back in is read without a copy.  Every operation runs
+elementwise in the same order whatever the memory layout of its inputs
+(C or Fortran order, strided slices, results of earlier calls), and gives
+bitwise-equal results on all of them.
+
 Equality is tolerance-based (default 1e-9); the boundary margin (default
 1e-6) is enforced when elements are admitted through ``element``.  Interior
 composites such as gyrations only require the strict domain |x| < 1, since
@@ -49,8 +59,30 @@ PROBE_SCALE = 1e-3
 SAMPLE_MAX_NORM = 0.99
 
 
+def _coords(*points):
+    """The points as coordinate-major float arrays, padded to a common rank:
+    axis 0 indexes the coordinates, and each coordinate is one contiguous
+    row, so a single point (dim, 1) broadcasts against a batch (dim, N).  A
+    point-major view of coordinate-major memory (a kernel result) is taken
+    back without a copy."""
+    arrays = [np.asarray(p, dtype=float) for p in points]
+    rank = max(x.ndim for x in arrays)
+    return [np.ascontiguousarray(np.moveaxis(
+        x.reshape((1,) * (rank - x.ndim) + x.shape), -1, 0)) for x in arrays]
+
+
+def _points(x):
+    """The point-major view (coordinates last) of a coordinate-major array."""
+    return np.moveaxis(x, 0, -1)
+
+
 def _dot(u, v):
-    return np.einsum("...i,...i->...", u, v)[..., None]
+    """<u, v> of coordinate-major points, summed row by row in coordinate
+    order: a point gets the same sum alone as within a batch."""
+    out = u[0] * v[0]
+    for i in range(1, len(u)):
+        out += u[i] * v[i]
+    return out
 
 
 def _norm(u):
@@ -58,7 +90,8 @@ def _norm(u):
 
 
 def _squared_norm_in_ball(u):
-    """|u|^2 (keepdims) of a point or batch; raises unless every |u| < 1."""
+    """|u|^2 of a coordinate-major point or batch; raises unless every
+    |u| < 1."""
     nu2 = _dot(u, u)
     if np.any(nu2 >= 1.0):
         raise InvalidElementError("argument outside the open unit ball")
@@ -77,9 +110,9 @@ def _gram_defect(u, v):
     """|u|^2 |v|^2 - <u,v>^2 without cancellation: by the Lagrange identity,
     the sum of the squared 2 x 2 minors u_i v_j - u_j v_i over i < j."""
     out = 0.0
-    for i in range(u.shape[-1]):
-        for j in range(i + 1, u.shape[-1]):
-            minor = u[..., i:i + 1] * v[..., j:j + 1] - u[..., j:j + 1] * v[..., i:i + 1]
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            minor = u[i] * v[j] - u[j] * v[i]
             out = out + minor * minor
     return out
 
@@ -107,9 +140,8 @@ def mobius_add(u, v):
     significant digits; this arrangement keeps relative error near machine
     precision there.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return _mobius_add(u, v, _dot(u, u))
+    u, v = _coords(u, v)
+    return _points(_mobius_add(u, v, _dot(u, u)))
 
 
 def _mobius_add(u, v, nu2):
@@ -130,9 +162,8 @@ def einstein_add(u, v):
     which avoids the loss of significance of the bracketed sum when
     u ~ -v near the boundary.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return _einstein_add(u, v, _dot(u, u))
+    u, v = _coords(u, v)
+    return _points(_einstein_add(u, v, _dot(u, u)))
 
 
 def _einstein_add(u, v, nu2):
@@ -196,43 +227,41 @@ class BallGyrogroup(GyrogroupCarrier):
         return u
 
     def oplus(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = _coords(u, v)
         nu2 = _squared_norm_in_ball(u)
         _squared_norm_in_ball(v)
         out = self._add(u, v, nu2)
         if np.any(_dot(out, out) >= 1.0):
             raise NumericalError(f"{self.variant} sum left the ball")
-        return out
+        return _points(out)
 
     def oinv(self, u):
-        u = np.asarray(u, dtype=float)
+        (u,) = _coords(u)
         _squared_norm_in_ball(u)
-        return -u
+        return _points(-u)
 
     def gyration(self, a, b, c):
         """gyr[a, b]c in closed form (see the module docstring)."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
+        a, b, c = _coords(a, b, c)
         na2 = _squared_norm_in_ball(a)
         nb2 = _squared_norm_in_ball(b)
         _squared_norm_in_ball(c)
         if self.variant == "einstein":
             a, na2 = _to_mobius(a, na2)
             b, nb2 = _to_mobius(b, nb2)
-        return _mobius_gyration(a, b, c, na2, nb2)
+        return _points(_mobius_gyration(a, b, c, na2, nb2))
 
     def distance(self, u, v):
-        d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-        return np.sqrt(_dot(d, d)[..., 0])
+        u, v = _coords(u, v)
+        d = u - v
+        return np.sqrt(_dot(d, d))
 
     def equals(self, u, v):
         return bool(np.all(self.distance(u, v) <= self.eps))
 
     def contains(self, u):
-        u = np.asarray(u, dtype=float)
-        return _dot(u, u)[..., 0] < 1.0
+        (u,) = _coords(u)
+        return _dot(u, u) < 1.0
 
     def sample(self, rng, max_norm=SAMPLE_MAX_NORM):
         return self.sample_batch(rng, 1, max_norm)[0]

@@ -39,15 +39,15 @@ def self_action_possible(g):
 
 def self_action_possible_sampled(carrier, samples, seed, tol=None):
     """Sampled version for analytic carriers: searches for a nonidentity
-    gyration.  Returns (possible, witness_or_None)."""
-    from .core import gyration
+    gyration among the carrier's own gyrations.  Returns (possible,
+    witness_or_None)."""
     if tol is None:
         tol = getattr(carrier, "eps", 1e-9)
     rng = np.random.default_rng(seed)
     a = carrier.sample_batch(rng, samples)
     b = carrier.sample_batch(rng, samples)
     c = carrier.sample_batch(rng, samples)
-    d = np.asarray(carrier.distance(gyration(carrier, a, b, c), c))
+    d = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
     worst = int(np.argmax(d))
     if float(d.flat[worst]) <= tol:
         return True, None
@@ -96,20 +96,20 @@ def coset_criterion(g, members):
 
 def coset_criterion_sampled(carrier, in_subgroup, sample_subgroup,
                             samples, seed):
-    """Sampled criterion for carriers that cannot be enumerated.
+    """Sampled criterion for carriers that cannot be enumerated, on the
+    carrier's own gyrations.
 
     ``in_subgroup``     -- vectorised membership predicate
     ``sample_subgroup`` -- (rng, count) -> batch of subgroup elements
     """
-    from .core import gyration
     rng = np.random.default_rng(seed)
     a = carrier.sample_batch(rng, samples)
     b = carrier.sample_batch(rng, samples)
     x = carrier.sample_batch(rng, samples)
     h = sample_subgroup(rng, samples)
-    img = gyration(carrier, a, b, h)
+    img = carrier.gyration(a, b, h)
     ok1 = bool(np.all(in_subgroup(img))) and bool(np.all(carrier.contains(img)))
-    defect = carrier.oplus(carrier.oinv(x), gyration(carrier, a, b, x))
+    defect = carrier.oplus(carrier.oinv(x), carrier.gyration(a, b, x))
     ok2 = bool(np.all(in_subgroup(defect))) \
         and bool(np.all(carrier.contains(defect)))
     return CriterionReport(passed=ok1 and ok2, mode="sampled",

@@ -568,7 +568,7 @@ def left_cosets(g, members):
     cosets in order of their first representative a."""
     if not is_subgyrogroup(g, members):
         raise ValueError(f"{tuple(members)} is not a subgyrogroup")
-    h = sorted(int(x) for x in members)
+    h = sorted({int(x) for x in members})
     sums = np.ascontiguousarray(np.sort(g.table[:, h], axis=1))  # row a: a+H
     rows = sums.view(np.dtype((np.void, sums.itemsize * len(h)))).ravel()
     reps = np.sort(np.unique(rows, return_index=True)[1])  # compared as bytes

@@ -280,3 +280,66 @@ def test_sample_batch_draw_is_frozen():
         [0.4843584074041923, 0.7729722142301437],
         [-0.5656108036921905, -0.5241533115138216]]
     assert p.r[[0, 999]].tolist() == [5, 0]
+
+
+# -- memory layout ----------------------------------------------------------
+
+def _operations(ball):
+    """Each public kernel with its arity."""
+    return {"oplus": (ball.oplus, 2), "oinv": (ball.oinv, 1),
+            "gyration": (ball.gyration, 3), "distance": (ball.distance, 2),
+            "contains": (ball.contains, 1)}
+
+
+def _layouts(ball, rng, count):
+    """Argument lists of one set of values in different memory layouts."""
+    wide = [ball.sample_batch(rng, 2 * count, 0.9) for _ in range(3)]
+    xs = [np.ascontiguousarray(w[::2]) for w in wide]
+    fed = [ball.oinv(ball.oinv(x)) for x in xs]  # coordinate-major memory
+    assert all(np.array_equal(f, x) for f, x in zip(fed, xs))
+    assert all(np.moveaxis(f, -1, 0).flags.c_contiguous for f in fed)
+    return xs, {"fortran": [np.asfortranarray(x) for x in xs],
+                "strided": [w[::2] for w in wide],
+                "fed back": fed}
+
+
+@pytest.mark.parametrize("variant", ["mobius", "einstein"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_results_do_not_depend_on_memory_layout(variant, dim):
+    ball = BallGyrogroup(dim=dim, variant=variant)
+    count = 9
+    xs, layouts = _layouts(ball, np.random.default_rng(dim), count)
+    for name, (op, arity) in _operations(ball).items():
+        want = op(*xs[:arity])
+        tail = (count, dim) if name in ("oplus", "oinv", "gyration") else (count,)
+        assert want.shape == tail, name
+        for layout, args in layouts.items():
+            got = op(*args[:arity])
+            assert got.shape == tail and np.array_equal(got, want), (name, layout)
+        # row by row, one point at a time
+        rows = [op(*(x[i] for x in xs[:arity])) for i in range(count)]
+        assert all(np.shape(r) == tail[1:] for r in rows), name
+        assert np.array_equal(np.stack(rows), want), name
+        # one point broadcast against a batch, in each slot
+        for slot in range(arity if arity > 1 else 0):
+            args = list(xs[:arity])
+            point = args[slot][4]
+            args[slot] = point
+            spread = list(xs[:arity])
+            spread[slot] = np.repeat(point[None], count, axis=0)
+            got = op(*args)
+            assert got.shape == tail and np.array_equal(got, op(*spread)), \
+                (name, slot)
+
+
+@pytest.mark.parametrize("add", [mobius_add, einstein_add])
+def test_module_additions_do_not_depend_on_memory_layout(add):
+    rng = np.random.default_rng(8)
+    ball = BallGyrogroup(dim=3)
+    xs, layouts = _layouts(ball, rng, 9)
+    want = add(xs[0], xs[1])
+    assert want.shape == (9, 3)
+    for layout, args in layouts.items():
+        assert np.array_equal(add(args[0], args[1]), want), layout
+    assert np.array_equal(np.stack([add(u, v) for u, v in zip(xs[0], xs[1])]), want)
+    assert np.array_equal(add(xs[0][4], xs[1]), add(np.repeat(xs[0][4:5], 9, 0), xs[1]))

@@ -82,6 +82,12 @@ def test_build_full_subgroup_gives_one_point(z6):
     assert classify(gset).transitive
 
 
+def test_build_ignores_repeated_members(z6):
+    assert coset_criterion(z6, (0, 0, 3)).passed
+    gset = build_coset_action(z6, (0, 0, 3))
+    assert np.array_equal(gset.table, build_coset_action(z6, (0, 3)).table)
+
+
 def test_build_z6_mod_h2(z6):
     gset = build_coset_action(z6, (0, 3))
     assert gset.points == 3
@@ -177,3 +183,58 @@ def test_induced_action_gyration_hypothesis_witness(t21):
     with pytest.raises(CriterionError) as exc:
         induced_action_over_subgyrogroup(gset, h3)
     assert "hypothesis failed" in str(exc.value)
+
+
+def _gyrator_verdicts(carrier, in_subgroup, sample_subgroup, samples, seed):
+    """The two sampled verdicts computed through the gyrator identity
+    ``core.gyration``, on the draws the sampled functions make."""
+    from gyrokit import core
+    tol = carrier.eps
+    rng = np.random.default_rng(seed)
+    a, b, c = (carrier.sample_batch(rng, samples) for _ in range(3))
+    moved = np.max(carrier.distance(core.gyration(carrier, a, b, c), c))
+    rng = np.random.default_rng(seed)
+    a, b, x = (carrier.sample_batch(rng, samples) for _ in range(3))
+    h = sample_subgroup(rng, samples)
+    img = core.gyration(carrier, a, b, h)
+    defect = carrier.oplus(carrier.oinv(x), core.gyration(carrier, a, b, x))
+    ok = [bool(np.all(in_subgroup(y)) and np.all(carrier.contains(y)))
+          for y in (img, defect)]
+    return bool(moved <= tol), ok
+
+
+def _sampled_subgroups():
+    """(carrier, in_subgroup, sample_subgroup) for the ball and pair
+    carriers: the whole ball, {0}, and the translation part B_hat."""
+    from gyrokit import BallGyrogroup, PairElement, PairGyrogroup
+    out = []
+    for variant in ("mobius", "einstein"):
+        ball = BallGyrogroup(dim=3, variant=variant)
+        out.append((ball, ball.contains, ball.sample_batch))
+        out.append((ball, lambda y, b=ball: np.linalg.norm(y, axis=-1) <= b.eps,
+                    lambda rng, n, d=ball.dim: np.zeros((n, d))))
+        pairs = PairGyrogroup(m=6, variant=variant)
+        out.append((pairs, pairs.in_hat,
+                    lambda rng, n, p=pairs: PairElement(
+                        p.ball.sample_batch(rng, n), np.zeros(n, dtype=np.int64))))
+    return out
+
+
+def test_sampled_criteria_use_the_carrier_gyration(monkeypatch):
+    from gyrokit import core
+    from gyrokit.coset_actions import (coset_criterion_sampled,
+                                       self_action_possible_sampled)
+    cases = [(case, _gyrator_verdicts(*case, 3000, seed))
+             for seed, case in enumerate(_sampled_subgroups())]
+
+    def refuse(*args):
+        raise AssertionError("core.gyration called")
+
+    monkeypatch.setattr(core, "gyration", refuse)
+    for seed, ((carrier, inside, sample), (possible, (ok1, ok2))) in enumerate(cases):
+        got, witness = self_action_possible_sampled(carrier, 3000, seed)
+        assert got == possible and not got and witness is not None
+        report = coset_criterion_sampled(carrier, inside, sample, 3000, seed)
+        assert (report.condition_gyr_preserves_subgroup,
+                report.condition_translate_defect_in_subgroup) == (ok1, ok2)
+        assert report.passed == (ok1 and ok2)

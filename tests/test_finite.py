@@ -315,6 +315,13 @@ def test_coset_partition_z6(z6):
     assert part.index_formula_holds(6)
 
 
+def test_left_cosets_ignore_repeated_members(z6, t21):
+    assert left_cosets(z6, (0, 0, 3)) == left_cosets(z6, (0, 3))
+    assert left_cosets(z6, (0, 0, 3)).is_partition
+    h = tuple(range(0, 21, 3))
+    assert left_cosets(t21, h + h[::-1]) == left_cosets(t21, h)
+
+
 def test_t21_coset_partition_for_l_subgyrogroup(t21):
     h = tuple(range(0, 21, 3))
     part = left_cosets(t21, h)
