@@ -18,7 +18,7 @@ from .actions import (ActionClassification, FiniteGSet, OrbitDecomposition,
                       validate_action)
 from .ball import (BallGyrogroup, ball_gyration_matrix, check_ball_laws,
                    einstein_add, lorentz_gamma, mobius_add)
-from .core import (CriterionError, Diagnostic, GyroError, GyrogroupCarrier,
+from .core import (Check, CriterionError, GyroError, GyrogroupCarrier,
                    InvalidElementError, NumericalError, ValidationError,
                    cancellation_residuals, check_axiom_residuals,
                    check_cancellation_laws, check_cancellation_laws_exhaustive,

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Diagnostic, GyroError, ValidationError, conjugate_set
+from .core import Check, GyroError, ValidationError, conjugate_set, violation
 from .finite import (MAX_WITNESSES, TableFormatError, _read_table,
                      is_l_subgyrogroup, is_subgyrogroup, left_cosets,
                      validate_gyrogroup)
@@ -92,20 +92,6 @@ class ActionClassification:
                 "sharply_transitive": self.sharply_transitive}
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check: str
-    passed: bool
-    detail: dict
-    witness: tuple | None = None
-
-    def as_dict(self):
-        out = {"check": self.check, "status": "pass" if self.passed else "fail",
-               "witness": None if self.witness is None else list(self.witness)}
-        out.update(self.detail)
-        return out
-
-
 def _sizes(args, lineno):
     try:
         n, k = int(args[0]), int(args[1])
@@ -133,19 +119,19 @@ def diagnose_action(carrier, table):
     t = np.ascontiguousarray(table, dtype=np.int64)
     n = carrier.order
     if t.ndim != 2 or t.shape[0] != n:
-        return [Diagnostic("table_shape", t.shape,
-                           f"expected {n} rows, one per carrier element")]
+        return [violation("table_shape", t.shape,
+                          f"expected {n} rows, one per carrier element")]
     k = t.shape[1]
     if k < 1:
-        return [Diagnostic("table_shape", t.shape, "expected at least one point")]
+        return [violation("table_shape", t.shape, "expected at least one point")]
     if t.min() < 0 or t.max() >= k:
-        return [Diagnostic("table_range", (), f"entries must lie in 0..{k - 1}")]
-    diags = [Diagnostic("identity_acts_trivially", (int(x),),
-                        f"0.{x} = {int(t[0, x])} != {x}")
+        return [violation("table_range", (), f"entries must lie in 0..{k - 1}")]
+    diags = [violation("identity_acts_trivially", (int(x),),
+                       f"0.{x} = {int(t[0, x])} != {x}")
              for x in np.nonzero(t[0] != np.arange(k))[0][:MAX_WITNESSES]]
     # a violation of the action law exhibits a nonidentity gyration at work
     for a, b, x, lhs, rhs in _action_law_violations(carrier, t)[:MAX_WITNESSES]:
-        diags.append(Diagnostic(
+        diags.append(violation(
             "action_compatible", (int(a), int(b), int(x)),
             f"{a}.({b}.{x}) = {lhs} != ({a}+{b}).{x} = {rhs} "
             f"(gyr[{a},{b}] obstruction)"))
@@ -199,20 +185,20 @@ def action_from_homomorphism(carrier, perms):
     p = np.ascontiguousarray(perms, dtype=np.int64)
     n = carrier.order
     if p.ndim != 2 or p.shape[0] != n:
-        raise ValidationError([Diagnostic("perm_shape", p.shape,
-                                          f"expected {n} permutations")])
+        raise ValidationError([violation("perm_shape", p.shape,
+                                         f"expected {n} permutations")])
     k = p.shape[1]
     if k < 1:
-        raise ValidationError([Diagnostic("perm_shape", p.shape,
-                                          "expected at least one point")])
+        raise ValidationError([violation("perm_shape", p.shape,
+                                         "expected at least one point")])
     bad = np.nonzero((np.sort(p, axis=1) != np.arange(k)).any(axis=1))[0]
-    diags = [Diagnostic("permutation", (int(a),),
-                        f"row {a} is not a permutation of 0..{k - 1}")
+    diags = [violation("permutation", (int(a),),
+                       f"row {a} is not a permutation of 0..{k - 1}")
              for a in bad[:MAX_WITNESSES]]
     if not diags:
         bad = _action_law_violations(carrier, p)[:MAX_WITNESSES, :3]
-        diags = [Diagnostic("homomorphism", (int(a), int(b)),
-                            f"perm({a}+{b}) != perm({a}) o perm({b}) at point {x}")
+        diags = [violation("homomorphism", (int(a), int(b)),
+                           f"perm({a}+{b}) != perm({a}) o perm({b}) at point {x}")
                  for a, b, x in bad]
     if diags:
         raise ValidationError(diags)
@@ -300,9 +286,8 @@ def check_orbit_stabilizer(gset, decomposition=None):
                           "product_ok": product_ok, "bijection_ok": theta_ok})
     bad = [p["point"] for p in per_point
            if not (p["product_ok"] and p["bijection_ok"])]
-    return CheckReport(check="orbit_stabilizer", passed=not bad,
-                       detail={"order": n, "points": per_point},
-                       witness=(bad[0],) if bad else None)
+    return Check("orbit_stabilizer", not bad, (bad[0],) if bad else None,
+                 detail={"order": n, "points": per_point})
 
 
 def orbit_decomposition_equation(gset, decomposition=None):
@@ -315,13 +300,12 @@ def orbit_decomposition_equation(gset, decomposition=None):
                      if len(orbit) > 1)
     total = len(dec.fixed_points) + sum(indexes)
     passed = total == gset.points
-    return CheckReport(
-        check="orbit_decomposition", passed=passed,
+    return Check(
+        "orbit_decomposition", passed, None if passed else (total,),
         detail={"points": gset.points, "fixed": len(dec.fixed_points),
                 "indexes": indexes,
                 "equation": f"{gset.points} = {len(dec.fixed_points)} + "
-                            f"{' + '.join(map(str, indexes)) or '0'}"},
-        witness=None if passed else (total,))
+                            f"{' + '.join(map(str, indexes)) or '0'}"})
 
 
 def burnside_count(gset, decomposition=None):
@@ -398,7 +382,7 @@ def restrict_to_invariant(gset, points):
     position[ys] = np.arange(len(ys))
     new = position[sub]
     for a, j in np.argwhere(new < 0)[:1]:
-        raise ValidationError([Diagnostic(
+        raise ValidationError([violation(
             "invariant_subset", (int(a), ys[int(j)], int(sub[a, j])),
             f"{a}.{ys[int(j)]} = {int(sub[a, j])} is outside the subset")])
     labels = tuple(gset.point_labels[y] for y in ys)
@@ -454,7 +438,7 @@ def faithful_quotient_action(gset):
                       != qt[coset_of[:, None], coset_of[None, :]])
     if len(bad):
         a, b = map(int, bad[0])
-        raise ValidationError([Diagnostic(
+        raise ValidationError([violation(
             "quotient_well_defined", (a, b),
             "coset operation depends on the choice of representatives")])
     qcarrier = validate_gyrogroup(qt)
@@ -462,7 +446,7 @@ def faithful_quotient_action(gset):
     bad = np.argwhere(gset.table != qa[coset_of, :])
     if len(bad):
         a, x = map(int, bad[0])
-        raise ValidationError([Diagnostic(
+        raise ValidationError([violation(
             "quotient_action_well_defined", (a, x),
             "action depends on the choice of coset representatives")])
     out = validate_action(qcarrier, qa, point_labels=gset.point_labels)

@@ -217,17 +217,29 @@ class BallGyrogroup(GyrogroupCarrier):
         self.zero = zero
 
     def element(self, coords):
-        """Admit a vector as a ball element; enforces the boundary margin."""
+        """Admit a vector as a ball element; enforces finite coordinates and
+        the boundary margin."""
         u = np.asarray(coords, dtype=float)
         if u.shape[-1] != self.dim:
             raise InvalidElementError(f"expected dimension {self.dim}, got {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise InvalidElementError("coordinates must be finite")
         if np.any(_norm(u) >= 1.0 - self.delta):
             raise InvalidElementError(
                 f"norm {float(np.max(_norm(u)))} >= 1 - delta ({1.0 - self.delta})")
         return u
 
+    def _checked_coords(self, *points):
+        """``_coords`` of points that each have ``dim`` coordinates."""
+        out = _coords(*points)
+        for x in out:
+            if len(x) != self.dim:
+                raise InvalidElementError(
+                    f"expected dimension {self.dim}, got {len(x)}")
+        return out
+
     def oplus(self, u, v):
-        u, v = _coords(u, v)
+        u, v = self._checked_coords(u, v)
         nu2 = _squared_norm_in_ball(u)
         _squared_norm_in_ball(v)
         out = self._add(u, v, nu2)
@@ -236,13 +248,13 @@ class BallGyrogroup(GyrogroupCarrier):
         return _points(out)
 
     def oinv(self, u):
-        (u,) = _coords(u)
+        (u,) = self._checked_coords(u)
         _squared_norm_in_ball(u)
         return _points(-u)
 
     def gyration(self, a, b, c):
         """gyr[a, b]c in closed form (see the module docstring)."""
-        a, b, c = _coords(a, b, c)
+        a, b, c = self._checked_coords(a, b, c)
         na2 = _squared_norm_in_ball(a)
         nb2 = _squared_norm_in_ball(b)
         _squared_norm_in_ball(c)
@@ -252,7 +264,7 @@ class BallGyrogroup(GyrogroupCarrier):
         return _points(_mobius_gyration(a, b, c, na2, nb2))
 
     def distance(self, u, v):
-        u, v = _coords(u, v)
+        u, v = self._checked_coords(u, v)
         d = u - v
         return np.sqrt(_dot(d, d))
 
@@ -260,7 +272,7 @@ class BallGyrogroup(GyrogroupCarrier):
         return bool(np.all(self.distance(u, v) <= self.eps))
 
     def contains(self, u):
-        (u,) = _coords(u)
+        (u,) = self._checked_coords(u)
         return _dot(u, u) < 1.0
 
     def sample(self, rng, max_norm=SAMPLE_MAX_NORM):

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 validation or analysis failure (with witnesses),
 2 usage or parse errors.  ``--report json`` emits a machine-readable report
-with stable key names (check, status, witness, seed, samples, tolerance);
-identical inputs and seeds produce byte-identical JSON.  Stochastic
-subcommands require an explicit --seed.  A reader that closes the output
-early (``| head``) ends the command quietly, with the exit code it would
-otherwise have had.
+whose checks are ``core.Check`` records, written with their stable keys
+(check, status, witness, seed, samples, tolerance); identical inputs and
+seeds produce byte-identical JSON.  Stochastic subcommands require an
+explicit --seed.  A reader that closes the output early (``| head``) ends
+the command quietly, with the exit code it would otherwise have had.
 """
 
 import argparse
@@ -21,9 +21,9 @@ from .actions import (burnside_count, check_orbit_stabilizer, classify,
                       orbit_decomposition_equation, parse_action_table,
                       validate_action)
 from .ball import SAMPLE_MAX_NORM, BallGyrogroup, lorentz_gamma
-from .core import (CriterionError, GyroError, ValidationError,
-                   sampled_law_residuals)
-from .coset_actions import build_coset_action, coset_criterion
+from .core import Check, GyroError, ValidationError, sampled_law_residuals
+from .coset_actions import (build_coset_action, coset_criterion,
+                            coset_criterion_sampled)
 from .equivalence import match_components
 from .finite import (SUBGROUP_ENUM_CAP, TableFormatError,
                      enumerate_subgyrogroups, is_l_subgyrogroup, left_cosets,
@@ -37,32 +37,31 @@ ANALYSIS_ERROR = 1
 
 
 class _Failure(Exception):
-    def __init__(self, code, report):
+    """Ends a command with exit code ``code``: a usage or parse error (2,
+    status "error") or an analysis failure (1, status "fail")."""
+
+    def __init__(self, code, command, checks):
         self.code = code
-        self.report = report
+        self.report = {"command": command,
+                       "status": "error" if code == USAGE_ERROR else "fail",
+                       "checks": checks}
 
 
-def _entry(check, status, witness=None, seed=None, samples=None,
-           tolerance=None, **extra):
-    out = {"check": check, "status": status, "witness": witness,
-           "seed": seed, "samples": samples, "tolerance": tolerance}
-    out.update(extra)
-    return out
-
-
-def _usage_failure(command, reason):
-    """A usage error (exit 2) naming the rejected arguments."""
-    return _Failure(USAGE_ERROR, {
-        "command": command, "status": "error",
-        "checks": [_entry("usage", "fail", witness=[str(reason)])]})
+def _report(command, checks, **extra):
+    """A finished command's report; it fails when one of its checks fails."""
+    passed = all(c.passed for c in checks)
+    return {"command": command, "status": "pass" if passed else "fail",
+            "checks": checks, **extra}
 
 
 def _emit(report, mode, stream):
+    """Write a report; its Checks are serialized here and nowhere else."""
+    report = report | {"checks": [c.as_dict() for c in report["checks"]]}
     if mode == "json":
         stream.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return
     stream.write(f"{report['command']}: {report['status']}\n")
-    for c in report.get("checks", []):
+    for c in report["checks"]:
         line = f"  {c['check']}: {c['status']}"
         extras = []
         for key in ("witness", "seed", "samples", "tolerance", "worst",
@@ -79,9 +78,8 @@ def _read(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _Failure(USAGE_ERROR, {"command": "io", "status": "error",
-                                     "checks": [_entry("read_file", "fail",
-                                                       witness=[str(exc)])]})
+        raise _Failure(USAGE_ERROR, "io",
+                       [Check("read_file", False, (str(exc),))])
 
 
 def _load_carrier(path, command):
@@ -89,17 +87,12 @@ def _load_carrier(path, command):
     try:
         table = parse_cayley_table(text)
     except TableFormatError as exc:
-        raise _Failure(USAGE_ERROR, {
-            "command": command, "status": "error",
-            "checks": [_entry("parse_table", "fail", witness=[str(exc)])]})
+        raise _Failure(USAGE_ERROR, command,
+                       [Check("parse_table", False, (str(exc),))])
     try:
         return validate_gyrogroup(table)
     except ValidationError as exc:
-        raise _Failure(ANALYSIS_ERROR, {
-            "command": command, "status": "fail",
-            "checks": [d.as_dict() | {"status": "fail", "seed": None,
-                                      "samples": None, "tolerance": None}
-                       for d in exc.diagnostics]})
+        raise _Failure(ANALYSIS_ERROR, command, exc.diagnostics)
 
 
 def _load_action(path, carrier, command):
@@ -107,71 +100,63 @@ def _load_action(path, carrier, command):
     try:
         n, k, table = parse_action_table(text)
     except TableFormatError as exc:
-        raise _Failure(USAGE_ERROR, {
-            "command": command, "status": "error",
-            "checks": [_entry("parse_action", "fail", witness=[str(exc)])]})
+        raise _Failure(USAGE_ERROR, command,
+                       [Check("parse_action", False, (str(exc),))])
     if n != carrier.order:
-        raise _Failure(USAGE_ERROR, {
-            "command": command, "status": "error",
-            "checks": [_entry("action_shape", "fail",
-                              witness=[n, carrier.order])]})
+        raise _Failure(USAGE_ERROR, command,
+                       [Check("action_shape", False, (n, carrier.order))])
     try:
         return validate_action(carrier, table)
     except ValidationError as exc:
-        raise _Failure(ANALYSIS_ERROR, {
-            "command": command, "status": "fail",
-            "checks": [d.as_dict() | {"status": "fail", "seed": None,
-                                      "samples": None, "tolerance": None}
-                       for d in exc.diagnostics]})
+        raise _Failure(ANALYSIS_ERROR, command, exc.diagnostics)
 
 
 def _parse_subset(text):
     try:
         return sorted({int(p) for p in text.split(",") if p.strip() != ""})
     except ValueError:
-        raise _Failure(USAGE_ERROR, {
-            "command": "subset", "status": "error",
-            "checks": [_entry("parse_subset", "fail", witness=[text])]})
+        raise _Failure(USAGE_ERROR, "subset",
+                       [Check("parse_subset", False, (text,))])
 
 
 def _parse_vector(text, dim):
     parts = text.replace(",", " ").split()
-    if len(parts) != dim:
-        raise _Failure(USAGE_ERROR, {
-            "command": "ball", "status": "error",
-            "checks": [_entry("parse_vector", "fail", witness=[text, dim])]})
-    return np.array([float(p) for p in parts])
+    try:
+        if len(parts) == dim:
+            return np.array([float(p) for p in parts])
+    except ValueError:
+        pass
+    raise _Failure(USAGE_ERROR, "ball",
+                   [Check("parse_vector", False, (text, dim))])
 
 
 def cmd_validate(args):
     g = _load_carrier(args.table, "validate")
     kind = "degenerate (all gyrations identity)" if g.is_degenerate() \
         else "nondegenerate"
-    return {"command": "validate", "status": "pass",
-            "checks": [_entry("gyrogroup_axioms", "pass", detail=kind,
-                              order=g.order)]}
+    return _report("validate", [Check("gyrogroup_axioms", True,
+                                      detail={"detail": kind,
+                                              "order": g.order})])
 
 
 def cmd_gyr(args):
     g = _load_carrier(args.table, "gyr")
     n = g.order
     if not (0 <= args.a < n and 0 <= args.b < n):
-        raise _Failure(USAGE_ERROR, {
-            "command": "gyr", "status": "error",
-            "checks": [_entry("element_range", "fail",
-                              witness=[args.a, args.b])]})
+        raise _Failure(USAGE_ERROR, "gyr",
+                       [Check("element_range", False, (args.a, args.b))])
     perm = [int(v) for v in g.gyr_perm(args.a, args.b)]
-    checks = [_entry("gyration", "pass", value=perm,
-                     detail=f"gyr[{args.a},{args.b}] as one-line permutation")]
+    checks = [Check("gyration", True, detail={
+        "value": perm,
+        "detail": f"gyr[{args.a},{args.b}] as one-line permutation"})]
     if args.c is not None:
         if not 0 <= args.c < n:
-            raise _Failure(USAGE_ERROR, {
-                "command": "gyr", "status": "error",
-                "checks": [_entry("element_range", "fail", witness=[args.c])]})
-        checks.append(_entry("gyration_value", "pass",
-                             value=perm[args.c],
-                             detail=f"gyr[{args.a},{args.b}]{args.c}"))
-    return {"command": "gyr", "status": "pass", "checks": checks}
+            raise _Failure(USAGE_ERROR, "gyr",
+                           [Check("element_range", False, (args.c,))])
+        checks.append(Check("gyration_value", True, detail={
+            "value": perm[args.c],
+            "detail": f"gyr[{args.a},{args.b}]{args.c}"}))
+    return _report("gyr", checks)
 
 
 def cmd_subgyro(args):
@@ -179,17 +164,14 @@ def cmd_subgyro(args):
     try:
         subs = enumerate_subgyrogroups(g, cap=args.cap)
     except GyroError as exc:
-        raise _Failure(USAGE_ERROR, {
-            "command": "subgyro", "status": "error",
-            "checks": [_entry("enumeration_cap", "fail", witness=[str(exc)])]})
-    checks = []
-    for h in subs:
-        checks.append(_entry(
-            "subgyrogroup", "pass", value=list(h),
-            detail={"order": len(h), "l_subgyrogroup": is_l_subgyrogroup(g, h),
-                    "coset_criterion": coset_criterion(g, h).passed}))
-    return {"command": "subgyro", "status": "pass", "checks": checks,
-            "count": len(subs)}
+        raise _Failure(USAGE_ERROR, "subgyro",
+                       [Check("enumeration_cap", False, (str(exc),))])
+    checks = [Check("subgyrogroup", True, detail={
+        "value": list(h),
+        "detail": {"order": len(h), "l_subgyrogroup": is_l_subgyrogroup(g, h),
+                   "coset_criterion": coset_criterion(g, h).passed}})
+        for h in subs]
+    return _report("subgyro", checks, count=len(subs))
 
 
 def cmd_cosets(args):
@@ -198,42 +180,30 @@ def cmd_cosets(args):
     try:
         part = left_cosets(g, members)
     except ValueError as exc:
-        raise _Failure(ANALYSIS_ERROR, {
-            "command": "cosets", "status": "fail",
-            "checks": [_entry("subgyrogroup", "fail", witness=[str(exc)])]})
-    status = "pass" if part.is_partition else "fail"
-    return {"command": "cosets", "status": status, "checks": [_entry(
-        "left_cosets", status,
-        witness=None if part.is_partition else [list(w) for w in part.overlaps],
-        value=[list(c) for c in part.cosets],
-        detail={"index": part.index,
-                "representatives": list(part.representatives),
-                "l_subgyrogroup": is_l_subgyrogroup(g, members),
-                "index_formula": part.index_formula_holds(g.order)})]}
+        raise _Failure(ANALYSIS_ERROR, "cosets",
+                       [Check("subgyrogroup", False, (str(exc),))])
+    return _report("cosets", [Check(
+        "left_cosets", part.is_partition,
+        None if part.is_partition else [list(w) for w in part.overlaps],
+        detail={"value": [list(c) for c in part.cosets], "detail": {
+            "index": part.index,
+            "representatives": list(part.representatives),
+            "l_subgyrogroup": is_l_subgyrogroup(g, members),
+            "index_formula": part.index_formula_holds(g.order)}})])
 
 
 def cmd_act(args):
     g = _load_carrier(args.table, "act")
     gset = _load_action(args.action, g, "act")
     dec = gset.decomposition
-    osr = check_orbit_stabilizer(gset)
-    ode = orbit_decomposition_equation(gset)
-    checks = [
-        _entry("action_axioms", "pass"),
-        _entry("orbits", "pass", value=[list(o) for o in dec.orbits]),
-        _entry("stabilizer_orders", "pass",
-               value=[len(s) for s in dec.stabilizers]),
-        _entry("fixed_points", "pass", value=list(dec.fixed_points)),
-        osr.as_dict() | {"witness": None if osr.witness is None
-                         else list(osr.witness),
-                         "seed": None, "samples": None, "tolerance": None},
-        ode.as_dict() | {"witness": None if ode.witness is None
-                         else list(ode.witness),
-                         "seed": None, "samples": None, "tolerance": None},
-    ]
-    passed = osr.passed and ode.passed
-    return {"command": "act", "status": "pass" if passed else "fail",
-            "checks": checks}
+    return _report("act", [
+        Check("action_axioms", True),
+        Check("orbits", True, detail={"value": [list(o) for o in dec.orbits]}),
+        Check("stabilizer_orders", True,
+              detail={"value": [len(s) for s in dec.stabilizers]}),
+        Check("fixed_points", True, detail={"value": list(dec.fixed_points)}),
+        check_orbit_stabilizer(gset),
+        orbit_decomposition_equation(gset)])
 
 
 def cmd_burnside(args):
@@ -242,24 +212,23 @@ def cmd_burnside(args):
     dec = gset.decomposition
     count = burnside_count(gset)
     fix_sizes = [len(f) for f in dec.fixed_by]
-    return {"command": "burnside", "status": "pass", "checks": [
-        _entry("fix_sizes", "pass", value=fix_sizes,
-               detail="per-element |fix(a)| used in double counting"),
-        _entry("burnside_count", "pass",
-               value={"numerator": count.numerator,
+    return _report("burnside", [
+        Check("fix_sizes", True, detail={
+            "value": fix_sizes,
+            "detail": "per-element |fix(a)| used in double counting"}),
+        Check("burnside_count", True, detail={
+            "value": {"numerator": count.numerator,
                       "denominator": count.denominator,
                       "orbits": len(dec.orbits)},
-               detail=f"({'+'.join(map(str, fix_sizes))})/{g.order} "
-                      f"= {count} orbit(s)")]}
+            "detail": f"({'+'.join(map(str, fix_sizes))})/{g.order} "
+                      f"= {count} orbit(s)"})])
 
 
 def cmd_classify(args):
     g = _load_carrier(args.table, "classify")
     gset = _load_action(args.action, g, "classify")
-    flags = classify(gset)
-    return {"command": "classify", "status": "pass",
-            "checks": [_entry("classification", "pass",
-                              value=flags.as_dict())]}
+    return _report("classify", [Check("classification", True, detail={
+        "value": classify(gset).as_dict()})])
 
 
 def cmd_coset_action(args):
@@ -268,26 +237,19 @@ def cmd_coset_action(args):
     try:
         report = coset_criterion(g, members)
     except ValueError as exc:
-        raise _Failure(ANALYSIS_ERROR, {
-            "command": "coset-action", "status": "fail",
-            "checks": [_entry("subgyrogroup", "fail", witness=[str(exc)])]})
-    checks = [report.as_dict() | {"seed": None, "samples": None,
-                                  "tolerance": None}]
-    status = "pass" if report.passed else "fail"
-    if args.build:
-        if not report.passed:
-            raise _Failure(ANALYSIS_ERROR, {
-                "command": "coset-action", "status": "fail", "checks": checks})
+        raise _Failure(ANALYSIS_ERROR, "coset-action",
+                       [Check("subgyrogroup", False, (str(exc),))])
+    checks = [report.as_check()]
+    if args.build and report.passed:
         gset = build_coset_action(g, members, criterion=report)
-        flags = classify(gset)
-        checks.append(_entry(
-            "coset_action", "pass",
-            value=[[int(v) for v in row] for row in gset.table],
-            detail={"points": gset.points,
-                    "representatives": list(gset.point_labels),
-                    "classification": flags.as_dict(),
-                    "index_formula": g.order == gset.points * len(members)}))
-    return {"command": "coset-action", "status": status, "checks": checks}
+        checks.append(Check("coset_action", True, detail={
+            "value": [[int(v) for v in row] for row in gset.table],
+            "detail": {"points": gset.points,
+                       "representatives": list(gset.point_labels),
+                       "classification": classify(gset).as_dict(),
+                       "index_formula":
+                           g.order == gset.points * len(members)}}))
+    return _report("coset-action", checks)
 
 
 def cmd_equiv(args):
@@ -295,16 +257,12 @@ def cmd_equiv(args):
     x = _load_action(args.action1, g, "equiv")
     y = _load_action(args.action2, g, "equiv")
     result = match_components(x, y)
-    checks = [_entry(
-        "equivalence", "pass" if result.equivalent else "fail",
-        witness=None if result.unmatched is None else list(result.unmatched),
-        value=None if result.mapping is None else list(result.mapping.mapping),
-        detail=result.message,
-        pairs=[list(p) for p in result.pairs])]
-    if not result.equivalent:
-        raise _Failure(ANALYSIS_ERROR, {
-            "command": "equiv", "status": "fail", "checks": checks})
-    return {"command": "equiv", "status": "pass", "checks": checks}
+    return _report("equiv", [Check(
+        "equivalence", result.equivalent, result.unmatched,
+        detail={"value": None if result.mapping is None
+                else list(result.mapping.mapping),
+                "detail": result.message,
+                "pairs": [list(p) for p in result.pairs]})])
 
 
 def _plain(x):
@@ -314,93 +272,77 @@ def _plain(x):
 
 
 def _law_checks(command, carrier, args):
-    """Run the sampled law suite; returns one report entry per residual and
-    whether every law held.  A failing law's witness is [i, a, b, c]: its
-    worst triple and that triple's index in the draw.  A sample count the
-    suite rejects is a usage error."""
+    """Run the sampled law suite; returns one Check per residual.  A failing
+    law's witness is [i, a, b, c]: its worst triple and that triple's index
+    in the draw.  A sample count the suite rejects is a usage error."""
     try:
         residuals, worst_at = sampled_law_residuals(
             carrier, args.samples, args.seed, SAMPLE_MAX_NORM)
     except ValueError as exc:
-        raise _usage_failure(command, exc)
+        raise _Failure(USAGE_ERROR, command,
+                       [Check("usage", False, (str(exc),))])
     checks = []
-    ok = True
     for name, value in sorted(residuals.items()):
-        if name in ("samples", "seed"):
-            continue
         if name == "closure":
-            passed = bool(value)
-            checks.append(_entry("closure", "pass" if passed else "fail",
-                                 seed=args.seed, samples=args.samples))
-        else:
+            checks.append(Check("closure", value, seed=args.seed,
+                                samples=args.samples))
+        elif name not in ("samples", "seed"):
             passed = value <= LAW_TOL
             i, *triple = worst_at[name]
-            checks.append(_entry(name, "pass" if passed else "fail",
-                                 witness=None if passed else
-                                 [i] + [_plain(x) for x in triple],
-                                 seed=args.seed, samples=args.samples,
-                                 tolerance=LAW_TOL, worst=value))
-        ok = ok and passed
-    return checks, ok
+            checks.append(Check(
+                name, passed,
+                None if passed else [i] + [_plain(x) for x in triple],
+                args.seed, args.samples, LAW_TOL, {"worst": value}))
+    return checks
 
 
 def cmd_ball(args):
     try:
-        carrier = BallGyrogroup(dim=args.dim, variant=args.variant, eps=args.eps)
+        carrier = BallGyrogroup(dim=args.dim, variant=args.variant,
+                                eps=args.eps)
+        if (args.u is None) != (args.v is None):
+            raise ValueError("--u and --v must be given together")
+        if args.u is None and args.seed is None:
+            raise ValueError("--seed is required for sampling")
     except ValueError as exc:
-        raise _usage_failure("ball", exc)
-    if (args.u is None) != (args.v is None):
-        raise _usage_failure("ball", "--u and --v must be given together")
-    if args.u is not None:
-        u = carrier.element(_parse_vector(args.u, args.dim))
-        v = carrier.element(_parse_vector(args.v, args.dim))
-        s = carrier.oplus(u, v)
-        return {"command": "ball", "status": "pass", "checks": [
-            _entry("addition", "pass", value=[float(c) for c in s],
-                   detail=f"{args.variant} sum"),
-            _entry("lorentz_gamma", "pass", value=float(lorentz_gamma(u)),
-                   detail="gamma of the first argument")]}
-    if args.seed is None:
-        raise _usage_failure("ball", "--seed is required for sampling")
-    checks, ok = _law_checks("ball", carrier, args)
-    report = {"command": "ball", "status": "pass" if ok else "fail",
-              "checks": checks}
-    if not ok:
-        raise _Failure(ANALYSIS_ERROR, report)
-    return report
+        raise _Failure(USAGE_ERROR, "ball",
+                       [Check("usage", False, (str(exc),))])
+    if args.u is None:
+        return _report("ball", _law_checks("ball", carrier, args))
+    u = carrier.element(_parse_vector(args.u, args.dim))
+    v = carrier.element(_parse_vector(args.v, args.dim))
+    return _report("ball", [
+        Check("addition", True, detail={
+            "value": [float(c) for c in carrier.oplus(u, v)],
+            "detail": f"{args.variant} sum"}),
+        Check("lorentz_gamma", True, detail={
+            "value": float(lorentz_gamma(u)),
+            "detail": "gamma of the first argument"})])
 
 
 def cmd_pairs(args):
     try:
         carrier = PairGyrogroup(m=args.m, variant=args.variant)
     except ValueError as exc:
-        raise _usage_failure("pairs", exc)
-    checks, ok = _law_checks("pairs", carrier, args)
-    crit = carrier.verify_hat_criterion(args.samples, args.seed)
-    checks.append(_entry("hat_coset_criterion", crit["status"],
-                         seed=args.seed, samples=args.samples))
-    ok = ok and crit["status"] == "pass"
+        raise _Failure(USAGE_ERROR, "pairs",
+                       [Check("usage", False, (str(exc),))])
+    checks = _law_checks("pairs", carrier, args)
+    crit = coset_criterion_sampled(carrier, carrier.in_hat, carrier.sample_hat,
+                                   args.samples, args.seed)
+    checks.append(Check("hat_coset_criterion", crit.passed, seed=args.seed,
+                        samples=args.samples))
     # one representative (0, k) per rotation index k
     count = len({int(carrier.hat_coset_index(carrier.element([0.0, 0.0], k)))
                  for k in range(args.m)})
-    checks.append(_entry("coset_count", "pass" if count == args.m else "fail",
-                         value=count, seed=args.seed, samples=args.samples,
-                         detail=f"{args.m} cosets expected"))
-    ok = ok and count == args.m
-    quotient = rotation_quotient_gset(carrier)
-    flags = classify(quotient)
-    regular = flags.sharply_transitive
-    checks.append(_entry("coset_action_transitive",
-                         "pass" if flags.transitive else "fail",
-                         detail="rotation quotient acting on cosets"))
-    checks.append(_entry("coset_action_regular",
-                         "pass" if regular else "fail"))
-    ok = ok and flags.transitive and regular
-    report = {"command": "pairs", "status": "pass" if ok else "fail",
-              "checks": checks}
-    if not ok:
-        raise _Failure(ANALYSIS_ERROR, report)
-    return report
+    checks.append(Check("coset_count", count == args.m, seed=args.seed,
+                        samples=args.samples,
+                        detail={"value": count,
+                                "detail": f"{args.m} cosets expected"}))
+    flags = classify(rotation_quotient_gset(carrier))
+    checks.append(Check("coset_action_transitive", flags.transitive, detail={
+        "detail": "rotation quotient acting on cosets"}))
+    checks.append(Check("coset_action_regular", flags.sharply_transitive))
+    return _report("pairs", checks)
 
 
 def build_parser():
@@ -497,18 +439,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    stream = sys.stdout
     try:
         report = args.func(args)
-        code = 0 if report.get("status") != "fail" else ANALYSIS_ERROR
+        code = ANALYSIS_ERROR if report["status"] == "fail" else 0
     except _Failure as f:
         report, code = f.report, f.code
-        if code == USAGE_ERROR:
-            stream = sys.stderr
-    except (CriterionError, ValidationError, GyroError) as exc:
-        report = {"command": args.command, "status": "fail",
-                  "checks": [_entry("error", "fail", witness=[str(exc)])]}
-        code = ANALYSIS_ERROR
+    except GyroError as exc:
+        f = _Failure(ANALYSIS_ERROR, args.command,
+                     [Check("error", False, (str(exc),))])
+        report, code = f.report, f.code
+    stream = sys.stderr if code == USAGE_ERROR else sys.stdout
     try:
         _emit(report, args.report, stream)
         stream.flush()

@@ -16,7 +16,7 @@ with the carrier's gyrations and report their distance from the gyrator
 identity on every sample as ``gyration_closed_form``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,24 +42,44 @@ class CriterionError(GyroError):
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    """One violated check with a witness tuple."""
+class Check:
+    """One verdict, the record every report is written from.
+
+    ``check`` names the law or property and ``passed`` gives the verdict;
+    ``witness`` shows a failure; ``seed``, ``samples`` and ``tolerance`` say
+    how a sampled verdict was reached; ``detail`` holds any further fields
+    (a violated law's ``message``, a law suite's ``worst`` residual, ...).
+    """
 
     check: str
-    witness: tuple
-    message: str
+    passed: bool
+    witness: tuple | list | None = None
+    seed: int | None = None
+    samples: int | None = None
+    tolerance: float | None = None
+    detail: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {"check": self.check, "witness": list(self.witness),
-                "message": self.message}
+        """The six stable report keys, then the ``detail`` items."""
+        witness = None if self.witness is None else list(self.witness)
+        return {"check": self.check,
+                "status": "pass" if self.passed else "fail",
+                "witness": witness,
+                "seed": self.seed, "samples": self.samples,
+                "tolerance": self.tolerance, **self.detail}
+
+
+def violation(check, witness, message):
+    """A failed exact check: its witness tuple and a message explaining it."""
+    return Check(check, False, witness, detail={"message": message})
 
 
 class ValidationError(GyroError):
-    """Validation failed; carries the full diagnostic list."""
+    """Validation failed; carries the failed Checks as ``diagnostics``."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
-        lines = [f"{d.check}: {d.message} witness={d.witness}"
+        lines = [f"{d.check}: {d.detail['message']} witness={d.witness}"
                  for d in self.diagnostics[:8]]
         more = len(self.diagnostics) - len(lines)
         if more > 0:
@@ -132,20 +152,6 @@ def conjugate_set(carrier, a, members):
     return tuple(sorted(conjugate(carrier, a, b) for b in members))
 
 
-@dataclass(frozen=True)
-class LawCheck:
-    law: str
-    passed: bool
-    checked: int
-    worst: float
-    witness: tuple | None
-
-    def as_dict(self):
-        return {"check": self.law, "status": "pass" if self.passed else "fail",
-                "witness": None if self.witness is None else list(self.witness),
-                "samples": self.checked, "tolerance": None, "worst": self.worst}
-
-
 def _worst(defects):
     return {law: float(np.max(d)) for law, d in defects.items()}
 
@@ -186,7 +192,8 @@ def check_cancellation_laws(carrier, pairs, tol=0.0):
     is exercised on the constructed collision c := -a + (a+b), which realises
     a+c = a+b and must therefore recover c = b.  ``tol`` is the residual
     allowed per law (0.0 for exact carriers).  Pass ``pairs`` exhaustively
-    for finite carriers.  Returns a list of four LawCheck records.
+    for finite carriers.  Returns four Checks, each with its ``worst``
+    residual in ``detail``.
     """
     results = []
     laws = {
@@ -205,8 +212,9 @@ def check_cancellation_laws(carrier, pairs, tol=0.0):
                 witnesses[name] = (a, b)
     for name, residuals in laws.items():
         worst = max(residuals) if residuals else 0.0
-        results.append(LawCheck(law=name, passed=worst <= tol, checked=count,
-                                worst=worst, witness=witnesses[name]))
+        results.append(Check(name, worst <= tol, witnesses[name],
+                             samples=count, tolerance=tol,
+                             detail={"worst": worst}))
     return results
 
 
@@ -228,11 +236,24 @@ def check_cancellation_laws_exhaustive(carrier):
             if v in seen and witness is None:
                 witness = (a, seen[v], b)
             seen.setdefault(v, b)
-    law1 = LawCheck(law="general_left_cancellation", passed=witness is None,
-                    checked=n * n * n, worst=0.0 if witness is None else 1.0,
-                    witness=witness)
-    return [law1 if r.law == "general_left_cancellation" else r
+    law1 = Check("general_left_cancellation", witness is None, witness,
+                 samples=n * n * n, tolerance=0.0,
+                 detail={"worst": 0.0 if witness is None else 1.0})
+    return [law1 if r.check == "general_left_cancellation" else r
             for r in results]
+
+
+def _sample_triples(carrier, samples, seed, *max_norm):
+    """The draws every sampled check starts from: a generator seeded with
+    ``seed``, and three batches a, b, c of ``samples`` carrier elements
+    drawn from it in that order, with norms <= ``max_norm`` when it is
+    given.  Further draws continue from the returned generator.  Raises
+    ValueError when ``samples`` < 1, since no sample checks nothing."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    return (rng, *(carrier.sample_batch(rng, samples, *max_norm)
+                   for _ in range(3)))
 
 
 def sampled_law_residuals(carrier, samples, seed, max_norm):
@@ -247,10 +268,7 @@ def sampled_law_residuals(carrier, samples, seed, max_norm):
     maps each law to (i, a[i], b[i], c[i]) for the first triple i at which
     that worst residual occurs.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    a, b, c = (carrier.sample_batch(rng, samples, max_norm) for _ in range(3))
+    _, a, b, c = _sample_triples(carrier, samples, seed, max_norm)
     per_block = {}  # law -> [(worst, global index)], one per block
     closure = True
     for lo in range(0, samples, _BLOCK_TRIPLES):

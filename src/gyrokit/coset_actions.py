@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import build_representation, classify, validate_action
-from .core import CriterionError, GyroError, conjugate_set
+from .core import (Check, CriterionError, GyroError, _sample_triples,
+                   conjugate_set)
 from .finite import is_subgyrogroup, left_cosets
 
 
@@ -40,20 +41,16 @@ def self_action_possible(g):
 def self_action_possible_sampled(carrier, samples, seed, tol=None):
     """Sampled version for analytic carriers: searches for a nonidentity
     gyration among the carrier's own gyrations.  Returns (possible,
-    witness_or_None)."""
+    witness_or_None); the witness is the triple (a, b, c) whose gyration
+    moves c the most.  Raises ValueError when ``samples`` < 1."""
     if tol is None:
         tol = getattr(carrier, "eps", 1e-9)
-    rng = np.random.default_rng(seed)
-    a = carrier.sample_batch(rng, samples)
-    b = carrier.sample_batch(rng, samples)
-    c = carrier.sample_batch(rng, samples)
+    _, a, b, c = _sample_triples(carrier, samples, seed)
     d = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
     worst = int(np.argmax(d))
-    if float(d.flat[worst]) <= tol:
+    if float(d[worst]) <= tol:
         return True, None
-    take = (lambda v: (v.u[worst], int(np.asarray(v.r).flat[worst]))) \
-        if hasattr(a, "u") else (lambda v: v[worst])
-    return False, (take(a), take(b), take(c))
+    return False, (a[worst], b[worst], c[worst])
 
 
 @dataclass(frozen=True)
@@ -69,17 +66,22 @@ class CriterionReport:
     samples: int | None = None
     seed: int | None = None
 
+    def as_check(self):
+        """The verdict as a Check; the witnesses are those of the conditions
+        that fail, in condition order."""
+        return Check(
+            "coset_criterion", self.passed,
+            [list(w) for w in (self.witness1, self.witness2)
+             if w is not None] or None,
+            seed=self.seed, samples=self.samples,
+            detail={"mode": self.mode,
+                    "condition_gyr_preserves_subgroup":
+                        self.condition_gyr_preserves_subgroup,
+                    "condition_translate_defect_in_subgroup":
+                        self.condition_translate_defect_in_subgroup})
+
     def as_dict(self):
-        return {"check": "coset_criterion",
-                "status": "pass" if self.passed else "fail",
-                "mode": self.mode,
-                "condition_gyr_preserves_subgroup":
-                    self.condition_gyr_preserves_subgroup,
-                "condition_translate_defect_in_subgroup":
-                    self.condition_translate_defect_in_subgroup,
-                "witness": [list(w) for w in (self.witness1, self.witness2)
-                            if w is not None] or None,
-                "samples": self.samples, "seed": self.seed}
+        return self.as_check().as_dict()
 
 
 def coset_criterion(g, members):
@@ -101,11 +103,10 @@ def coset_criterion_sampled(carrier, in_subgroup, sample_subgroup,
 
     ``in_subgroup``     -- vectorised membership predicate
     ``sample_subgroup`` -- (rng, count) -> batch of subgroup elements
+
+    Raises ValueError when ``samples`` < 1.
     """
-    rng = np.random.default_rng(seed)
-    a = carrier.sample_batch(rng, samples)
-    b = carrier.sample_batch(rng, samples)
-    x = carrier.sample_batch(rng, samples)
+    rng, a, b, x = _sample_triples(carrier, samples, seed)
     h = sample_subgroup(rng, samples)
     img = carrier.gyration(a, b, h)
     ok1 = bool(np.all(in_subgroup(img))) and bool(np.all(carrier.contains(img)))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Diagnostic, GyroError, GyrogroupCarrier, ValidationError
+from .core import GyroError, GyrogroupCarrier, ValidationError, violation
 
 # Witness lists inside a single check are capped for readability; the
 # violation count is always exact.
@@ -329,8 +329,8 @@ def _diagnose(t):
     # (1) G1: row 0 is the identity row
     bad = np.nonzero(table[0] != ai)[0]
     for b in bad[:MAX_WITNESSES]:
-        diags.append(Diagnostic("identity_row", (int(b),),
-                                f"0+{b} = {int(table[0, b])} != {b}"))
+        diags.append(violation("identity_row", (int(b),),
+                               f"0+{b} = {int(table[0, b])} != {b}"))
 
     # (2) every row is a permutation (necessary for left cancellation)
     sorted_rows = np.sort(table, axis=1)
@@ -344,7 +344,7 @@ def _diagnose(t):
                 witness = (int(a), seen[int(v)], c)
                 break
             seen[int(v)] = c
-        diags.append(Diagnostic(
+        diags.append(violation(
             "row_permutation", witness or (int(a),),
             f"row {a} is not a permutation of 0..{n - 1}"))
 
@@ -354,25 +354,25 @@ def _diagnose(t):
     for a in range(n):
         lefts = np.nonzero(table[:, a] == 0)[0]
         if len(lefts) == 0:
-            diags.append(Diagnostic("left_inverse_exists", (a,),
-                                    f"no b with b+{a} = 0"))
+            diags.append(violation("left_inverse_exists", (a,),
+                                   f"no b with b+{a} = 0"))
             inv_ok = False
         elif len(lefts) > 1:
-            diags.append(Diagnostic(
+            diags.append(violation(
                 "left_inverse_unique", (a, int(lefts[0]), int(lefts[1])),
                 f"element {a} has {len(lefts)} left inverses"))
             inv_ok = False
         else:
             b = int(lefts[0])
             if table[a, b] != 0:
-                diags.append(Diagnostic(
+                diags.append(violation(
                     "inverse_two_sided", (a, b),
                     f"{b}+{a} = 0 but {a}+{b} = {int(table[a, b])}"))
                 inv_ok = False
             inv[a] = b
 
     if not inv_ok:
-        diags.append(Diagnostic(
+        diags.append(violation(
             "gyration_checks_skipped", (),
             "gyrations undefined without unique two-sided inverses"))
         return diags, table, None, None, None
@@ -391,7 +391,7 @@ def _diagnose(t):
         assoc_count += int(np.count_nonzero(mism))
         for i, b, c in np.argwhere(mism)[:MAX_WITNESSES - len(assoc_diags)]:
             a = a0 + i
-            assoc_diags.append(Diagnostic(
+            assoc_diags.append(violation(
                 "left_gyroassociative", (int(a), int(b), int(c)),
                 f"{a}+({b}+{c}) = {int(a_bc[i, b, c])} but "
                 f"({a}+{b})+gyr[{a},{b}]{c} = {int(rhs[i, b, c])}"))
@@ -402,8 +402,8 @@ def _diagnose(t):
     not_bij = (np.sort(gyr_perms, axis=1) != ai).any(axis=1)
     for k in np.flatnonzero(not_bij[gyr_index])[:MAX_WITNESSES]:
         a, b = divmod(int(k), n)
-        diags.append(Diagnostic("gyration_bijective", (a, b),
-                                f"gyr[{a},{b}] is not a bijection"))
+        diags.append(violation("gyration_bijective", (a, b),
+                               f"gyr[{a},{b}] is not a bijection"))
     # auto_uv[k] is the first (u, v) with p(u+v) != p(u)+p(v), p = gyr_perms[k]
     auto_bad = np.zeros(len(gyr_perms), dtype=bool)
     auto_uv = np.zeros((len(gyr_perms), 2), dtype=np.int64)
@@ -417,13 +417,13 @@ def _diagnose(t):
     for k in np.flatnonzero(auto_bad[gyr_index])[:MAX_WITNESSES]:
         a, b = divmod(int(k), n)
         u, v = map(int, auto_uv[gyr_index[a, b]])
-        diags.append(Diagnostic(
+        diags.append(violation(
             "gyration_automorphism", (a, b, u, v),
             f"gyr[{a},{b}]({u}+{v}) != gyr[{a},{b}]{u}+gyr[{a},{b}]{v}"))
 
     diags.extend(assoc_diags)
     if assoc_count > MAX_WITNESSES:
-        diags.append(Diagnostic(
+        diags.append(violation(
             "left_gyroassociative_count", (assoc_count,),
             f"{assoc_count} of {n ** 3} triples violate gyroassociativity"))
 
@@ -437,7 +437,7 @@ def _diagnose(t):
         triples.extend((a, b, c, moved[c], kept[c])
                        for c in np.flatnonzero(moved != kept))
     for a, b, c, x, y in triples[:MAX_WITNESSES]:
-        diags.append(Diagnostic(
+        diags.append(violation(
             "left_loop", (int(a), int(b), int(c)),
             f"gyr[{a}+{b},{b}]{c} = {int(x)} != gyr[{a},{b}]{c} = {int(y)}"))
     return diags, table, inv, gyr_index, gyr_perms

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import core
 from .ball import SAMPLE_MAX_NORM, BallGyrogroup
-from .core import CriterionError, GyrogroupCarrier
+from .core import GyrogroupCarrier
+from .coset_actions import coset_criterion_sampled
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class PairGyrogroup(GyrogroupCarrier):
         self.m = m
         self.eps = self.ball.eps
         self.zero = PairElement(self.ball.zero, 0)
-        self._hat_certificate = None
 
     def element(self, coords, rotation):
         return PairElement(self.ball.element(coords), int(rotation) % self.m)
@@ -111,42 +111,28 @@ class PairGyrogroup(GyrogroupCarrier):
         """
         return x.r
 
-    def verify_hat_criterion(self, samples, seed, tol=None):
-        """Sampled check of the two coset-action criterion conditions for
-        B_hat; must pass before hat_coset_action is used.
+    def sample_hat(self, rng, count):
+        """A batch of ``count`` elements of B_hat: ball points with the
+        identity rotation."""
+        return PairElement(self.ball.sample_batch(rng, count),
+                           np.zeros(count, dtype=np.int64))
+
+    def verify_hat_criterion(self, samples, seed):
+        """The sampled coset criterion for B_hat, as a report dict: that of
+        ``coset_criterion_sampled(self, self.in_hat, self.sample_hat,
+        samples, seed)``.
 
         Condition 1: gyrations map B_hat into B_hat.
         Condition 2: -z + gyr[x, y]z lands in B_hat for all x, y, z.
-        Returns a report dict and caches a certificate on success.
         """
-        if tol is None:
-            tol = self.eps
-        rng = np.random.default_rng(seed)
-        x = self.sample_batch(rng, samples)
-        y = self.sample_batch(rng, samples)
-        z = self.sample_batch(rng, samples)
-        h = PairElement(self.ball.sample_batch(rng, samples),
-                        np.zeros(samples, dtype=np.int64))
-        gy_h = self.gyration(x, y, h)
-        cond1 = bool(np.all(self.in_hat(gy_h))) and bool(np.all(self.contains(gy_h)))
-        w = self.oplus(self.oinv(z), self.gyration(x, y, z))
-        cond2 = bool(np.all(self.in_hat(w))) and bool(np.all(self.contains(w)))
-        report = {"check": "hat_coset_criterion", "samples": samples,
-                  "seed": seed, "tolerance": tol,
-                  "condition_gyr_preserves_subgroup": cond1,
-                  "condition_translate_defect_in_subgroup": cond2,
-                  "status": "pass" if (cond1 and cond2) else "fail"}
-        if not (cond1 and cond2):
-            raise CriterionError(f"hat coset criterion failed: {report}")
-        self._hat_certificate = report
-        return report
+        return coset_criterion_sampled(self, self.in_hat, self.sample_hat,
+                                       samples, seed).as_dict()
 
     def hat_coset_action(self, g, coset_index):
         """Left gyroaddition on the coset space: g = (a, alpha) sends coset
-        k to alpha . k.  Requires verify_hat_criterion to have passed."""
-        if self._hat_certificate is None:
-            raise CriterionError(
-                "run verify_hat_criterion(samples, seed) before acting on cosets")
+        k to alpha . k.  That this is an action is the coset criterion for
+        B_hat, which ``coset_criterion_sampled`` checks with ``in_hat`` and
+        ``sample_hat``."""
         return (np.asarray(g.r) + coset_index) % self.m
 
     def __repr__(self):

@@ -5,7 +5,7 @@ from gyrokit import BallGyrogroup, validate_action, validate_gyrogroup
 from gyrokit.catalog import (cyclic, dihedral, frobenius, klein_four,
                              quaternion, square_root_twist, symmetric,
                              twisted21)
-from gyrokit.core import Diagnostic
+from gyrokit.core import violation
 from gyrokit.finite import MAX_WITNESSES
 
 
@@ -167,8 +167,8 @@ def dense_gyration_diagnostics(table):
     not_bij = np.nonzero((np.sort(flat, axis=1) != ai).any(axis=1))[0]
     for k in not_bij[:MAX_WITNESSES]:
         a, b = divmod(int(k), n)
-        diags.append(Diagnostic("gyration_bijective", (a, b),
-                                f"gyr[{a},{b}] is not a bijection"))
+        diags.append(violation("gyration_bijective", (a, b),
+                               f"gyr[{a},{b}] is not a bijection"))
     auto_count = 0
     for a in range(n):
         for b in range(n):
@@ -179,26 +179,26 @@ def dense_gyration_diagnostics(table):
                 auto_count += 1
                 if auto_count <= MAX_WITNESSES:
                     u, v = map(int, np.argwhere(lhs != rhs)[0])
-                    diags.append(Diagnostic(
+                    diags.append(violation(
                         "gyration_automorphism", (a, b, u, v),
                         f"gyr[{a},{b}]({u}+{v}) != gyr[{a},{b}]{u}+gyr[{a},{b}]{v}"))
 
     rhs = table[table[:, :, None], gyr]
     mism = np.argwhere(a_bc != rhs)
     for a, b, c in mism[:MAX_WITNESSES]:
-        diags.append(Diagnostic(
+        diags.append(violation(
             "left_gyroassociative", (int(a), int(b), int(c)),
             f"{a}+({b}+{c}) = {int(a_bc[a, b, c])} but "
             f"({a}+{b})+gyr[{a},{b}]{c} = {int(rhs[a, b, c])}"))
     if len(mism) > MAX_WITNESSES:
-        diags.append(Diagnostic(
+        diags.append(violation(
             "left_gyroassociative_count", (int(len(mism)),),
             f"{len(mism)} of {n ** 3} triples violate gyroassociativity"))
 
     shifted = gyr[table[:, :, None], ai[None, :, None], ai[None, None, :]]
     mism = np.argwhere(shifted != gyr)
     for a, b, c in mism[:MAX_WITNESSES]:
-        diags.append(Diagnostic(
+        diags.append(violation(
             "left_loop", (int(a), int(b), int(c)),
             f"gyr[{a}+{b},{b}]{c} = {int(shifted[a, b, c])} != "
             f"gyr[{a},{b}]{c} = {int(gyr[a, b, c])}"))

@@ -275,7 +275,7 @@ def test_criterion_8_pair_carrier():
                 "right_cancellation_1", "right_cancellation_2"):
         assert out[law] <= 1e-9, (law, out[law])
     assert out["closure"]
-    carrier.verify_hat_criterion(10000, seed=SEED)
+    assert carrier.verify_hat_criterion(10000, seed=SEED)["status"] == "pass"
     rng = np.random.default_rng(SEED)
     batch = carrier.sample_batch(rng, 10000)
     cosets_seen = sorted(set(int(r) for r in batch.r))

@@ -88,6 +88,33 @@ def test_operations_reject_points_outside_ball():
         ball.oinv(np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("variant", ["mobius", "einstein"])
+@pytest.mark.parametrize("short, got", [([0.1, 0.2], 2), ([0.5], 1)])
+def test_operations_reject_points_of_another_dimension(variant, short, got):
+    # unchecked, a 2-vector is added as a 2-vector and a 1-vector
+    # broadcasts over all three coordinates
+    ball = BallGyrogroup(dim=3, variant=variant)
+    point = [0.1, 0.2, 0.3]
+    calls = [lambda: ball.oplus(short, short), lambda: ball.oplus(short, point),
+             lambda: ball.oplus(point, [short, short]),
+             lambda: ball.oinv(short), lambda: ball.contains(short),
+             lambda: ball.distance(point, short),
+             lambda: ball.gyration(point, point, short),
+             lambda: ball.gyration(short, point, point)]
+    for call in calls:
+        with pytest.raises(InvalidElementError,
+                           match=f"expected dimension 3, got {got}"):
+            call()
+
+
+@pytest.mark.parametrize("coords", [[float("nan"), 0.0], [0.1, float("inf")],
+                                    [[0.1, 0.2], [float("-inf"), 0.0]]])
+def test_element_rejects_non_finite_coordinates(coords):
+    # NaN compares False with 1 - delta, so the margin cannot reject it
+    with pytest.raises(InvalidElementError, match="must be finite"):
+        BallGyrogroup(dim=2).element(coords)
+
+
 def test_results_stay_in_ball_on_samples():
     rng = np.random.default_rng(3)
     for variant in ("mobius", "einstein"):

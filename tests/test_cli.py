@@ -197,6 +197,23 @@ def test_ball_evaluation(files, capsys):
     assert report["checks"][0]["value"] == [0.8, 0.0]
 
 
+def _strict_json(text):
+    """Parse a report, refusing the NaN and Infinity that json accepts."""
+    def refuse(name):
+        raise ValueError(f"{name} in the report")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("u", ["nan 0", "0.99 0.5"])
+def test_ball_sum_rejects_non_finite_and_outside_points(capsys, u):
+    code, out, _ = run(capsys, "--report", "json", "ball", "--u", u,
+                       "--v", "0.1 0.2")
+    assert code == 1
+    report = _strict_json(out)
+    assert report["status"] == "fail"
+    assert report["checks"][0]["check"] == "error"
+
+
 def test_ball_requires_seed_for_sampling(capsys):
     code, _, err = run(capsys, "ball", "--variant", "mobius")
     assert code == 2
@@ -275,7 +292,8 @@ def test_pairs_coset_count_is_exact(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["pairs", "--m", "0", "--seed", "1"], "m must be >= 1"),
-    (["ball", "--dim", "0", "--seed", "1"], "dim must be >= 1")])
+    (["ball", "--dim", "0", "--seed", "1"], "dim must be >= 1"),
+    (["ball", "--u", "a b", "--v", "0.1 0.2"], "parse_vector")])
 def test_invalid_carrier_size_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

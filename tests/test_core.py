@@ -139,7 +139,7 @@ def test_cancellation_law_failure_reports_witness():
     broken = object.__new__(type(z4))
     broken.__dict__.update(z4.__dict__)
     broken.table = table
-    laws = {l.law: l for l in check_cancellation_laws_exhaustive(broken)}
+    laws = {l.check: l for l in check_cancellation_laws_exhaustive(broken)}
     law1 = laws["general_left_cancellation"]
     assert not law1.passed
     a, b1, b2 = law1.witness

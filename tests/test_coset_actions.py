@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from gyrokit import (CriterionError, ValidationError, build_coset_action,
-                     build_representation, classify, coset_criterion,
+from gyrokit import (CriterionError, PairGyrogroup, ValidationError,
+                     build_coset_action, build_representation, classify,
+                     coset_criterion, coset_criterion_sampled,
                      enumerate_subgyrogroups, induced_action_over_subgyrogroup,
                      left_cosets, orbits_and_stabilizers, self_action_possible,
-                     self_action_witness, validate_action)
+                     self_action_possible_sampled, self_action_witness,
+                     validate_action)
 
 from conftest import (classical_coset_table, defect_leak_loop,
                       gyration_leak_loop, trivial_action)
@@ -206,7 +208,7 @@ def _gyrator_verdicts(carrier, in_subgroup, sample_subgroup, samples, seed):
 def _sampled_subgroups():
     """(carrier, in_subgroup, sample_subgroup) for the ball and pair
     carriers: the whole ball, {0}, and the translation part B_hat."""
-    from gyrokit import BallGyrogroup, PairElement, PairGyrogroup
+    from gyrokit import BallGyrogroup, PairGyrogroup
     out = []
     for variant in ("mobius", "einstein"):
         ball = BallGyrogroup(dim=3, variant=variant)
@@ -214,9 +216,7 @@ def _sampled_subgroups():
         out.append((ball, lambda y, b=ball: np.linalg.norm(y, axis=-1) <= b.eps,
                     lambda rng, n, d=ball.dim: np.zeros((n, d))))
         pairs = PairGyrogroup(m=6, variant=variant)
-        out.append((pairs, pairs.in_hat,
-                    lambda rng, n, p=pairs: PairElement(
-                        p.ball.sample_batch(rng, n), np.zeros(n, dtype=np.int64))))
+        out.append((pairs, pairs.in_hat, pairs.sample_hat))
     return out
 
 
@@ -238,3 +238,15 @@ def test_sampled_criteria_use_the_carrier_gyration(monkeypatch):
         assert (report.condition_gyr_preserves_subgroup,
                 report.condition_translate_defect_in_subgroup) == (ok1, ok2)
         assert report.passed == (ok1 and ok2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda p, seed: coset_criterion_sampled(p, p.in_hat, p.sample_hat, 0, seed),
+    lambda p, seed: p.verify_hat_criterion(0, seed),
+    lambda p, seed: self_action_possible_sampled(p, 0, seed)],
+    ids=["coset_criterion_sampled", "verify_hat_criterion",
+         "self_action_possible_sampled"])
+def test_sampled_checks_reject_zero_samples(check):
+    # a verdict on no sample would check nothing
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check(PairGyrogroup(m=6), 1)

@@ -429,7 +429,7 @@ def entry_transpositions(table, axis, count, seed):
 
 
 def gyration_part(diags):
-    return [(d.check, d.witness, d.message) for d in diags
+    return [(d.check, d.witness, d.detail["message"]) for d in diags
             if d.check in GYRATION_CHECKS]
 
 
