@@ -20,9 +20,9 @@ from .ball import (BallGyrogroup, ball_gyration_matrix, check_ball_laws,
                    einstein_add, lorentz_gamma, mobius_add)
 from .core import (Check, CriterionError, GyroError, GyrogroupCarrier,
                    InvalidElementError, NumericalError, ValidationError,
-                   cancellation_residuals, check_axiom_residuals,
-                   check_cancellation_laws, check_cancellation_laws_exhaustive,
-                   coaddition, cominus, conjugate, conjugate_set, gyration)
+                   check_axiom_residuals, check_cancellation_laws,
+                   check_cancellation_laws_exhaustive, coaddition, cominus,
+                   conjugate, conjugate_set, gyration)
 from .coset_actions import (CriterionReport, build_coset_action,
                             coset_criterion, coset_criterion_sampled,
                             induced_action_over_subgyrogroup,

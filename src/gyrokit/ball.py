@@ -138,10 +138,10 @@ def mobius_add(u, v):
     and denominator termwise).  Near-boundary gyration chains hit the regime
     u ~ -v, where the literal denominator 1 + 2<u,v> + |u|^2 |v|^2 loses all
     significant digits; this arrangement keeps relative error near machine
-    precision there.
+    precision there.  Evaluated by ``BallGyrogroup.oplus``, domain checks
+    included.
     """
-    u, v = _coords(u, v)
-    return _points(_mobius_add(u, v, _dot(u, u)))
+    return BallGyrogroup(dim=np.shape(u)[-1], variant="mobius").oplus(u, v)
 
 
 def _mobius_add(u, v, nu2):
@@ -160,10 +160,10 @@ def einstein_add(u, v):
         C = (g2 (1 + t) - 1) / (gamma_u (1 + gamma_u)),
 
     which avoids the loss of significance of the bracketed sum when
-    u ~ -v near the boundary.
+    u ~ -v near the boundary.  Evaluated by ``BallGyrogroup.oplus``,
+    domain checks included.
     """
-    u, v = _coords(u, v)
-    return _points(_einstein_add(u, v, _dot(u, u)))
+    return BallGyrogroup(dim=np.shape(u)[-1], variant="einstein").oplus(u, v)
 
 
 def _einstein_add(u, v, nu2):
@@ -310,8 +310,11 @@ def ball_gyration_matrix(carrier, a, b, samples, seed, probe_scale=PROBE_SCALE):
     """Assemble gyr[a, b] as a matrix from small probe vectors.
 
     Column j is gyr(a, b, s e_j) / s.  The probe scale keeps probes inside
-    the ball for any admissible a, b while avoiding cancellation.
+    the ball for any admissible a, b while avoiding cancellation.  Raises
+    ValueError when ``samples`` < 1, since no probe measures nothing.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     a = carrier.element(a)
     b = carrier.element(b)
     dim = carrier.dim
@@ -324,7 +327,7 @@ def ball_gyration_matrix(carrier, a, b, samples, seed, probe_scale=PROBE_SCALE):
     rng = np.random.default_rng(seed)
     probes = carrier.sample_batch(rng, samples)
     images = core.gyration(carrier, a, b, probes)
-    lin = float(np.max(_norm(images - probes @ m.T))) if samples else 0.0
+    lin = float(np.max(_norm(images - probes @ m.T)))
     orth = float(np.linalg.norm(m.T @ m - np.eye(dim)))
     return GyrationMatrix(matrix=m, linearity_residual=lin,
                           orthogonality_residual=orth, samples=samples,

@@ -40,18 +40,17 @@ class _Failure(Exception):
     """Ends a command with exit code ``code``: a usage or parse error (2,
     status "error") or an analysis failure (1, status "fail")."""
 
-    def __init__(self, code, command, checks):
+    def __init__(self, code, checks):
         self.code = code
-        self.report = {"command": command,
-                       "status": "error" if code == USAGE_ERROR else "fail",
+        self.report = {"status": "error" if code == USAGE_ERROR else "fail",
                        "checks": checks}
 
 
-def _report(command, checks, **extra):
-    """A finished command's report; it fails when one of its checks fails."""
+def _report(checks, **extra):
+    """A finished command's report; it fails when one of its checks fails.
+    ``main`` adds the command's name."""
     passed = all(c.passed for c in checks)
-    return {"command": command, "status": "pass" if passed else "fail",
-            "checks": checks, **extra}
+    return {"status": "pass" if passed else "fail", "checks": checks, **extra}
 
 
 def _emit(report, mode, stream):
@@ -78,45 +77,42 @@ def _read(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _Failure(USAGE_ERROR, "io",
-                       [Check("read_file", False, (str(exc),))])
+        raise _Failure(USAGE_ERROR, [Check("read_file", False, (str(exc),))])
 
 
-def _load_carrier(path, command):
+def _load_carrier(path):
     text = _read(path)
     try:
         table = parse_cayley_table(text)
     except TableFormatError as exc:
-        raise _Failure(USAGE_ERROR, command,
-                       [Check("parse_table", False, (str(exc),))])
+        raise _Failure(USAGE_ERROR, [Check("parse_table", False, (str(exc),))])
     try:
         return validate_gyrogroup(table)
     except ValidationError as exc:
-        raise _Failure(ANALYSIS_ERROR, command, exc.diagnostics)
+        raise _Failure(ANALYSIS_ERROR, exc.diagnostics)
 
 
-def _load_action(path, carrier, command):
+def _load_action(path, carrier):
     text = _read(path)
     try:
         n, k, table = parse_action_table(text)
     except TableFormatError as exc:
-        raise _Failure(USAGE_ERROR, command,
+        raise _Failure(USAGE_ERROR,
                        [Check("parse_action", False, (str(exc),))])
     if n != carrier.order:
-        raise _Failure(USAGE_ERROR, command,
+        raise _Failure(USAGE_ERROR,
                        [Check("action_shape", False, (n, carrier.order))])
     try:
         return validate_action(carrier, table)
     except ValidationError as exc:
-        raise _Failure(ANALYSIS_ERROR, command, exc.diagnostics)
+        raise _Failure(ANALYSIS_ERROR, exc.diagnostics)
 
 
 def _parse_subset(text):
     try:
         return sorted({int(p) for p in text.split(",") if p.strip() != ""})
     except ValueError:
-        raise _Failure(USAGE_ERROR, "subset",
-                       [Check("parse_subset", False, (text,))])
+        raise _Failure(USAGE_ERROR, [Check("parse_subset", False, (text,))])
 
 
 def _parse_vector(text, dim):
@@ -126,24 +122,22 @@ def _parse_vector(text, dim):
             return np.array([float(p) for p in parts])
     except ValueError:
         pass
-    raise _Failure(USAGE_ERROR, "ball",
-                   [Check("parse_vector", False, (text, dim))])
+    raise _Failure(USAGE_ERROR, [Check("parse_vector", False, (text, dim))])
 
 
 def cmd_validate(args):
-    g = _load_carrier(args.table, "validate")
+    g = _load_carrier(args.table)
     kind = "degenerate (all gyrations identity)" if g.is_degenerate() \
         else "nondegenerate"
-    return _report("validate", [Check("gyrogroup_axioms", True,
-                                      detail={"detail": kind,
-                                              "order": g.order})])
+    return _report([Check("gyrogroup_axioms", True,
+                          detail={"detail": kind, "order": g.order})])
 
 
 def cmd_gyr(args):
-    g = _load_carrier(args.table, "gyr")
+    g = _load_carrier(args.table)
     n = g.order
     if not (0 <= args.a < n and 0 <= args.b < n):
-        raise _Failure(USAGE_ERROR, "gyr",
+        raise _Failure(USAGE_ERROR,
                        [Check("element_range", False, (args.a, args.b))])
     perm = [int(v) for v in g.gyr_perm(args.a, args.b)]
     checks = [Check("gyration", True, detail={
@@ -151,38 +145,38 @@ def cmd_gyr(args):
         "detail": f"gyr[{args.a},{args.b}] as one-line permutation"})]
     if args.c is not None:
         if not 0 <= args.c < n:
-            raise _Failure(USAGE_ERROR, "gyr",
+            raise _Failure(USAGE_ERROR,
                            [Check("element_range", False, (args.c,))])
         checks.append(Check("gyration_value", True, detail={
             "value": perm[args.c],
             "detail": f"gyr[{args.a},{args.b}]{args.c}"}))
-    return _report("gyr", checks)
+    return _report(checks)
 
 
 def cmd_subgyro(args):
-    g = _load_carrier(args.table, "subgyro")
+    g = _load_carrier(args.table)
     try:
         subs = enumerate_subgyrogroups(g, cap=args.cap)
     except GyroError as exc:
-        raise _Failure(USAGE_ERROR, "subgyro",
+        raise _Failure(USAGE_ERROR,
                        [Check("enumeration_cap", False, (str(exc),))])
     checks = [Check("subgyrogroup", True, detail={
         "value": list(h),
         "detail": {"order": len(h), "l_subgyrogroup": is_l_subgyrogroup(g, h),
                    "coset_criterion": coset_criterion(g, h).passed}})
         for h in subs]
-    return _report("subgyro", checks, count=len(subs))
+    return _report(checks, count=len(subs))
 
 
 def cmd_cosets(args):
-    g = _load_carrier(args.table, "cosets")
+    g = _load_carrier(args.table)
     members = _parse_subset(args.subset)
     try:
         part = left_cosets(g, members)
     except ValueError as exc:
-        raise _Failure(ANALYSIS_ERROR, "cosets",
+        raise _Failure(ANALYSIS_ERROR,
                        [Check("subgyrogroup", False, (str(exc),))])
-    return _report("cosets", [Check(
+    return _report([Check(
         "left_cosets", part.is_partition,
         None if part.is_partition else [list(w) for w in part.overlaps],
         detail={"value": [list(c) for c in part.cosets], "detail": {
@@ -193,10 +187,10 @@ def cmd_cosets(args):
 
 
 def cmd_act(args):
-    g = _load_carrier(args.table, "act")
-    gset = _load_action(args.action, g, "act")
+    g = _load_carrier(args.table)
+    gset = _load_action(args.action, g)
     dec = gset.decomposition
-    return _report("act", [
+    return _report([
         Check("action_axioms", True),
         Check("orbits", True, detail={"value": [list(o) for o in dec.orbits]}),
         Check("stabilizer_orders", True,
@@ -207,12 +201,12 @@ def cmd_act(args):
 
 
 def cmd_burnside(args):
-    g = _load_carrier(args.table, "burnside")
-    gset = _load_action(args.action, g, "burnside")
+    g = _load_carrier(args.table)
+    gset = _load_action(args.action, g)
     dec = gset.decomposition
     count = burnside_count(gset)
     fix_sizes = [len(f) for f in dec.fixed_by]
-    return _report("burnside", [
+    return _report([
         Check("fix_sizes", True, detail={
             "value": fix_sizes,
             "detail": "per-element |fix(a)| used in double counting"}),
@@ -225,19 +219,19 @@ def cmd_burnside(args):
 
 
 def cmd_classify(args):
-    g = _load_carrier(args.table, "classify")
-    gset = _load_action(args.action, g, "classify")
-    return _report("classify", [Check("classification", True, detail={
+    g = _load_carrier(args.table)
+    gset = _load_action(args.action, g)
+    return _report([Check("classification", True, detail={
         "value": classify(gset).as_dict()})])
 
 
 def cmd_coset_action(args):
-    g = _load_carrier(args.table, "coset-action")
+    g = _load_carrier(args.table)
     members = _parse_subset(args.subset)
     try:
         report = coset_criterion(g, members)
     except ValueError as exc:
-        raise _Failure(ANALYSIS_ERROR, "coset-action",
+        raise _Failure(ANALYSIS_ERROR,
                        [Check("subgyrogroup", False, (str(exc),))])
     checks = [report.as_check()]
     if args.build and report.passed:
@@ -249,15 +243,15 @@ def cmd_coset_action(args):
                        "classification": classify(gset).as_dict(),
                        "index_formula":
                            g.order == gset.points * len(members)}}))
-    return _report("coset-action", checks)
+    return _report(checks)
 
 
 def cmd_equiv(args):
-    g = _load_carrier(args.table, "equiv")
-    x = _load_action(args.action1, g, "equiv")
-    y = _load_action(args.action2, g, "equiv")
+    g = _load_carrier(args.table)
+    x = _load_action(args.action1, g)
+    y = _load_action(args.action2, g)
     result = match_components(x, y)
-    return _report("equiv", [Check(
+    return _report([Check(
         "equivalence", result.equivalent, result.unmatched,
         detail={"value": None if result.mapping is None
                 else list(result.mapping.mapping),
@@ -271,7 +265,7 @@ def _plain(x):
     return x.tolist() if hasattr(x, "tolist") else [_plain(p) for p in x]
 
 
-def _law_checks(command, carrier, args):
+def _law_checks(carrier, args):
     """Run the sampled law suite; returns one Check per residual.  A failing
     law's witness is [i, a, b, c]: its worst triple and that triple's index
     in the draw.  A sample count the suite rejects is a usage error."""
@@ -279,8 +273,7 @@ def _law_checks(command, carrier, args):
         residuals, worst_at = sampled_law_residuals(
             carrier, args.samples, args.seed, SAMPLE_MAX_NORM)
     except ValueError as exc:
-        raise _Failure(USAGE_ERROR, command,
-                       [Check("usage", False, (str(exc),))])
+        raise _Failure(USAGE_ERROR, [Check("usage", False, (str(exc),))])
     checks = []
     for name, value in sorted(residuals.items()):
         if name == "closure":
@@ -305,13 +298,12 @@ def cmd_ball(args):
         if args.u is None and args.seed is None:
             raise ValueError("--seed is required for sampling")
     except ValueError as exc:
-        raise _Failure(USAGE_ERROR, "ball",
-                       [Check("usage", False, (str(exc),))])
+        raise _Failure(USAGE_ERROR, [Check("usage", False, (str(exc),))])
     if args.u is None:
-        return _report("ball", _law_checks("ball", carrier, args))
+        return _report(_law_checks(carrier, args))
     u = carrier.element(_parse_vector(args.u, args.dim))
     v = carrier.element(_parse_vector(args.v, args.dim))
-    return _report("ball", [
+    return _report([
         Check("addition", True, detail={
             "value": [float(c) for c in carrier.oplus(u, v)],
             "detail": f"{args.variant} sum"}),
@@ -324,9 +316,8 @@ def cmd_pairs(args):
     try:
         carrier = PairGyrogroup(m=args.m, variant=args.variant)
     except ValueError as exc:
-        raise _Failure(USAGE_ERROR, "pairs",
-                       [Check("usage", False, (str(exc),))])
-    checks = _law_checks("pairs", carrier, args)
+        raise _Failure(USAGE_ERROR, [Check("usage", False, (str(exc),))])
+    checks = _law_checks(carrier, args)
     crit = coset_criterion_sampled(carrier, carrier.in_hat, carrier.sample_hat,
                                    args.samples, args.seed)
     checks.append(Check("hat_coset_criterion", crit.passed, seed=args.seed,
@@ -342,7 +333,7 @@ def cmd_pairs(args):
     checks.append(Check("coset_action_transitive", flags.transitive, detail={
         "detail": "rotation quotient acting on cosets"}))
     checks.append(Check("coset_action_regular", flags.sharply_transitive))
-    return _report("pairs", checks)
+    return _report(checks)
 
 
 def build_parser():
@@ -445,9 +436,9 @@ def main(argv=None):
     except _Failure as f:
         report, code = f.report, f.code
     except GyroError as exc:
-        f = _Failure(ANALYSIS_ERROR, args.command,
-                     [Check("error", False, (str(exc),))])
+        f = _Failure(ANALYSIS_ERROR, [Check("error", False, (str(exc),))])
         report, code = f.report, f.code
+    report = {"command": args.command} | report
     stream = sys.stderr if code == USAGE_ERROR else sys.stdout
     try:
         _emit(report, args.report, stream)

@@ -3,8 +3,9 @@
 Every concrete carrier (finite table, ball, ball-rotation pairs) implements
 the small ``GyrogroupCarrier`` interface, gyrations included: the finite
 carrier reads them from its validated store, the ball carriers evaluate
-Ungar's closed forms, and the pair carrier takes the ball's.  Everything
-else here is derived from it: coaddition, conjugation, and the
+Ungar's closed forms, and the pair carrier takes the ball's.  Every
+carrier's operations broadcast over batches, so everything else here is
+derived from it as one batch expression: coaddition, conjugation, and the
 cancellation-law and axiom-residual check suites shared by all carriers.
 
 :func:`gyration` is the independent path, the gyrator identity
@@ -98,7 +99,9 @@ class GyrogroupCarrier:
     ``contains``  -- domain membership, used by closure checks
     ``gyration``  -- gyr[a, b]c, computed apart from the gyrator identity
 
-    All operations must be pure; carriers are immutable after construction.
+    Every operation but ``equals`` broadcasts over batches, entry i of the
+    result being the result on entry i; a batch of one stays a batch.  All
+    operations must be pure; carriers are immutable after construction.
     """
 
     zero = None
@@ -148,22 +151,9 @@ def conjugate(carrier, a, b):
 
 
 def conjugate_set(carrier, a, members):
-    """Conjugate of the subset ``members`` by a, as a sorted tuple."""
-    return tuple(sorted(conjugate(carrier, a, b) for b in members))
-
-
-def _worst(defects):
-    return {law: float(np.max(d)) for law, d in defects.items()}
-
-
-def cancellation_residuals(carrier, a, b):
-    """Worst residuals of the four cancellation laws over the pairs (a, b).
-
-    ``a`` and ``b`` are single elements or equal-length batches.  Returns a
-    dict keyed by law name (see :func:`check_cancellation_laws`); law (i)
-    is evaluated on the constructed collision c := -a + (a+b).
-    """
-    return _worst(_cancellation_defects(carrier, a, b))
+    """Conjugate of a finite carrier's subset ``members`` by a, sorted."""
+    conj = conjugate(carrier, a, np.asarray(members, dtype=np.int64))
+    return tuple(sorted(conj.tolist()))
 
 
 def _cancellation_defects(carrier, a, b):
@@ -180,8 +170,14 @@ def _cancellation_defects(carrier, a, b):
             carrier.oplus(cominus(carrier, b, a), a), b)}
 
 
-def check_cancellation_laws(carrier, pairs, tol=0.0):
-    """Check the four cancellation laws over the given (a, b) sample pairs.
+def _entry(batch, i):
+    x = batch[i]  # a numpy scalar is returned as a Python one
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def check_cancellation_laws(carrier, a, b, tol=0.0):
+    """Check the four cancellation laws over the pairs (a[i], b[i]) of two
+    equal-length batches.
 
     Laws: (i)  a+b = a+c  implies b = c       (general left cancellation)
           (ii) -a + (a+b) = b                 (left cancellation)
@@ -191,31 +187,40 @@ def check_cancellation_laws(carrier, pairs, tol=0.0):
     Law (i) cannot be hit by random collisions on an analytic carrier, so it
     is exercised on the constructed collision c := -a + (a+b), which realises
     a+c = a+b and must therefore recover c = b.  ``tol`` is the residual
-    allowed per law (0.0 for exact carriers).  Pass ``pairs`` exhaustively
-    for finite carriers.  Returns four Checks, each with its ``worst``
-    residual in ``detail``.
+    allowed per law (0.0 for exact carriers).  Returns four Checks, each
+    with its ``worst`` residual in ``detail`` and, when that exceeds
+    ``tol``, the first pair over ``tol`` as its witness.  Raises ValueError
+    for empty batches, since no pair checks nothing.
     """
+    defects = _cancellation_defects(carrier, a, b)
     results = []
-    laws = {
-        "general_left_cancellation": [],
-        "left_cancellation": [],
-        "right_cancellation_1": [],
-        "right_cancellation_2": [],
-    }
-    witnesses = dict.fromkeys(laws)
-    count = 0
-    for a, b in pairs:
-        count += 1
-        for name, residual in cancellation_residuals(carrier, a, b).items():
-            laws[name].append(residual)
-            if residual > tol and witnesses[name] is None:
-                witnesses[name] = (a, b)
-    for name, residuals in laws.items():
-        worst = max(residuals) if residuals else 0.0
-        results.append(Check(name, worst <= tol, witnesses[name],
-                             samples=count, tolerance=tol,
-                             detail={"worst": worst}))
+    for name in sorted(defects):
+        d = np.asarray(defects[name])
+        if not d.size:
+            raise ValueError("samples must be >= 1")
+        over = d > tol
+        i = int(np.argmax(over))
+        witness = (_entry(a, i), _entry(b, i)) if over[i] else None
+        worst = float(np.max(d))
+        results.append(Check(name, worst <= tol, witness, samples=d.size,
+                             tolerance=tol, detail={"worst": worst}))
     return results
+
+
+def _first_repeats(rows):
+    """(row, earlier column, repeating column) of the first repeated entry
+    of each row of ``rows`` that has one, in row order: the first column
+    whose entry occurs earlier in the row, and where that entry first does."""
+    n = rows.shape[1]
+    # each row sorted by entry, then by column: every entry of a run of
+    # equal entries but the first repeats an earlier column
+    entry, col = np.divmod(np.sort(rows * n + np.arange(n), axis=1), n)
+    repeat = np.min(np.where(entry[:, 1:] == entry[:, :-1], col[:, 1:], n),
+                    axis=1, initial=n)
+    bad = np.flatnonzero(repeat < n)
+    cols = repeat[bad]
+    earlier = np.argmax(rows[bad] == rows[bad, cols][:, None], axis=1)
+    return list(zip(bad.tolist(), earlier.tolist(), cols.tolist()))
 
 
 def check_cancellation_laws_exhaustive(carrier):
@@ -223,19 +228,14 @@ def check_cancellation_laws_exhaustive(carrier):
 
     Law (i) is strengthened to a genuine collision scan: every row is
     searched for duplicate values, which is the exhaustive content of
-    "a+b = a+c implies b = c".
+    "a+b = a+c implies b = c".  Its witness is the (a, b, c) with a+b = a+c
+    and b < c for the first such row a and the first such c in it.
     """
     n = carrier.order
-    results = check_cancellation_laws(
-        carrier, ((a, b) for a in range(n) for b in range(n)), tol=0.0)
-    witness = None
-    for a in range(n):
-        seen = {}
-        for b in range(n):
-            v = carrier.oplus(a, b)
-            if v in seen and witness is None:
-                witness = (a, seen[v], b)
-            seen.setdefault(v, b)
+    a, b = np.divmod(np.arange(n * n), n)
+    results = check_cancellation_laws(carrier, a, b)
+    repeats = _first_repeats(carrier.oplus(a, b).reshape(n, n))
+    witness = repeats[0] if repeats else None
     law1 = Check("general_left_cancellation", witness is None, witness,
                  samples=n * n * n, tolerance=0.0,
                  detail={"worst": 0.0 if witness is None else 1.0})
@@ -260,9 +260,10 @@ def sampled_law_residuals(carrier, samples, seed, max_norm):
     """The sampled law suite shared by the analytic carriers.
 
     Draws ``samples`` triples a, b, c (in that order) with norms <=
-    ``max_norm`` from ``seed``, then evaluates :func:`check_axiom_residuals`
-    on the triples and :func:`cancellation_residuals` on the pairs (a, b),
-    one block of ``_BLOCK_TRIPLES`` triples at a time.  Returns
+    ``max_norm`` from ``seed``, then evaluates the laws of
+    :func:`check_axiom_residuals` on the triples and those of
+    :func:`check_cancellation_laws` on the pairs (a, b), one block of
+    ``_BLOCK_TRIPLES`` triples at a time.  Returns
     (residuals, worst_at): residuals maps each law to its worst residual
     over all triples, plus ``closure``, ``samples`` and ``seed``; worst_at
     maps each law to (i, a[i], b[i], c[i]) for the first triple i at which
@@ -299,7 +300,7 @@ def check_axiom_residuals(carrier, a, b, c):
     distance from the gyrator identity.
     """
     defects, closure = _axiom_defects(carrier, a, b, c)
-    out = _worst(defects)
+    out = {law: float(np.max(d)) for law, d in defects.items()}
     out["closure"] = closure
     return out
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .actions import build_representation, classify, validate_action
 from .core import (Check, CriterionError, GyroError, _sample_triples,
-                   conjugate_set)
+                   conjugate)
 from .finite import is_subgyrogroup, left_cosets
 
 
@@ -153,11 +153,12 @@ def build_coset_action(g, members, criterion=None):
         raise GyroError("coset action is not transitive")
     if len(part.subgroup) > 1 and flags.semiregular:
         raise GyroError("coset action with H != {0} cannot be semiregular")
-    h = sorted(part.subgroup)
-    stabs = gset.decomposition.stabilizers
-    for i, rep in enumerate(part.representatives):
-        if stabs[i] != conjugate_set(g, int(rep), h):
-            raise GyroError(f"stab of coset {i} is not the conjugate of H")
+    # row i: H conjugated by representative i; each stabilizer has |H| members
+    conj = np.sort(conjugate(g, reps[:, None], np.array(part.subgroup)), axis=1)
+    bad = np.flatnonzero(
+        (conj != np.array(gset.decomposition.stabilizers)).any(axis=1))
+    if len(bad):
+        raise GyroError(f"stab of coset {bad[0]} is not the conjugate of H")
     return gset
 
 

@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 
 from .actions import restrict_to_invariant
-from .core import GyroError, conjugate_set
+from .core import GyroError, conjugate
 from .coset_actions import induced_action_over_subgyrogroup
 
 BRUTE_FORCE_LIMIT = 6
@@ -95,13 +95,14 @@ def are_equivalent_transitive(x, y):
         if len(g.decomposition.orbits) != 1:
             raise ValueError("both G-sets must be transitive")
     carrier = x.carrier
-    stab_x = x.decomposition.stabilizers[0]
-    stab_y = y.decomposition.stabilizers[0]
-    found = None
-    for a in range(carrier.order):
-        if stab_x == conjugate_set(carrier, a, stab_y):
-            found = a
-            break
+    stab_x, stab_y = (g.decomposition.stabilizers[0] for g in (x, y))
+    # row a: the conjugate of stab_y by a; conjugation is injective, so it
+    # is stab_x iff it lies in stab_x and the two have one size
+    conj = conjugate(carrier, np.arange(carrier.order)[:, None],
+                     np.array(stab_y))
+    hits = np.flatnonzero(np.isin(conj, stab_x).all(axis=1)
+                          & (len(stab_x) == len(stab_y)))
+    found = int(hits[0]) if len(hits) else None
     witness = None
     if found is not None:
         # stab_x = stab(found . y0), so both fundamental isomorphisms factor

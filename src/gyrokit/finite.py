@@ -12,10 +12,10 @@ square-root twist).  Validation builds the n^3 triple tables a block of
 rows at a time, and decides bijectivity and the automorphism law once per
 distinct map.  Other modules read gyrations through the
 ``FiniteGyrogroup`` queries, each of which works on the d distinct maps:
-``gyration`` and ``gyr_perm`` for single values, ``gyration_leak`` for
-gyration invariance of a subset, ``defect_leak`` for the translate defect
--x + gyr[a, b]x, and ``nontrivial_gyration`` for a gyration that is not
-the identity.
+``gyration`` for elements or batches of them, ``gyr_perm`` for one map,
+``gyration_leak`` for gyration invariance of a subset, ``defect_leak`` for
+the translate defect -x + gyr[a, b]x, and ``nontrivial_gyration`` for a
+gyration that is not the identity.
 
 Subgyrogroups are boolean masks over 0..n-1 inside this module.  A mask is
 closed under + and inverse by semi-naive rounds, each forming only the sums
@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GyroError, GyrogroupCarrier, ValidationError, violation
+from .core import (GyroError, GyrogroupCarrier, ValidationError,
+                   _first_repeats, violation)
 
 # Witness lists inside a single check are capped for readability; the
 # violation count is always exact.
@@ -156,6 +157,10 @@ def serialize_cayley_table(t):
 class FiniteGyrogroup(GyrogroupCarrier):
     """A validated finite gyrogroup: table, cached inverses, gyration store.
 
+    Elements are the integers 0..n-1.  The operations broadcast over integer
+    arrays and give a 0-d result as a Python scalar, decided by ``.ndim``:
+    ``int()`` would also take a one-element batch on numpy < 2.
+
     Gyrations are stored once per distinct map: ``gyr_perms[k]`` is the k-th
     distinct gyration met in row-major (a, b) order, as a one-line map of
     0..n-1, and ``gyr_index[a, b]`` is the k with gyr[a, b] = gyr_perms[k].
@@ -177,26 +182,31 @@ class FiniteGyrogroup(GyrogroupCarrier):
     def order(self):
         return self.table.shape[0]
 
-    def elements(self):
-        return range(self.order)
-
     def oplus(self, a, b):
-        return int(self.table[a, b])
+        x = self.table[a, b]
+        return int(x) if x.ndim == 0 else x
 
     def oinv(self, a):
-        return int(self.inv[a])
+        x = self.inv[a]
+        return int(x) if x.ndim == 0 else x
 
     def equals(self, a, b):
         return a == b
 
     def distance(self, a, b):
-        return 0.0 if a == b else 1.0
+        x = np.not_equal(a, b) * 1.0
+        return float(x) if x.ndim == 0 else x
 
     def contains(self, a):
-        return isinstance(a, (int, np.integer)) and 0 <= a < self.order
+        a = np.asarray(a)
+        if not np.issubdtype(a.dtype, np.integer):
+            a = np.full(a.shape, -1)  # no entry of another type is an element
+        x = (0 <= a) & (a < self.order)
+        return bool(x) if x.ndim == 0 else x
 
     def gyration(self, a, b, c):
-        return int(self.gyr_perms[self.gyr_index[a, b], c])
+        x = self.gyr_perms[self.gyr_index[a, b], c]
+        return int(x) if x.ndim == 0 else x
 
     def gyr_perm(self, a, b):
         return self.gyr_perms[self.gyr_index[a, b]]
@@ -332,20 +342,11 @@ def _diagnose(t):
         diags.append(violation("identity_row", (int(b),),
                                f"0+{b} = {int(table[0, b])} != {b}"))
 
-    # (2) every row is a permutation (necessary for left cancellation)
-    sorted_rows = np.sort(table, axis=1)
-    bad_rows = np.nonzero((sorted_rows != ai).any(axis=1))[0]
-    for a in bad_rows[:MAX_WITNESSES]:
-        row = table[a]
-        seen = {}
-        witness = None
-        for c, v in enumerate(row):
-            if int(v) in seen:
-                witness = (int(a), seen[int(v)], c)
-                break
-            seen[int(v)] = c
+    # (2) every row is a permutation (necessary for left cancellation): a
+    # row of entries in 0..n-1 is one unless it repeats an entry
+    for a, c0, c1 in _first_repeats(table)[:MAX_WITNESSES]:
         diags.append(violation(
-            "row_permutation", witness or (int(a),),
+            "row_permutation", (a, c0, c1),
             f"row {a} is not a permutation of 0..{n - 1}"))
 
     # (3) G2: unique two-sided inverses

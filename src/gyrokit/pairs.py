@@ -86,8 +86,8 @@ class PairGyrogroup(GyrogroupCarrier):
         return bool(np.all(self.distance(x, y) <= self.eps))
 
     def contains(self, x):
-        return np.all(self.ball.contains(x.u)) and \
-            bool(np.all((np.asarray(x.r) >= 0) & (np.asarray(x.r) < self.m)))
+        r = np.asarray(x.r)
+        return self.ball.contains(x.u) & (r >= 0) & (r < self.m)
 
     def sample(self, rng, max_norm=SAMPLE_MAX_NORM):
         return PairElement(self.ball.sample(rng, max_norm),

@@ -125,6 +125,14 @@ def test_results_stay_in_ball_on_samples():
         assert np.all(np.linalg.norm(out, axis=1) < 1.0)
 
 
+@pytest.mark.parametrize("add", [mobius_add, einstein_add])
+@pytest.mark.parametrize("u, v", [([2.0, 0.0], [0.0, 0.0]),
+                                  ([0.5, 0.0], [3.0, 0.0])])
+def test_module_additions_reject_points_outside_ball(add, u, v):
+    with pytest.raises(InvalidElementError):
+        add(u, v)
+
+
 # -- gyration matrices ----------------------------------------------------
 
 # gyr[(0.3,0),(0,0.4)] on the mobius 2-ball is exactly the rotation
@@ -171,6 +179,12 @@ def test_gyration_matrix_orthogonal_on_random_pairs():
             m = ball_gyration_matrix(ball, a, b, samples=8, seed=1)
             assert m.orthogonality_residual <= 1e-8
             assert m.linearity_residual <= 1e-8
+
+
+def test_gyration_matrix_rejects_zero_samples():
+    ball = BallGyrogroup(dim=2)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        ball_gyration_matrix(ball, [0.1, 0.2], [0.3, -0.1], samples=0, seed=1)
 
 
 def test_gyration_three_dimensional():

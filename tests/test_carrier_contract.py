@@ -1,0 +1,61 @@
+"""The carrier contract: every carrier's operations broadcast over batches."""
+
+import numpy as np
+import pytest
+
+from gyrokit import (BallGyrogroup, FiniteGyrogroup, PairElement,
+                     PairGyrogroup, validate_gyrogroup)
+from gyrokit.catalog import twisted21
+
+CARRIERS = {
+    "twisted21": lambda: validate_gyrogroup(twisted21()),
+    "mobius3": lambda: BallGyrogroup(dim=3, variant="mobius"),
+    "einstein3": lambda: BallGyrogroup(dim=3, variant="einstein"),
+    "pairs6": lambda: PairGyrogroup(m=6),
+}
+ARITY = {"oplus": 2, "oinv": 1, "gyration": 3, "distance": 2, "contains": 1}
+# what a scalar call on the finite carrier returns
+FINITE_TYPE = {"distance": float, "contains": bool}
+COUNT = 9
+
+
+def _batch(carrier, rng):
+    if isinstance(carrier, FiniteGyrogroup):
+        return rng.integers(0, carrier.order, size=COUNT)
+    return carrier.sample_batch(rng, COUNT)
+
+
+def _entry(batch, i):
+    x = batch[i]
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _same(x, y):
+    """Equal values and shapes, bit for bit."""
+    if isinstance(x, PairElement):
+        return np.array_equal(x.u, y.u) and np.array_equal(x.r, y.r)
+    return np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("op", sorted(ARITY))
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_operations_broadcast_over_batches(name, op):
+    carrier = CARRIERS[name]()
+    rng = np.random.default_rng(6)
+    xs = [_batch(carrier, rng) for _ in range(ARITY[op])]
+    f = getattr(carrier, op)
+    got = f(*xs)
+    for i in range(COUNT):
+        want = f(*(_entry(x, i) for x in xs))
+        assert _same(_entry(got, i), want), (op, i)
+        if isinstance(carrier, FiniteGyrogroup):
+            assert type(want) is FINITE_TYPE.get(op, int), op
+    # a batch of one stays a batch
+    assert _same(f(*(x[:1] for x in xs)), got[:1]), op
+
+
+def test_finite_contains_rejects_what_is_not_an_element():
+    g = validate_gyrogroup(twisted21())
+    assert g.contains(np.array([0, 20, 21, -1])).tolist() == \
+        [True, True, False, False]
+    assert g.contains(21) is False and g.contains(1.0) is False

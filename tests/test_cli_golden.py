@@ -48,6 +48,10 @@ CASES = {
     "pairs": (["pairs", "--m", "6", "--samples", "300", "--seed", "42"],
               0, "out"),
     "usage_error": (["ball", "--u", "0.1 0.2"], 2, "err"),
+    "cosets_bad_subset": (["cosets", "{d}/z6.gyro", "--subset", "x"], 2,
+                          "err"),
+    # a relative path, so that the message names no directory
+    "validate_missing": (["validate", "missing.gyro"], 2, "err"),
 }
 
 

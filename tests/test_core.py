@@ -2,10 +2,12 @@
 cancellation laws."""
 
 import numpy as np
+import pytest
 
 from gyrokit import (BallGyrogroup, check_cancellation_laws,
                      check_cancellation_laws_exhaustive, coaddition, cominus,
-                     conjugate, conjugate_set, gyration, validate_gyrogroup)
+                     conjugate, conjugate_set, diagnose_gyrogroup, gyration,
+                     validate_gyrogroup)
 from gyrokit.catalog import cyclic
 
 # Frozen from exact rational evaluation of the written formulas (the map is
@@ -127,7 +129,8 @@ def test_cancellation_laws_sampled_ball():
     for variant in ("mobius", "einstein"):
         b = BallGyrogroup(dim=2, variant=variant)
         pairs = [(b.sample(rng), b.sample(rng)) for _ in range(50)]
-        for law in check_cancellation_laws(b, pairs, tol=1e-9):
+        xs, ys = (np.array(batch) for batch in zip(*pairs))
+        for law in check_cancellation_laws(b, xs, ys, tol=1e-9):
             assert law.passed, (variant, law)
 
 
@@ -144,6 +147,46 @@ def test_cancellation_law_failure_reports_witness():
     assert not law1.passed
     a, b1, b2 = law1.witness
     assert broken.oplus(a, b1) == broken.oplus(a, b2) and b1 != b2
+
+
+def test_cancellation_laws_reject_empty_batches(t21):
+    for carrier, empty in ((BallGyrogroup(dim=2), np.empty((0, 2))),
+                           (t21, np.empty(0, dtype=np.int64))):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            check_cancellation_laws(carrier, empty, empty, tol=1e-9)
+
+
+def _first_repeat_loop(row):
+    seen = {}
+    for c, v in enumerate(row):
+        if v in seen:
+            return seen[v], c
+        seen[v] = c
+    return None
+
+
+def test_collision_witnesses_are_each_rows_first_repeat(t21):
+    # both the row_permutation diagnostics and cancellation law (i) report,
+    # per row, the first column whose entry occurs earlier in the row
+    rng = np.random.default_rng(3)
+    good = t21
+    for _ in range(20):
+        table = np.array(good.table)
+        for a in rng.choice(np.arange(1, 21), size=rng.integers(1, 12),
+                            replace=False):
+            cols = rng.choice(21, size=rng.integers(1, 4), replace=False)
+            table[a, cols] = rng.integers(21, size=len(cols))
+        want = [(a, *hit) for a, row in enumerate(table.tolist())
+                if (hit := _first_repeat_loop(row)) is not None]
+        got = [d.witness for d in diagnose_gyrogroup(table)
+               if d.check == "row_permutation"]
+        assert got == want[:8]
+        broken = object.__new__(type(good))
+        broken.__dict__.update(good.__dict__)
+        broken.table = table
+        law1 = check_cancellation_laws_exhaustive(broken)[0]
+        assert law1.check == "general_left_cancellation"
+        assert law1.witness == (want[0] if want else None)
 
 
 def test_sampled_witness_is_the_wrong_triple_past_the_first_block():
