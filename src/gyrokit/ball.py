@@ -268,9 +268,6 @@ class BallGyrogroup(GyrogroupCarrier):
         d = u - v
         return np.sqrt(_dot(d, d))
 
-    def equals(self, u, v):
-        return bool(np.all(self.distance(u, v) <= self.eps))
-
     def contains(self, u):
         (u,) = self._checked_coords(u)
         return _dot(u, u) < 1.0

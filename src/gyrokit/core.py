@@ -94,14 +94,13 @@ class GyrogroupCarrier:
     ``zero``      -- the identity element
     ``oplus``     -- binary operation
     ``oinv``      -- two-sided inverse
-    ``equals``    -- carrier-owned equality (exact or tolerance-based)
     ``distance``  -- numeric defect used for residual reports (0.0 == equal)
     ``contains``  -- domain membership, used by closure checks
     ``gyration``  -- gyr[a, b]c, computed apart from the gyrator identity
 
-    Every operation but ``equals`` broadcasts over batches, entry i of the
-    result being the result on entry i; a batch of one stays a batch.  All
-    operations must be pure; carriers are immutable after construction.
+    Every operation broadcasts over batches, entry i of the result being
+    the result on entry i; a batch of one stays a batch.  All operations
+    must be pure; carriers are immutable after construction.
     """
 
     zero = None
@@ -110,9 +109,6 @@ class GyrogroupCarrier:
         raise NotImplementedError
 
     def oinv(self, a):
-        raise NotImplementedError
-
-    def equals(self, a, b):
         raise NotImplementedError
 
     def distance(self, a, b):

@@ -8,14 +8,17 @@ Only this module knows how gyrations are stored.  A carrier keeps each
 distinct gyration once: ``gyr_perms[d, n]`` holds the d distinct maps and
 ``gyr_index[n, n]`` names the one gyr[a, b] is, so a carrier of order n
 takes O(n^2 + dn) memory (d = 29 of the 41,209 pairs of the order-203
-square-root twist).  Validation builds the n^3 triple tables a block of
-rows at a time, and decides bijectivity and the automorphism law once per
-distinct map.  Other modules read gyrations through the
-``FiniteGyrogroup`` queries, each of which works on the d distinct maps:
-``gyration`` for elements or batches of them, ``gyr_perm`` for one map,
-``gyration_leak`` for gyration invariance of a subset, ``defect_leak`` for
-the translate defect -x + gyr[a, b]x, and ``nontrivial_gyration`` for a
-gyration that is not the identity.
+square-root twist).  Validation builds the n^3 gyration values a block of
+rows at a time and finds the distinct maps among them by fingerprint, each
+match confirmed by an exact comparison.  It decides bijectivity and the
+automorphism law once per distinct map, and gyroassociativity exactly
+through an n^2 table of the pairs (x, y) with x + (-x + y) != y, so a valid
+table makes no n^3 comparison for that law.  Other modules read gyrations
+through the ``FiniteGyrogroup`` queries, each of which works on the d
+distinct maps: ``gyration`` for elements or batches of them, ``gyr_perm``
+for one map, ``gyration_leak`` for gyration invariance of a subset,
+``defect_leak`` for the translate defect -x + gyr[a, b]x, and
+``nontrivial_gyration`` for a gyration that is not the identity.
 
 Subgyrogroups are boolean masks over 0..n-1 inside this module.  A mask is
 closed under + and inverse by semi-naive rounds, each forming only the sums
@@ -190,9 +193,6 @@ class FiniteGyrogroup(GyrogroupCarrier):
         x = self.inv[a]
         return int(x) if x.ndim == 0 else x
 
-    def equals(self, a, b):
-        return a == b
-
     def distance(self, a, b):
         x = np.not_equal(a, b) * 1.0
         return float(x) if x.ndim == 0 else x
@@ -277,41 +277,115 @@ def _first_true(mask):
     return tuple(int(i) for i in np.unravel_index(k, mask.shape))
 
 
-# Cells of one block of the (n, n, n) triple tables; a block holds whole
+# Cells of one block of the (n, n, n) gyration values; a block holds whole
 # rows a, at least one.  Small blocks stay in cache: at n = 203, blocks of
 # 2^16 cells validate faster than blocks of 2^20 and peak 45 MB lower.
 _BLOCK_CELLS = 1 << 16
 
 
-def _triple_blocks(t, inv):
-    """Yield (a0, a_bc, gyr) over consecutive blocks of rows a = a0 + i:
-    a_bc[i, b, c] = a+(b+c) and gyr[i, b, c] = gyr[a, b]c per the gyrator
-    identity -(a+b) + (a+(b+c))."""
+def _gyration_blocks(t, inv):
+    """Yield (a0, gyr) over consecutive blocks of rows a = a0 + i, where
+    gyr[i, b, c] = gyr[a, b]c per the gyrator identity -(a+b) + (a+(b+c)).
+    Flat takes from the table build it faster than multi-axis fancy
+    indexing would, and at most two block-sized arrays are live at once."""
     n = t.shape[0]
     rows = max(1, _BLOCK_CELLS // (n * n))
-    ginv = inv[t]  # -(a+b)
+    flat = t.ravel()
+    starts = inv[t] * n  # where row -(a+b) begins in ``flat``
     for a0 in range(0, n, rows):
-        a_bc = t[np.arange(a0, min(a0 + rows, n))[:, None, None], t[None, :, :]]
-        yield a0, a_bc, t[ginv[a0:a0 + rows, :, None], a_bc]
+        at = t[a0:a0 + rows].take(t, axis=1)  # a+(b+c)
+        at += starts[a0:a0 + rows, :, None]
+        gyr = flat.take(at)
+        del at
+        yield a0, gyr
 
 
-def _index_rows(rows, seen, distinct):
-    """The index in ``distinct`` of every row of the 2-D array ``rows``.
+def _splitmix64(seed, count):
+    """The first ``count`` outputs of the SplitMix64 generator from ``seed``,
+    as int64; uint64 arithmetic wraps mod 2^64.  Drawn without numpy.random,
+    whose import alone costs about 6 MB of resident memory."""
+    z = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).view(np.int64)
 
-    ``seen`` maps a row's bytes to its index; rows not seen before are
-    appended to ``distinct`` in row order.  Rows are compared exactly, by
-    sorting them as opaque byte strings.
+
+# Fingerprint weights for gyration rows: a row's key is its dot product
+# with these, wrapping mod 2^64.  Equal rows have equal keys; a row is
+# stored under its key only once confirmed equal to the stored row, so a
+# collision costs time, never a wrong index.  Orders beyond the array's
+# length reuse the weights cyclically.
+_FINGERPRINT_WEIGHTS = _splitmix64(0x67797231, 4096)
+
+
+class _RowStore:
+    """The distinct rows met so far, numbered in order of first appearance.
+
+    ``rows[:count]`` holds them in one array that grows by doubling, and
+    ``keys`` maps a fingerprint to the indices of the stored rows that
+    carry it: one index unless fingerprints collided.
     """
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True,
-                                  return_inverse=True)
-    ids = np.empty(len(first), dtype=np.int64)
-    for u in np.argsort(first):
-        row = rows[first[u]]
-        ids[u] = seen.setdefault(row.tobytes(), len(seen))
-        if ids[u] == len(distinct):
-            distinct.append(row.copy())
-    return ids[inverse.ravel()]
+
+    def __init__(self, width):
+        self.weights = np.resize(_FINGERPRINT_WEIGHTS, width)
+        self.rows = np.empty((16, width), dtype=np.int64)
+        self.count = 0
+        self.keys = {}
+
+    def index(self, rows):
+        """The index of every row of the 2-D array ``rows``, storing the
+        rows not met before in row order."""
+        fingerprints = rows @ self.weights
+        uniq, first, inverse = np.unique(fingerprints, return_index=True,
+                                         return_inverse=True)
+        count, added = self.count, []
+        ids = np.empty(len(uniq), dtype=np.int64)
+        for u in np.argsort(first):
+            key = int(uniq[u])
+            known = self.keys.get(key)
+            if known is None:
+                known = self.keys[key] = [self._append(rows[first[u]])]
+                added.append(key)
+            ids[u] = known[0]
+        ids = ids[inverse.ravel()]
+        if np.array_equal(self.rows[ids], rows):
+            return ids
+        # a fingerprint collision: undo this block and split it exactly
+        for key in added:
+            del self.keys[key]
+        self.count = count
+        return self._split(rows, fingerprints)
+
+    def _split(self, rows, fingerprints):
+        """:meth:`index` comparing whole rows: each distinct row, in order
+        of first appearance, is looked up among the stored rows with its
+        fingerprint."""
+        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+        ids = np.empty(len(first), dtype=np.int64)
+        for u in np.argsort(first):
+            row = rows[first[u]]
+            known = self.keys.setdefault(int(fingerprints[first[u]]), [])
+            match = np.flatnonzero((self.rows[known] == row).all(axis=1))
+            if not len(match):
+                match = [len(known)]
+                known.append(self._append(row))
+            ids[u] = known[match[0]]
+        return ids[inverse.ravel()]
+
+    def _append(self, row):
+        if self.count == len(self.rows):
+            grown = np.empty((2 * len(self.rows), self.rows.shape[1]),
+                             dtype=np.int64)
+            grown[:self.count] = self.rows
+            self.rows = grown
+        self.rows[self.count] = row
+        self.count += 1
+        return self.count - 1
+
+    def distinct(self):
+        return self.rows[:self.count].copy()
 
 
 def diagnose_gyrogroup(t):
@@ -378,25 +452,34 @@ def _diagnose(t):
             "gyrations undefined without unique two-sided inverses"))
         return diags, table, None, None, None
 
-    # Build the gyration store block by block, checking (5) on each block
-    # while its triple tables are live: the left gyroassociative law
-    # a+(b+c) = (a+b)+gyr[a,b]c over all n^3 triples.
+    # Build the gyration store block by block, and check (5) the left
+    # gyroassociative law a+(b+c) = (a+b)+gyr[a,b]c over all n^3 triples.
+    # With x = a+b and y = a+(b+c), gyr[a,b]c = -x + y, so the law fails
+    # at (a, b, c) exactly when bad[x, y]: x + (-x + y) != y.  That n^2
+    # table decides the law; only when it has a true entry are the triples
+    # looked up in it, for the exact count and the first witnesses.
+    bad = table[ai[:, None], table[inv]] != ai
+    check_assoc = bool(bad.any())
     gyr_index = np.empty((n, n), dtype=np.int64)
-    seen, distinct = {}, []
+    store = _RowStore(n)
     assoc_diags, assoc_count = [], 0
-    for a0, a_bc, gyr in _triple_blocks(table, inv):
-        gyr_index[a0:a0 + len(gyr)] = _index_rows(
-            gyr.reshape(-1, n), seen, distinct).reshape(-1, n)
-        rhs = table[table[a0:a0 + len(gyr), :, None], gyr]
-        mism = a_bc != rhs
+    for a0, gyr in _gyration_blocks(table, inv):
+        gyr_index[a0:a0 + len(gyr)] = store.index(
+            gyr.reshape(-1, n)).reshape(-1, n)
+        if not check_assoc:
+            continue
+        ab = table[a0:a0 + len(gyr)]  # row a holds a+b
+        a_bc = ab.take(table, axis=1)
+        mism = bad[ab[:, :, None], a_bc]
         assoc_count += int(np.count_nonzero(mism))
         for i, b, c in np.argwhere(mism)[:MAX_WITNESSES - len(assoc_diags)]:
             a = a0 + i
             assoc_diags.append(violation(
                 "left_gyroassociative", (int(a), int(b), int(c)),
                 f"{a}+({b}+{c}) = {int(a_bc[i, b, c])} but "
-                f"({a}+{b})+gyr[{a},{b}]{c} = {int(rhs[i, b, c])}"))
-    gyr_perms = np.array(distinct)
+                f"({a}+{b})+gyr[{a},{b}]{c} = "
+                f"{int(table[ab[i, b], gyr[i, b, c]])}"))
+    gyr_perms = store.distinct()
 
     # (4) each gyr[a,b] is a bijection and respects the operation (G3),
     # decided once per distinct gyration and reported per pair (a, b)
@@ -411,7 +494,8 @@ def _diagnose(t):
     chunk = max(1, _BLOCK_CELLS // (n * n))
     for k0 in range(0, len(gyr_perms), chunk):
         p = gyr_perms[k0:k0 + chunk]
-        mism = (p[:, table] != table[p[:, :, None], p[:, None, :]]).reshape(len(p), -1)
+        mism = (p.take(table, axis=1)
+                != table.ravel().take(p[:, :, None] * n + p[:, None, :])).reshape(len(p), -1)
         first = np.argmax(mism, axis=1)
         auto_bad[k0:k0 + len(p)] = mism[np.arange(len(p)), first]
         auto_uv[k0:k0 + len(p)] = np.stack(np.divmod(first, n), axis=1)

@@ -82,9 +82,6 @@ class PairGyrogroup(GyrogroupCarrier):
         d = self.ball.distance(x.u, y.u)
         return np.where(np.asarray(x.r) != np.asarray(y.r), np.inf, d)
 
-    def equals(self, x, y):
-        return bool(np.all(self.distance(x, y) <= self.eps))
-
     def contains(self, x):
         r = np.asarray(x.r)
         return self.ball.contains(x.u) & (r >= 0) & (r < self.m)

@@ -210,6 +210,27 @@ def twisted39():
     return square_root_twist(frobenius(13, 3, 3))
 
 
+# The twisted Frobenius ladder: Z_p : Z_q, with Z_q acting by the smallest
+# r > 1 of order q mod p, for the orders p * q = 21, 39, 57, 93 and 129.
+LADDER_GROUPS = {p * q: (p, q, next(r for r in range(2, p) if pow(r, q, p) == 1))
+                 for p, q in ((7, 3), (13, 3), (19, 3), (31, 3), (43, 3))}
+
+
+def twist_gyrations(group):
+    """Reference for the gyrations of square_root_twist(group), read off the
+    group side: in the twist a (+) b = sqrt(a) b sqrt(a) of an odd-order
+    group, gyr[a, b] is the conjugation c -> h c h^-1 by
+    h = sqrt(a (+) b)^-1 sqrt(a) sqrt(b).  Returns gyr[a, b, c] as an
+    (n, n, n) array; it evaluates no gyrator identity in the loop."""
+    g = np.asarray(group)
+    ai = np.arange(len(g))
+    inv = np.argmax(g == 0, axis=1)
+    sqrt = np.argsort(g[ai, ai])  # squaring is a bijection at odd order
+    s_ab = sqrt[g[g[sqrt[:, None], ai], sqrt[:, None]]]  # sqrt(a (+) b)
+    h = g[g[inv[s_ab], sqrt[:, None]], sqrt[None, :]]
+    return g[g[h[:, :, None], ai], inv[h][:, :, None]]
+
+
 # Reference oracle for the subgyrogroup lattice: the closure search over
 # Python sets, closing s + {x} for every found s and every x outside it.
 # It lives only here; the library extends by cyclic closures over masks.

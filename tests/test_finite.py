@@ -13,12 +13,12 @@ from gyrokit import (CayleyTable, GyroError, TableFormatError,
 from gyrokit.catalog import (cyclic, dihedral, frobenius, frobenius21,
                              square_root_twist, symmetric, twisted21)
 
-from conftest import (GYRATION_CHECKS, T21_NON_INVARIANT,
+from conftest import (GYRATION_CHECKS, LADDER_GROUPS, T21_NON_INVARIANT,
                       closure_search_subgyrogroups,
                       dense_gyration_diagnostics, group_tables,
                       gyration_leak_loop, is_subgyrogroup_loop,
                       left_cosets_loop, nontrivial_gyration_loop, set_closure,
-                      twisted39, two_sided_inverses)
+                      twist_gyrations, twisted39, two_sided_inverses)
 
 
 def group_axioms_hold(table):
@@ -448,3 +448,70 @@ def test_gyration_diagnostics_match_dense_oracle(monkeypatch):
                 seen.update(check for check, _, _ in want)
     # every gyration check fired somewhere, so no stage was compared vacuously
     assert seen == set(GYRATION_CHECKS)
+
+
+def test_gyrations_match_group_side_oracle():
+    for n, (p, q, r) in LADDER_GROUPS.items():
+        group = frobenius(p, q, r)
+        g = validate_gyrogroup(square_root_twist(group))
+        assert np.array_equal(g.gyr_perms[g.gyr_index],
+                              twist_gyrations(group)), n
+
+
+def diagnosis(table):
+    """Every diagnostic, with the gyration store it was computed from."""
+    diags, _, _, gyr_index, gyr_perms = finite._diagnose(table)
+    store = None if gyr_index is None else (gyr_index.tolist(), gyr_perms.tolist())
+    return [(d.check, d.witness, d.detail) for d in diags], store
+
+
+def test_fingerprint_collisions_are_split_exactly(monkeypatch):
+    tables = [twisted21(), twisted39()]
+    for seed, table in enumerate((twisted21(), twisted39(), dihedral(6))):
+        for axis in (0, 1):
+            tables += entry_transpositions(table, axis, 2, [seed, axis])
+    want = [diagnosis(t) for t in tables]
+    # equal weights give every permutation the same fingerprint, so every
+    # block with two distinct gyrations collides and is split exactly
+    monkeypatch.setattr(finite, "_FINGERPRINT_WEIGHTS",
+                        np.ones_like(finite._FINGERPRINT_WEIGHTS))
+    splits = []
+    split = finite._RowStore._split
+
+    def counted_split(self, *args):
+        splits.append(1)
+        return split(self, *args)
+
+    monkeypatch.setattr(finite._RowStore, "_split", counted_split)
+    for block in (finite._BLOCK_CELLS, 1):
+        monkeypatch.setattr(finite, "_BLOCK_CELLS", block)
+        for table, expected in zip(tables, want):
+            splits.clear()
+            assert diagnosis(table) == expected
+            assert splits
+
+
+def test_gyroassociativity_matches_dense_oracle_at_order_57():
+    p, q, r = LADDER_GROUPS[57]
+    t57 = square_root_twist(frobenius(p, q, r))
+    # rows 1 and 2, the elements (0, 1) and (0, 2), composed with the group
+    # automorphism (i, j) -> (-i, j), which fixes both
+    i, j = np.arange(57) // q, np.arange(57) % q
+    alpha = (-i % p) * q + j
+    tables = []
+    for rows in ([1], [1, 2]):
+        bad = t57.copy()
+        bad[rows] = t57[rows][:, alpha]
+        tables.append(bad)
+    for axis in (0, 1):
+        tables += entry_transpositions(t57, axis, 4, [57, axis])
+    counts = []
+    for bad in tables:
+        want = gyration_part(dense_gyration_diagnostics(bad))
+        assert gyration_part(diagnose_gyrogroup(bad)) == want
+        total = [w[0] for c, w, _ in want if c == "left_gyroassociative_count"]
+        counts.append(total[0] if total else
+                      sum(c == "left_gyroassociative" for c, _, _ in want))
+    # both sides of the witness cap: tables that pass the law, and tables
+    # whose exact count beyond MAX_WITNESSES is compared
+    assert 0 in counts and min(c for c in counts if c) > finite.MAX_WITNESSES

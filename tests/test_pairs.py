@@ -16,8 +16,8 @@ def carrier():
 
 def test_identity_element(carrier):
     x = carrier.element([0.3, -0.2], 4)
-    assert carrier.equals(carrier.oplus(carrier.zero, x), x)
-    assert carrier.equals(carrier.oplus(x, carrier.zero), x)
+    assert carrier.distance(carrier.oplus(carrier.zero, x), x) <= carrier.eps
+    assert carrier.distance(carrier.oplus(x, carrier.zero), x) <= carrier.eps
 
 
 def test_pair_oplus_combines_componentwise(carrier):
@@ -38,8 +38,8 @@ def test_inverse_is_componentwise(carrier):
     x = carrier.element([0.4, 0.2], 5)
     inv = carrier.oinv(x)
     assert inv.r == 1
-    assert carrier.equals(carrier.oplus(inv, x), carrier.zero)
-    assert carrier.equals(carrier.oplus(x, inv), carrier.zero)
+    assert carrier.distance(carrier.oplus(inv, x), carrier.zero) <= carrier.eps
+    assert carrier.distance(carrier.oplus(x, inv), carrier.zero) <= carrier.eps
 
 
 def test_pair_gyration_keeps_rotation_slot(carrier):
@@ -56,7 +56,7 @@ def test_pair_gyration_collinear_ball_parts(carrier):
     y = carrier.element([0.6, 0.0], 2)
     z = carrier.element([0.2, 0.5], 4)
     g = carrier.gyration(x, y, z)
-    assert carrier.equals(g, z)
+    assert carrier.distance(g, z) <= carrier.eps
 
 
 def test_closed_form_matches_gyrator_identity(carrier):
@@ -147,7 +147,7 @@ def test_stabilizer_of_each_coset_is_hat(carrier):
     w = carrier.element([0.5, 0.0], 0)
     for k in range(6):
         assert carrier.hat_coset_action(w, k) == k
-    assert not carrier.equals(w, carrier.zero)
+    assert not carrier.distance(w, carrier.zero) <= carrier.eps
 
 
 def test_conjugate_of_hat_by_rotation_stays_hat(carrier):
