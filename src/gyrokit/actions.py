@@ -460,12 +460,17 @@ def random_action(carrier, seed, subgroups=None, max_points=16, max_parts=3):
     actions of criterion-passing subgyrogroups with randomly relabelled
     points, re-verified through action_from_homomorphism."""
     from .coset_actions import build_coset_action, coset_criterion
-    from .finite import enumerate_subgyrogroups
+    from .finite import SUBGROUP_ENUM_CAP, enumerate_subgyrogroups
 
     rng = np.random.default_rng(seed)
     if subgroups is None:
-        subgroups = [h for h in enumerate_subgyrogroups(carrier)
-                     if coset_criterion(carrier, h).passed]
+        try:
+            subs = enumerate_subgyrogroups(carrier)
+        except GyroError:
+            raise GyroError(
+                f"order {carrier.order} exceeds enumeration cap "
+                f"{SUBGROUP_ENUM_CAP}; pass subgroups= to random_action") from None
+        subgroups = [h for h in subs if coset_criterion(carrier, h).passed]
     if not subgroups:
         raise GyroError("carrier has no criterion-passing subgyrogroups")
     parts = []

@@ -23,7 +23,7 @@ import numpy as np
 from .actions import build_representation, classify, validate_action
 from .core import (Check, CriterionError, GyroError, _sample_triples,
                    conjugate)
-from .finite import is_subgyrogroup, left_cosets
+from .finite import _read_members, is_subgyrogroup, left_cosets
 
 
 def self_action_witness(g):
@@ -167,7 +167,7 @@ def induced_action_over_subgyrogroup(gset, members):
     invariant under all gyrations; both hypotheses are checked and named
     in the error when violated."""
     g = gset.carrier
-    h = tuple(sorted(set(int(x) for x in members)))
+    h = tuple(_read_members(g, members))
     report = coset_criterion(g, h)
     missing = sorted(set(build_representation(gset).kernel) - set(h))
     if missing:

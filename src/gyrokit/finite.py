@@ -22,9 +22,19 @@ for one map, ``gyration_leak`` for gyration invariance of a subset,
 
 Subgyrogroups are boolean masks over 0..n-1 inside this module.  A mask is
 closed under + and inverse by semi-naive rounds, each forming only the sums
-that involve a newly added member; the lattice is enumerated by cyclic
-extension, joining the distinct one-generated closures <x> onto the
-subgyrogroups found so far.
+that involve a newly added member.  A round that starts with more than n/2
+members sets the whole mask instead, since a proper subgyrogroup H has at
+most n/2 members:
+
+    if x + h = h' with h, h' in H, right cancellation and the gyrator
+    identity give x = h' + gyr[h', h](-h) = h' + (-(h' + h) + h'), in H;
+
+so for x outside H the translate x + H, of |H| members as rows are
+permutations, misses H, and 2|H| <= n.  The closure contains the mask, so
+the exit is exact.  The lattice is enumerated by cyclic extension, joining
+the distinct one-generated closures <x> onto the subgyrogroups found so
+far; a closure depends only on the union s | <x> it starts from, so each
+union is closed once.
 
 Table file format (UTF-8 text)::
 
@@ -253,7 +263,7 @@ class FiniteGyrogroup(GyrogroupCarrier):
         return (a, j, int(np.argmax(hits[index[a, j]])))
 
     def _member_mask(self, members):
-        h = np.array(sorted(int(x) for x in members), dtype=np.int64)
+        h = np.array(_read_members(self, members), dtype=np.int64)
         inside = np.zeros(self.order, dtype=bool)
         inside[h] = True
         return h, inside
@@ -538,12 +548,30 @@ def validate_gyrogroup(t):
                            gyr_perms=gyr_perms, labels=labels)
 
 
+def _read_members(g, members):
+    """The distinct members as sorted Python ints.  Raises ValueError
+    naming the first member that is not an element of ``g``: an element is
+    a Python int or a numpy integer (not a bool), as ``g.contains`` counts
+    one, in 0..n-1."""
+    h = set()
+    for x in members:
+        if type(x) is not int and not isinstance(x, np.integer):
+            raise ValueError(f"member {x!r} is not an integer")
+        if not 0 <= x < g.order:
+            raise ValueError(f"member {x} is outside 0..{g.order - 1}")
+        h.add(int(x))
+    return sorted(h)
+
+
 def is_subgyrogroup(g, members):
-    """True iff members contains 0 and is closed under + and inverse."""
-    h = sorted({int(x) for x in members})
-    if not h or h[0] != 0 or h[-1] >= g.order:
+    """True iff members are elements, contain 0 and are closed under + and
+    inverse."""
+    try:
+        h, inside = g._member_mask(members)
+    except ValueError:
         return False
-    h, inside = g._member_mask(h)
+    if not len(h) or h[0] != 0:
+        return False
     return bool(inside[g.inv[h]].all() and inside[g.table[np.ix_(h, h)]].all())
 
 
@@ -554,9 +582,18 @@ def _close(g, mask, new):
     sum of two members outside ``new`` must already lie in ``mask``.  Each
     round forms only the sums a+b and b+a with b newly added, and the
     inverses of the new members; it stops when a round adds nothing.
+
+    A round that starts with more than n/2 members sets the whole mask
+    instead, as the closure contains the mask and a proper subgyrogroup H
+    has at most n/2 members: x + h = h' with h, h' in H would give
+    x = h' + (-(h' + h) + h') in H, so for x outside H the |H| members of
+    x + H lie outside H.
     """
     while len(new):
         s = np.flatnonzero(mask)
+        if 2 * len(s) > g.order:
+            mask[:] = True
+            break
         hit = np.zeros_like(mask)
         hit[g.table[s[:, None], new]] = True
         hit[g.table[new[:, None], s]] = True
@@ -569,11 +606,9 @@ def _close(g, mask, new):
 def subgyrogroup_closure(g, seed):
     """Smallest subgyrogroup containing ``seed``, as a sorted tuple.
 
-    Raises ValueError for a seed member outside 0..n-1."""
-    members = [int(x) for x in seed]
-    outside = [x for x in members if not 0 <= x < g.order]
-    if outside:
-        raise ValueError(f"seed member {outside[0]} is outside 0..{g.order - 1}")
+    Raises ValueError for a seed member that is not an element: not an
+    integer, or outside 0..n-1."""
+    members = _read_members(g, seed)
     mask = np.zeros(g.order, dtype=bool)
     mask[[0, *members]] = True
     return tuple(np.flatnonzero(_close(g, mask, np.flatnonzero(mask))).tolist())
@@ -587,6 +622,9 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
     one-generated closures <x> one at a time, and one x per distinct <x>
     suffices.  Each found subgyrogroup s is joined with every distinct <x>
     not inside it; the join closes only the sums that involve <x> minus s.
+    A closure depends only on the union s | <x>, so a union closed before
+    is skipped, and a join stops as G once it holds more than n/2 members,
+    the most a proper subgyrogroup has (see ``_close``).
 
     Refuses orders beyond ``cap``, which bounds the lattice search: the
     number of subgyrogroups, and so the joins, can grow quickly with the
@@ -603,13 +641,19 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
         cyclic.setdefault(cx.tobytes(), cx)
     found = {one[0].tobytes(): one[0]}
     frontier = [one[0]]
+    joined = set()  # the unions s | <x> closed so far, as bytes
     while frontier:
         s = frontier.pop()
         for cx in cyclic.values():
             extra = cx & ~s
             if not extra.any():
                 continue
-            c = _close(g, s | cx, np.flatnonzero(extra))
+            union = s | cx
+            bits = union.tobytes()
+            if bits in joined:
+                continue
+            joined.add(bits)
+            c = _close(g, union, np.flatnonzero(extra))
             key = c.tobytes()
             if key not in found:
                 found[key] = c
@@ -653,7 +697,7 @@ def left_cosets(g, members):
     cosets in order of their first representative a."""
     if not is_subgyrogroup(g, members):
         raise ValueError(f"{tuple(members)} is not a subgyrogroup")
-    h = sorted({int(x) for x in members})
+    h = _read_members(g, members)
     sums = np.ascontiguousarray(np.sort(g.table[:, h], axis=1))  # row a: a+H
     rows = sums.view(np.dtype((np.void, sums.itemsize * len(h)))).ravel()
     reps = np.sort(np.unique(rows, return_index=True)[1])  # compared as bytes

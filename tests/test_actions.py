@@ -5,15 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gyrokit import (ValidationError, action_from_homomorphism,
+from gyrokit import (GyroError, ValidationError, action_from_homomorphism,
                      build_representation, burnside_count,
                      check_orbit_stabilizer, classify, conjugate,
                      disjoint_union, faithful_quotient_action,
                      orbit_decomposition_equation, orbits_and_stabilizers,
                      parse_action_table, random_action, relabel_points,
                      restrict_to_invariant, serialize_action_table,
-                     stabilizer_of_translate, validate_action)
+                     stabilizer_of_translate, validate_action,
+                     validate_gyrogroup)
 from gyrokit.catalog import cyclic
+from gyrokit.finite import SUBGROUP_ENUM_CAP
 
 from conftest import regular_action, trivial_action
 
@@ -365,6 +367,13 @@ def test_random_actions_are_seeded_and_verified(t21):
     assert np.array_equal(g1.table, g2.table)
     g3 = random_action(t21, seed=124)
     assert g1.points != g3.points or not np.array_equal(g1.table, g3.table)
+
+def test_random_action_beyond_the_cap_asks_for_subgroups():
+    g = validate_gyrogroup(cyclic(SUBGROUP_ENUM_CAP + 1))
+    with pytest.raises(GyroError, match="pass subgroups= to random_action") as exc:
+        random_action(g, seed=1)
+    assert "raise cap" not in str(exc.value)
+    assert random_action(g, seed=1, subgroups=[(0,)]).points == g.order
 
 
 # -- arguments outside the G-set --------------------------------------------

@@ -159,6 +159,12 @@ def test_induced_action_from_kernel(z6_mod3, s3):
     assert one_point.points == 1
 
 
+@pytest.mark.parametrize("members", [(0, 3.7), (0, "3")])
+def test_induced_action_rejects_members_that_are_not_integers(z6_mod3, members):
+    with pytest.raises(ValueError, match=f"member {members[1]!r} is not an integer"):
+        induced_action_over_subgyrogroup(z6_mod3, members)
+
+
 def test_induced_action_requires_kernel_containment(z6_mod3):
     with pytest.raises(CriterionError) as exc:
         induced_action_over_subgyrogroup(z6_mod3, (0, 2, 4))

@@ -5,7 +5,7 @@ import pytest
 
 from gyrokit import finite
 from gyrokit import (CayleyTable, GyroError, TableFormatError,
-                     ValidationError, diagnose_gyrogroup,
+                     ValidationError, coset_criterion, diagnose_gyrogroup,
                      enumerate_subgyrogroups, is_l_subgyrogroup,
                      is_subgyrogroup, left_cosets, parse_cayley_table,
                      serialize_cayley_table, subgyrogroup_closure,
@@ -233,8 +233,9 @@ def test_enumeration_matches_closure_search(fixture_carriers):
 
 
 @pytest.mark.parametrize("table, count", [
-    (square_root_twist(frobenius(43, 3, 6)), 46), (dihedral(32), 69)],
-    ids=["twist129", "D32"])
+    (square_root_twist(frobenius(43, 3, 6)), 46), (dihedral(32), 69),
+    (square_root_twist(frobenius(29, 7, 7)), 32)],
+    ids=["twist129", "D32", "twist203"])
 def test_enumeration_is_complete(table, count):
     g = validate_gyrogroup(table)
     subs = enumerate_subgyrogroups(g, cap=g.order)
@@ -251,11 +252,58 @@ def test_enumeration_is_complete(table, count):
                 assert subgyrogroup_closure(g, h + (x,)) in found, (h, x)
 
 
+def test_proper_subgyrogroups_have_at_most_half_the_order(fixture_carriers):
+    # the bound the search's early exit rests on: x + H misses H for x
+    # outside H, and the translate has |H| members
+    carriers = dict(fixture_carriers, D32=validate_gyrogroup(dihedral(32)))
+    for n, (p, q, r) in LADDER_GROUPS.items():
+        carriers[f"T{n}"] = validate_gyrogroup(square_root_twist(frobenius(p, q, r)))
+    for name, g in carriers.items():
+        for h in enumerate_subgyrogroups(g, cap=g.order)[:-1]:
+            assert 2 * len(h) <= g.order, (name, h)
+
+
+@pytest.mark.parametrize("table", [
+    square_root_twist(frobenius(31, 3, 5)), square_root_twist(frobenius(29, 7, 7)),
+    dihedral(32)], ids=["twist93", "twist203", "D32"])
+def test_closure_of_random_seeds_matches_set_loop(table):
+    g = validate_gyrogroup(table)
+    rng = np.random.default_rng(2024)
+    for _ in range(34):
+        seed = tuple(rng.choice(g.order, size=rng.integers(1, 4)).tolist())
+        assert subgyrogroup_closure(g, seed) == set_closure(g, seed), seed
+
+
 @pytest.mark.parametrize("seed", [(6,), (-1,), (2, 7)])
 def test_closure_rejects_seed_outside_the_carrier(z6, seed):
     bad = next(x for x in seed if not 0 <= x < 6)
     with pytest.raises(ValueError, match=f"member {bad} is outside 0..5"):
         subgyrogroup_closure(z6, seed)
+
+
+@pytest.mark.parametrize("seed", [(1.5,), ("3",), (True,), (2, 3.0)])
+def test_closure_rejects_seed_members_that_are_not_integers(z6, seed):
+    bad = next(x for x in seed if type(x) is not int)
+    with pytest.raises(ValueError, match=f"member {bad!r} is not an integer"):
+        subgyrogroup_closure(z6, seed)
+
+
+@pytest.mark.parametrize("members", [[0, 3.7], ["0", "3"], [0, 3.0],
+                                     [False, 3], [True, 0]])
+def test_members_that_are_not_integers_are_no_subgyrogroup(z6, members):
+    assert not is_subgyrogroup(z6, members)
+    assert not is_l_subgyrogroup(z6, members)
+    with pytest.raises(ValueError, match="is not a subgyrogroup"):
+        left_cosets(z6, members)
+    with pytest.raises(ValueError, match="is not a subgyrogroup"):
+        coset_criterion(z6, members)
+
+
+def test_numpy_integer_members_are_read_as_elements(z6):
+    h = np.array([0, 3], dtype=np.int32)
+    assert is_subgyrogroup(z6, h) and is_subgyrogroup(z6, list(h))
+    assert subgyrogroup_closure(z6, (np.int64(2),)) == (0, 2, 4)
+    assert left_cosets(z6, h).subgroup == (0, 3)
 
 
 def test_closure_of_every_singleton_matches_set_loop(fixture_carriers):
