@@ -27,9 +27,14 @@ from functools import cached_property
 import numpy as np
 
 from .core import Check, GyroError, ValidationError, conjugate_set, violation
-from .finite import (MAX_WITNESSES, TableFormatError, _read_table,
-                     is_l_subgyrogroup, is_subgyrogroup, left_cosets,
-                     validate_gyrogroup)
+from .finite import (MAX_WITNESSES, TableFormatError, _read_index,
+                     _read_table, is_l_subgyrogroup, is_subgyrogroup,
+                     left_cosets, validate_gyrogroup)
+
+# random_action joins 1 to RANDOM_MAX_PARTS coset actions, and stops before
+# one that would take it past RANDOM_MAX_POINTS points
+RANDOM_MAX_PARTS = 3
+RANDOM_MAX_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -52,11 +57,6 @@ class FiniteGSet:
         """The verified OrbitDecomposition, computed on first use and kept
         (the table is read-only)."""
         return _decompose(self)
-
-    def _require_points(self, points):
-        for y in points:
-            if not 0 <= y < self.points:
-                raise ValueError(f"point {y} is outside 0..{self.points - 1}")
 
 
 @dataclass(frozen=True)
@@ -357,9 +357,8 @@ def classify(gset, decomposition=None):
 def stabilizer_of_translate(gset, a, x):
     """stab(a.x) computed two ways: direct scan, and as the conjugate of
     stab(x) by a.  The two must agree; returns the set."""
-    gset._require_points([x])
-    if not 0 <= a < gset.carrier.order:
-        raise ValueError(f"element {a} is outside 0..{gset.carrier.order - 1}")
+    x = _read_index(x, gset.points, "point")
+    a = _read_index(a, gset.carrier.order, "element")
     t = gset.table
     y = int(t[a, x])
     direct = tuple(np.flatnonzero(t[:, y] == y).tolist())
@@ -373,10 +372,9 @@ def stabilizer_of_translate(gset, a, x):
 def restrict_to_invariant(gset, points):
     """Restrict the action to an invariant subset (rejected with a witness
     pair if some a.y leaves the subset); points are relabelled 0..|Y|-1."""
-    ys = sorted(int(y) for y in set(points))
+    ys = sorted({_read_index(y, gset.points, "point") for y in points})
     if not ys:
         raise ValueError("empty subset")
-    gset._require_points(ys)
     sub = gset.table[:, ys]
     position = np.full(gset.points, -1)
     position[ys] = np.arange(len(ys))
@@ -404,13 +402,18 @@ def disjoint_union(gsets):
 
 def relabel_points(gset, perm):
     """Conjugate the action by a permutation of the points."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (gset.points,) or \
-            not np.array_equal(np.sort(perm), np.arange(gset.points)):
-        raise ValueError(f"perm must be a permutation of 0..{gset.points - 1}")
+    k = gset.points
+    try:
+        perm = np.array([_read_index(y, k, "point") for y in perm],
+                        dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"perm must be a permutation of 0..{k - 1}: {exc}") \
+            from None
+    if not np.array_equal(np.sort(perm), np.arange(k)):
+        raise ValueError(f"perm must be a permutation of 0..{k - 1}")
     inv = np.argsort(perm)
     new = perm[gset.table[:, inv]]
-    labels = tuple(gset.point_labels[int(inv[y])] for y in range(gset.points))
+    labels = tuple(gset.point_labels[int(inv[y])] for y in range(k))
     return validate_action(gset.carrier, new, point_labels=labels)
 
 
@@ -455,7 +458,7 @@ def faithful_quotient_action(gset):
     return out
 
 
-def random_action(carrier, seed, subgroups=None, max_points=16, max_parts=3):
+def random_action(carrier, seed, subgroups=None):
     """A random verified-homomorphism action: a disjoint union of coset
     actions of criterion-passing subgyrogroups with randomly relabelled
     points, re-verified through action_from_homomorphism."""
@@ -475,10 +478,10 @@ def random_action(carrier, seed, subgroups=None, max_points=16, max_parts=3):
         raise GyroError("carrier has no criterion-passing subgyrogroups")
     parts = []
     total = 0
-    for _ in range(int(rng.integers(1, max_parts + 1))):
+    for _ in range(int(rng.integers(1, RANDOM_MAX_PARTS + 1))):
         h = subgroups[int(rng.integers(len(subgroups)))]
         g = build_coset_action(carrier, h)
-        if total + g.points > max_points and parts:
+        if total + g.points > RANDOM_MAX_POINTS and parts:
             break
         parts.append(g)
         total += g.points

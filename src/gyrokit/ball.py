@@ -38,8 +38,9 @@ elementwise in the same order whatever the memory layout of its inputs
 (C or Fortran order, strided slices, results of earlier calls), and gives
 bitwise-equal results on all of them.
 
-Equality is tolerance-based (default 1e-9); the boundary margin (default
-1e-6) is enforced when elements are admitted through ``element``.  Interior
+Equality is tolerance-based (``BallGyrogroup.eps`` = 1e-9); the boundary
+margin (``BallGyrogroup.delta`` = 1e-6) is enforced when elements are
+admitted through ``element``.  Both are fixed constants.  Interior
 composites such as gyrations only require the strict domain |x| < 1, since
 chains of additions of admissible points can approach the boundary beyond
 any fixed margin.
@@ -52,8 +53,6 @@ import numpy as np
 from . import core
 from .core import GyrogroupCarrier, InvalidElementError, NumericalError
 
-EPS_DEFAULT = 1e-9
-DELTA_DEFAULT = 1e-6
 DENOM_GUARD = 1e-15
 PROBE_SCALE = 1e-3
 SAMPLE_MAX_NORM = 0.99
@@ -167,8 +166,6 @@ def einstein_add(u, v):
 
 
 def _einstein_add(u, v, nu2):
-    if np.any(nu2 >= 1.0):
-        raise NumericalError("Lorentz factor overflow: |u| >= 1")
     g2 = 1.0 / (1.0 - nu2)
     gu = np.sqrt(g2)
     den = 1.0 + _dot(u, v)
@@ -201,16 +198,16 @@ _ADDS = {"mobius": _mobius_add, "einstein": _einstein_add}
 class BallGyrogroup(GyrogroupCarrier):
     """The open unit ball under Mobius or Einstein addition."""
 
-    def __init__(self, dim=2, variant="mobius", eps=EPS_DEFAULT,
-                 delta=DELTA_DEFAULT):
+    eps = 1e-9
+    delta = 1e-6
+
+    def __init__(self, dim=2, variant="mobius"):
         if variant not in _ADDS:
             raise ValueError(f"variant must be one of {sorted(_ADDS)}")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.variant = variant
-        self.eps = eps
-        self.delta = delta
         self._add = _ADDS[variant]
         zero = np.zeros(dim)
         zero.flags.writeable = False
@@ -272,8 +269,8 @@ class BallGyrogroup(GyrogroupCarrier):
         (u,) = self._checked_coords(u)
         return _dot(u, u) < 1.0
 
-    def sample(self, rng, max_norm=SAMPLE_MAX_NORM):
-        return self.sample_batch(rng, 1, max_norm)[0]
+    def sample(self, rng):
+        return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng, count, max_norm=SAMPLE_MAX_NORM):
         """Uniform points of the ball scaled to norms <= max_norm."""
@@ -300,15 +297,15 @@ class GyrationMatrix:
     orthogonality_residual: float
     samples: int
     seed: int
-    probe_scale: float
 
 
-def ball_gyration_matrix(carrier, a, b, samples, seed, probe_scale=PROBE_SCALE):
+def ball_gyration_matrix(carrier, a, b, samples, seed):
     """Assemble gyr[a, b] as a matrix from small probe vectors.
 
-    Column j is gyr(a, b, s e_j) / s.  The probe scale keeps probes inside
-    the ball for any admissible a, b while avoiding cancellation.  Raises
-    ValueError when ``samples`` < 1, since no probe measures nothing.
+    Column j is gyr(a, b, s e_j) / s for s = ``PROBE_SCALE``, which keeps
+    probes inside the ball for any admissible a, b while avoiding
+    cancellation.  Raises ValueError when ``samples`` < 1, since no probe
+    measures nothing.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -318,8 +315,8 @@ def ball_gyration_matrix(carrier, a, b, samples, seed, probe_scale=PROBE_SCALE):
     cols = []
     for j in range(dim):
         e = np.zeros(dim)
-        e[j] = probe_scale
-        cols.append(core.gyration(carrier, a, b, e) / probe_scale)
+        e[j] = PROBE_SCALE
+        cols.append(core.gyration(carrier, a, b, e) / PROBE_SCALE)
     m = np.column_stack(cols)
     rng = np.random.default_rng(seed)
     probes = carrier.sample_batch(rng, samples)
@@ -328,15 +325,16 @@ def ball_gyration_matrix(carrier, a, b, samples, seed, probe_scale=PROBE_SCALE):
     orth = float(np.linalg.norm(m.T @ m - np.eye(dim)))
     return GyrationMatrix(matrix=m, linearity_residual=lin,
                           orthogonality_residual=orth, samples=samples,
-                          seed=seed, probe_scale=probe_scale)
+                          seed=seed)
 
 
-def check_ball_laws(carrier, samples, seed, max_norm=SAMPLE_MAX_NORM):
+def check_ball_laws(carrier, samples, seed):
     """Sampled law suite for a ball carrier; returns worst residuals.
 
     Covers the axiom residuals (gyroassociativity, left loop, identity and
     inverses, automorphism property, closure) plus the four cancellation
-    laws, all evaluated on ``samples`` random triples with norms <= max_norm
-    drawn from the given seed.  Raises ValueError when ``samples`` < 1.
+    laws, all evaluated on ``samples`` random triples with norms <=
+    ``SAMPLE_MAX_NORM`` drawn from the given seed.  Raises ValueError when
+    ``samples`` < 1.
     """
-    return core.sampled_law_residuals(carrier, samples, seed, max_norm)[0]
+    return core.sampled_law_residuals(carrier, samples, seed)[0]

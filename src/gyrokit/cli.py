@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import __version__
 from .actions import (burnside_count, check_orbit_stabilizer, classify,
                       orbit_decomposition_equation, parse_action_table,
                       validate_action)
-from .ball import SAMPLE_MAX_NORM, BallGyrogroup, lorentz_gamma
+from .ball import BallGyrogroup, lorentz_gamma
 from .core import Check, GyroError, ValidationError, sampled_law_residuals
 from .coset_actions import (build_coset_action, coset_criterion,
                             coset_criterion_sampled)
@@ -44,6 +45,17 @@ class _Failure(Exception):
         self.code = code
         self.report = {"status": "error" if code == USAGE_ERROR else "fail",
                        "checks": checks}
+
+
+@contextmanager
+def _failing(code, check, *errors):
+    """Ends the command with exit code ``code`` when the block raises one
+    of ``errors``: the failed Check ``check``, witnessed by the error's
+    message."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, [Check(check, False, (str(exc),))])
 
 
 def _report(checks, **extra):
@@ -73,19 +85,15 @@ def _emit(report, mode, stream):
 
 
 def _read(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _Failure(USAGE_ERROR, [Check("read_file", False, (str(exc),))])
+    with _failing(USAGE_ERROR, "read_file", OSError), \
+            open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_carrier(path):
     text = _read(path)
-    try:
+    with _failing(USAGE_ERROR, "parse_table", TableFormatError):
         table = parse_cayley_table(text)
-    except TableFormatError as exc:
-        raise _Failure(USAGE_ERROR, [Check("parse_table", False, (str(exc),))])
     try:
         return validate_gyrogroup(table)
     except ValidationError as exc:
@@ -94,11 +102,8 @@ def _load_carrier(path):
 
 def _load_action(path, carrier):
     text = _read(path)
-    try:
+    with _failing(USAGE_ERROR, "parse_action", TableFormatError):
         n, k, table = parse_action_table(text)
-    except TableFormatError as exc:
-        raise _Failure(USAGE_ERROR,
-                       [Check("parse_action", False, (str(exc),))])
     if n != carrier.order:
         raise _Failure(USAGE_ERROR,
                        [Check("action_shape", False, (n, carrier.order))])
@@ -155,11 +160,8 @@ def cmd_gyr(args):
 
 def cmd_subgyro(args):
     g = _load_carrier(args.table)
-    try:
+    with _failing(USAGE_ERROR, "enumeration_cap", GyroError):
         subs = enumerate_subgyrogroups(g, cap=args.cap)
-    except GyroError as exc:
-        raise _Failure(USAGE_ERROR,
-                       [Check("enumeration_cap", False, (str(exc),))])
     checks = [Check("subgyrogroup", True, detail={
         "value": list(h),
         "detail": {"order": len(h), "l_subgyrogroup": is_l_subgyrogroup(g, h),
@@ -171,11 +173,8 @@ def cmd_subgyro(args):
 def cmd_cosets(args):
     g = _load_carrier(args.table)
     members = _parse_subset(args.subset)
-    try:
+    with _failing(ANALYSIS_ERROR, "subgyrogroup", ValueError):
         part = left_cosets(g, members)
-    except ValueError as exc:
-        raise _Failure(ANALYSIS_ERROR,
-                       [Check("subgyrogroup", False, (str(exc),))])
     return _report([Check(
         "left_cosets", part.is_partition,
         None if part.is_partition else [list(w) for w in part.overlaps],
@@ -228,11 +227,8 @@ def cmd_classify(args):
 def cmd_coset_action(args):
     g = _load_carrier(args.table)
     members = _parse_subset(args.subset)
-    try:
+    with _failing(ANALYSIS_ERROR, "subgyrogroup", ValueError):
         report = coset_criterion(g, members)
-    except ValueError as exc:
-        raise _Failure(ANALYSIS_ERROR,
-                       [Check("subgyrogroup", False, (str(exc),))])
     checks = [report.as_check()]
     if args.build and report.passed:
         gset = build_coset_action(g, members, criterion=report)
@@ -269,11 +265,9 @@ def _law_checks(carrier, args):
     """Run the sampled law suite; returns one Check per residual.  A failing
     law's witness is [i, a, b, c]: its worst triple and that triple's index
     in the draw.  A sample count the suite rejects is a usage error."""
-    try:
+    with _failing(USAGE_ERROR, "usage", ValueError):
         residuals, worst_at = sampled_law_residuals(
-            carrier, args.samples, args.seed, SAMPLE_MAX_NORM)
-    except ValueError as exc:
-        raise _Failure(USAGE_ERROR, [Check("usage", False, (str(exc),))])
+            carrier, args.samples, args.seed)
     checks = []
     for name, value in sorted(residuals.items()):
         if name == "closure":
@@ -290,15 +284,12 @@ def _law_checks(carrier, args):
 
 
 def cmd_ball(args):
-    try:
-        carrier = BallGyrogroup(dim=args.dim, variant=args.variant,
-                                eps=args.eps)
+    with _failing(USAGE_ERROR, "usage", ValueError):
+        carrier = BallGyrogroup(dim=args.dim, variant=args.variant)
         if (args.u is None) != (args.v is None):
             raise ValueError("--u and --v must be given together")
         if args.u is None and args.seed is None:
             raise ValueError("--seed is required for sampling")
-    except ValueError as exc:
-        raise _Failure(USAGE_ERROR, [Check("usage", False, (str(exc),))])
     if args.u is None:
         return _report(_law_checks(carrier, args))
     u = carrier.element(_parse_vector(args.u, args.dim))
@@ -313,10 +304,8 @@ def cmd_ball(args):
 
 
 def cmd_pairs(args):
-    try:
+    with _failing(USAGE_ERROR, "usage", ValueError):
         carrier = PairGyrogroup(m=args.m, variant=args.variant)
-    except ValueError as exc:
-        raise _Failure(USAGE_ERROR, [Check("usage", False, (str(exc),))])
     checks = _law_checks(carrier, args)
     crit = coset_criterion_sampled(carrier, carrier.in_hat, carrier.sample_hat,
                                    args.samples, args.seed)
@@ -407,7 +396,6 @@ def build_parser():
     s.add_argument("--dim", type=int, default=2)
     s.add_argument("--variant", choices=("mobius", "einstein"),
                    default="mobius")
-    s.add_argument("--eps", type=float, default=1e-9)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--samples", type=int, default=1000)
     s.add_argument("--u", default=None)
@@ -431,12 +419,10 @@ def main(argv=None):
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        report = args.func(args)
+        with _failing(ANALYSIS_ERROR, "error", GyroError):
+            report = args.func(args)
         code = ANALYSIS_ERROR if report["status"] == "fail" else 0
     except _Failure as f:
-        report, code = f.report, f.code
-    except GyroError as exc:
-        f = _Failure(ANALYSIS_ERROR, [Check("error", False, (str(exc),))])
         report, code = f.report, f.code
     report = {"command": args.command} | report
     stream = sys.stderr if code == USAGE_ERROR else sys.stdout

@@ -98,6 +98,10 @@ class GyrogroupCarrier:
     ``contains``  -- domain membership, used by closure checks
     ``gyration``  -- gyr[a, b]c, computed apart from the gyrator identity
 
+    A carrier that sampled checks run on also supplies
+    ``sample_batch(rng, count)``, a batch of ``count`` elements drawn from
+    the generator ``rng``; every sampled check draws from it.
+
     Every operation broadcasts over batches, entry i of the result being
     the result on entry i; a batch of one stays a batch.  All operations
     must be pure; carriers are immutable after construction.
@@ -239,24 +243,23 @@ def check_cancellation_laws_exhaustive(carrier):
             for r in results]
 
 
-def _sample_triples(carrier, samples, seed, *max_norm):
+def _sample_triples(carrier, samples, seed):
     """The draws every sampled check starts from: a generator seeded with
-    ``seed``, and three batches a, b, c of ``samples`` carrier elements
-    drawn from it in that order, with norms <= ``max_norm`` when it is
-    given.  Further draws continue from the returned generator.  Raises
-    ValueError when ``samples`` < 1, since no sample checks nothing."""
+    ``seed``, and three batches a, b, c of ``carrier.sample_batch(rng,
+    samples)`` drawn from it in that order.  Further draws continue from
+    the returned generator.  Raises ValueError when ``samples`` < 1, since
+    no sample checks nothing."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    return (rng, *(carrier.sample_batch(rng, samples, *max_norm)
-                   for _ in range(3)))
+    return (rng, *(carrier.sample_batch(rng, samples) for _ in range(3)))
 
 
-def sampled_law_residuals(carrier, samples, seed, max_norm):
+def sampled_law_residuals(carrier, samples, seed):
     """The sampled law suite shared by the analytic carriers.
 
-    Draws ``samples`` triples a, b, c (in that order) with norms <=
-    ``max_norm`` from ``seed``, then evaluates the laws of
+    Draws ``samples`` triples a, b, c (in that order) from ``seed`` by
+    :func:`_sample_triples`, then evaluates the laws of
     :func:`check_axiom_residuals` on the triples and those of
     :func:`check_cancellation_laws` on the pairs (a, b), one block of
     ``_BLOCK_TRIPLES`` triples at a time.  Returns
@@ -265,7 +268,7 @@ def sampled_law_residuals(carrier, samples, seed, max_norm):
     maps each law to (i, a[i], b[i], c[i]) for the first triple i at which
     that worst residual occurs.
     """
-    _, a, b, c = _sample_triples(carrier, samples, seed, max_norm)
+    _, a, b, c = _sample_triples(carrier, samples, seed)
     per_block = {}  # law -> [(worst, global index)], one per block
     closure = True
     for lo in range(0, samples, _BLOCK_TRIPLES):

@@ -38,17 +38,16 @@ def self_action_possible(g):
     return self_action_witness(g) is None
 
 
-def self_action_possible_sampled(carrier, samples, seed, tol=None):
+def self_action_possible_sampled(carrier, samples, seed):
     """Sampled version for analytic carriers: searches for a nonidentity
-    gyration among the carrier's own gyrations.  Returns (possible,
-    witness_or_None); the witness is the triple (a, b, c) whose gyration
-    moves c the most.  Raises ValueError when ``samples`` < 1."""
-    if tol is None:
-        tol = getattr(carrier, "eps", 1e-9)
+    gyration among the carrier's own gyrations, one that moves some c by
+    more than ``carrier.eps``.  Returns (possible, witness_or_None); the
+    witness is the triple (a, b, c) whose gyration moves c the most.
+    Raises ValueError when ``samples`` < 1."""
     _, a, b, c = _sample_triples(carrier, samples, seed)
     d = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
     worst = int(np.argmax(d))
-    if float(d[worst]) <= tol:
+    if float(d[worst]) <= carrier.eps:
         return True, None
     return False, (a[worst], b[worst], c[worst])
 
@@ -86,8 +85,9 @@ class CriterionReport:
 
 def coset_criterion(g, members):
     """Exhaustive criterion for a subgyrogroup of a finite carrier."""
+    members = tuple(members)
     if not is_subgyrogroup(g, members):
-        raise ValueError(f"{tuple(members)} is not a subgyrogroup")
+        raise ValueError(f"{members} is not a subgyrogroup")
     w1 = g.gyration_leak(members)
     w2 = g.defect_leak(members)
     return CriterionReport(passed=w1 is None and w2 is None, mode="exhaustive",
@@ -126,6 +126,7 @@ def build_coset_action(g, members, criterion=None):
     non-L-subgyrogroups, whose cosets overlap.  All theorem-level
     postconditions are re-verified on the constructed table.
     """
+    members = tuple(members)
     report = criterion or coset_criterion(g, members)
     part = left_cosets(g, members)
     if not report.passed:

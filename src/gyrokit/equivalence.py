@@ -14,6 +14,7 @@ import numpy as np
 from .actions import restrict_to_invariant
 from .core import GyroError, conjugate
 from .coset_actions import induced_action_over_subgyrogroup
+from .finite import _read_index
 
 BRUTE_FORCE_LIMIT = 6
 
@@ -59,7 +60,7 @@ def fundamental_isomorphism(gset, z):
     original action to the orbit of z, and verifies that the quoted map is
     a bijective G-map.
     """
-    gset._require_points([z])
+    z = _read_index(z, gset.points, "point")
     dec = gset.decomposition
     cosets = induced_action_over_subgyrogroup(gset, dec.stabilizers[z])
     orbit = dec.orbits[dec.orbit_of[z]]

@@ -548,19 +548,22 @@ def validate_gyrogroup(t):
                            gyr_perms=gyr_perms, labels=labels)
 
 
+def _read_index(x, n, name):
+    """``x`` as a Python int in 0..n-1.  Raises ValueError naming ``x`` as
+    a ``name`` ("member", "point", ...) unless it is a Python int or a
+    numpy integer (not a bool), as ``FiniteGyrogroup.contains`` counts an
+    element, in that range."""
+    if type(x) is not int and not isinstance(x, np.integer):
+        raise ValueError(f"{name} {x!r} is not an integer")
+    if not 0 <= x < n:
+        raise ValueError(f"{name} {x} is outside 0..{n - 1}")
+    return int(x)
+
+
 def _read_members(g, members):
     """The distinct members as sorted Python ints.  Raises ValueError
-    naming the first member that is not an element of ``g``: an element is
-    a Python int or a numpy integer (not a bool), as ``g.contains`` counts
-    one, in 0..n-1."""
-    h = set()
-    for x in members:
-        if type(x) is not int and not isinstance(x, np.integer):
-            raise ValueError(f"member {x!r} is not an integer")
-        if not 0 <= x < g.order:
-            raise ValueError(f"member {x} is outside 0..{g.order - 1}")
-        h.add(int(x))
-    return sorted(h)
+    naming the first member that is not an element of ``g``."""
+    return sorted({_read_index(x, g.order, "member") for x in members})
 
 
 def is_subgyrogroup(g, members):
@@ -664,6 +667,7 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
 
 def is_l_subgyrogroup(g, members):
     """True iff gyr[a, h](H) = H for all a in G and h in H."""
+    members = tuple(members)
     if not is_subgyrogroup(g, members):
         return False
     return g.gyration_leak(members, over=members) is None
@@ -695,8 +699,9 @@ class CosetPartition:
 def left_cosets(g, members):
     """The coset space G/H as a CosetPartition (H must be a subgyrogroup),
     cosets in order of their first representative a."""
+    members = tuple(members)
     if not is_subgyrogroup(g, members):
-        raise ValueError(f"{tuple(members)} is not a subgyrogroup")
+        raise ValueError(f"{members} is not a subgyrogroup")
     h = _read_members(g, members)
     sums = np.ascontiguousarray(np.sort(g.table[:, h], axis=1))  # row a: a+H
     rows = sums.view(np.dtype((np.void, sums.itemsize * len(h)))).ravel()

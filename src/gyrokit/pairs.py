@@ -51,17 +51,13 @@ class PairElement:
 class PairGyrogroup(GyrogroupCarrier):
     """Pairs (2-ball vector, rotation index mod m) under componentwise law."""
 
-    def __init__(self, m=6, variant="mobius", eps=None, delta=None):
+    eps = BallGyrogroup.eps
+
+    def __init__(self, m=6, variant="mobius"):
         if m < 1:
             raise ValueError("m must be >= 1")
-        kw = {}
-        if eps is not None:
-            kw["eps"] = eps
-        if delta is not None:
-            kw["delta"] = delta
-        self.ball = BallGyrogroup(dim=2, variant=variant, **kw)
+        self.ball = BallGyrogroup(dim=2, variant=variant)
         self.m = m
-        self.eps = self.ball.eps
         self.zero = PairElement(self.ball.zero, 0)
 
     def element(self, coords, rotation):
@@ -85,10 +81,6 @@ class PairGyrogroup(GyrogroupCarrier):
     def contains(self, x):
         r = np.asarray(x.r)
         return self.ball.contains(x.u) & (r >= 0) & (r < self.m)
-
-    def sample(self, rng, max_norm=SAMPLE_MAX_NORM):
-        return PairElement(self.ball.sample(rng, max_norm),
-                           int(rng.integers(self.m)))
 
     def sample_batch(self, rng, count, max_norm=SAMPLE_MAX_NORM):
         return PairElement(self.ball.sample_batch(rng, count, max_norm),
@@ -136,7 +128,7 @@ class PairGyrogroup(GyrogroupCarrier):
         return f"PairGyrogroup(m={self.m}, variant={self.ball.variant!r})"
 
 
-def check_pair_axioms(carrier, samples, seed, max_norm=SAMPLE_MAX_NORM):
+def check_pair_axioms(carrier, samples, seed):
     """Sampled axiom suite for the pair carrier; returns worst residuals.
 
     Rotation slots are compared exactly (a mismatch reports inf); ball slots
@@ -144,7 +136,7 @@ def check_pair_axioms(carrier, samples, seed, max_norm=SAMPLE_MAX_NORM):
     the closed-form gyration against the gyrator identity.  Raises
     ValueError when ``samples`` < 1.
     """
-    return core.sampled_law_residuals(carrier, samples, seed, max_norm)[0]
+    return core.sampled_law_residuals(carrier, samples, seed)[0]
 
 
 def rotation_quotient_gset(carrier):

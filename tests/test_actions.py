@@ -378,26 +378,35 @@ def test_random_action_beyond_the_cap_asks_for_subgroups():
 
 # -- arguments outside the G-set --------------------------------------------
 
-@pytest.mark.parametrize("x", [-1, 6])
+def outside(x):
+    """The error message for ``x`` read as a point or element of 0..5."""
+    return "is outside 0..5" if type(x) is int else "is not an integer"
+
+
+@pytest.mark.parametrize("x", [-1, 6, 1.5, True])
 def test_stabilizer_of_translate_rejects_outside_point(s3, x):
-    with pytest.raises(ValueError, match=f"point {x} is outside 0..5"):
+    with pytest.raises(ValueError, match=f"point {x} {outside(x)}"):
         stabilizer_of_translate(regular_action(s3), 1, x)
 
 
-@pytest.mark.parametrize("a", [-1, 6])
+@pytest.mark.parametrize("a", [-1, 6, 2.5, True])
 def test_stabilizer_of_translate_rejects_outside_element(s3, a):
-    with pytest.raises(ValueError, match=f"element {a} is outside 0..5"):
+    with pytest.raises(ValueError, match=f"element {a} {outside(a)}"):
         stabilizer_of_translate(regular_action(s3), a, 1)
 
 
-@pytest.mark.parametrize("points, bad", [([6], 6), ([-1], -1), ([0, 2, 7], 7)])
+@pytest.mark.parametrize("points, bad", [([6], 6), ([-1], -1), ([0, 2, 7], 7),
+                                         ([1.7, 0.2, 2, 3, 4, 5], 1.7),
+                                         ([0, True], True)])
 def test_restrict_rejects_outside_points(s3, points, bad):
-    with pytest.raises(ValueError, match=f"point {bad} is outside 0..5"):
+    with pytest.raises(ValueError, match=f"point {bad} {outside(bad)}"):
         restrict_to_invariant(regular_action(s3), points)
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 1, 2, 3, 4], [2, 0, 1],
-                                  [0, 1, 2, 3, 4, 6], [[0, 1, 2, 3, 4, 5]]])
+                                  [0, 1, 2, 3, 4, 6], [[0, 1, 2, 3, 4, 5]],
+                                  [0.9, 1, 2, 3, 4, 5],
+                                  [True, False, 2, 3, 4, 5]])
 def test_relabel_rejects_non_permutation(s3, perm):
     with pytest.raises(ValueError, match="permutation of 0..5"):
         relabel_points(regular_action(s3), perm)

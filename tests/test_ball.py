@@ -70,7 +70,7 @@ def test_gamma_overflow():
 
 
 def test_element_margin_enforced():
-    ball = BallGyrogroup(dim=2, variant="mobius", delta=1e-6)
+    ball = BallGyrogroup(dim=2, variant="mobius")
     ball.element([0.99, 0.0])
     with pytest.raises(InvalidElementError):
         ball.element([1.0, 0.0])

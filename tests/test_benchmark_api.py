@@ -1,13 +1,17 @@
-"""The names the benchmark reads from gyrokit stay public attributes.
+"""The names the benchmark reads from gyrokit stay public attributes, and
+its calls into gyrokit still bind to their signatures.
 
 ``perfbench/*.py`` calls ``gk.<module>.<name>``, and a traced run
 (``--trace 1``) stops with "per-layer metric ... is not measured" when a
 function behind one of ``BENCHMARK.json``'s ``.calls`` or ``.self_s``
-metrics, ``<layer>.<name>[.<method>]``, is gone.  This test only reads
+metrics, ``<layer>.<name>[.<method>]``, is gone.  A call whose arguments
+no longer bind fails only when the benchmark runs.  This test only reads
 those files.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -34,6 +38,50 @@ def _traced():
             if m["name"].endswith((".calls", ".self_s"))}
 
 
+def _gk_name(node):
+    """"<module>.<name>" for the expression ``gk.<module>.<name>``, else
+    None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "gk":
+        return f"{node.value.attr}.{node.attr}"
+    return None
+
+
+def _bench_calls():
+    """(where, "<module>.<name>", args, keywords) of every
+    ``r.call(gk.<module>.<name>, ...)`` and every direct
+    ``gk.<module>.<name>(...)`` in perfbench/*.py, as ast nodes; the
+    ``timer=`` that ``r.call`` consumes is dropped."""
+    calls = []
+    for f in sorted(os.listdir(BENCH)):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(BENCH, f), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=f)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args, keywords = node.func, node.args, node.keywords
+            if isinstance(func, ast.Attribute) and func.attr == "call" \
+                    and isinstance(func.value, ast.Name) and func.value.id == "r":
+                func, args = args[0], args[1:]
+                keywords = [k for k in keywords if k.arg != "timer"]
+            name = _gk_name(func)
+            if name is not None:
+                calls.append((f"{f}:{node.lineno}", name, args, keywords))
+    return calls
+
+
+@pytest.mark.parametrize("where, name, args, keywords", [
+    pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in _bench_calls()])
+def test_benchmark_call_binds(where, name, args, keywords):
+    module, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"gyrokit.{module}"), attr)
+    assert not any(isinstance(a, ast.Starred) for a in args), where
+    assert all(k.arg is not None for k in keywords), where  # no **kwargs
+    inspect.signature(fn).bind(*args, **{k.arg: k for k in keywords})
+
+
 @pytest.mark.parametrize("name", sorted(_called() | _traced()))
 def test_benchmark_name_is_public(name):
     module, *path = name.split(".")
@@ -48,3 +96,6 @@ def test_benchmark_names_are_found():
     # the patterns above still match the files they read
     assert "finite.validate_gyrogroup" in _called()
     assert "ball.BallGyrogroup.oplus" in _traced()
+    bound = {name for _, name, _, _ in _bench_calls()}
+    assert {"ball.check_ball_laws", "ball.BallGyrogroup",
+            "actions.validate_action"} <= bound

@@ -301,6 +301,14 @@ def test_invalid_carrier_size_is_a_usage_error(capsys, argv, message):
     assert message in err
 
 
+def test_ball_has_no_eps_option(capsys):
+    # the ball's equality tolerance is the constant BallGyrogroup.eps
+    code, out, err = run(capsys, "ball", "--eps", "0.5", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --eps 0.5" in err
+
+
 def test_closed_stdout_exits_quietly():
     # the reader closes the pipe while the command is still sleeping
     script = ("import sys, time; time.sleep(0.5); from gyrokit.cli import main; "

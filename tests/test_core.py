@@ -190,7 +190,6 @@ def test_collision_witnesses_are_each_rows_first_repeat(t21):
 
 
 def test_sampled_witness_is_the_wrong_triple_past_the_first_block():
-    from gyrokit.ball import SAMPLE_MAX_NORM
     from gyrokit.core import _BLOCK_TRIPLES, sampled_law_residuals
 
     from conftest import WrongGyrationBall
@@ -198,8 +197,7 @@ def test_sampled_witness_is_the_wrong_triple_past_the_first_block():
     rng = np.random.default_rng(4)
     a, b, c = (BallGyrogroup(dim=3).sample_batch(rng, samples) for _ in range(3))
     carrier = WrongGyrationBall(a[k], dim=3)
-    residuals, worst_at = sampled_law_residuals(carrier, samples, 4,
-                                                SAMPLE_MAX_NORM)
+    residuals, worst_at = sampled_law_residuals(carrier, samples, 4)
     for law in ("gyroassociativity", "left_loop", "automorphism",
                 "gyration_closed_form"):
         assert residuals[law] > 1e-6, law
@@ -214,7 +212,7 @@ def test_sampled_witness_of_pair_carrier_is_a_pair():
     from gyrokit import PairElement, PairGyrogroup
     from gyrokit.core import sampled_law_residuals
     carrier = PairGyrogroup(m=6)
-    residuals, worst_at = sampled_law_residuals(carrier, 100, 2, 0.99)
+    residuals, worst_at = sampled_law_residuals(carrier, 100, 2)
     i, x, y, z = worst_at["left_loop"]
     draw = carrier.sample_batch(np.random.default_rng(2), 100, 0.99)
     assert isinstance(x, PairElement) and 0 <= i < 100

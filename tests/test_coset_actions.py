@@ -33,6 +33,7 @@ def test_criterion_passes_for_every_group_subgroup(groups):
     for g in groups.values():
         for h in enumerate_subgyrogroups(g):
             assert coset_criterion(g, h).passed
+            assert coset_criterion(g, iter(h)).passed
 
 
 def test_criterion_t21(t21):
@@ -93,6 +94,8 @@ def test_build_ignores_repeated_members(z6):
 def test_build_z6_mod_h2(z6):
     gset = build_coset_action(z6, (0, 3))
     assert gset.points == 3
+    assert np.array_equal(build_coset_action(z6, iter([0, 3])).table,
+                          gset.table)
     dec = orbits_and_stabilizers(gset)
     assert all(s == (0, 3) for s in dec.stabilizers)
     flags = classify(gset)

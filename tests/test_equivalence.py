@@ -180,7 +180,8 @@ def test_match_refusal_names_component(z6):
     assert "no equivalent partner" in m.message
 
 
-@pytest.mark.parametrize("z", [-1, 6])
+@pytest.mark.parametrize("z", [-1, 6, True, 0.5])
 def test_fundamental_isomorphism_rejects_outside_point(s3, z):
-    with pytest.raises(ValueError, match=f"point {z} is outside 0..5"):
+    reason = "is outside 0..5" if type(z) is int else "is not an integer"
+    with pytest.raises(ValueError, match=f"point {z} {reason}"):
         fundamental_isomorphism(regular_action(s3), z)

@@ -346,6 +346,10 @@ def test_t21_l_subgyrogroups(t21):
     # the order-3 subloops are genuinely non-L
     h3 = [h for h in enumerate_subgyrogroups(t21) if len(h) == 3]
     assert h3 and all(not is_l_subgyrogroup(t21, h) for h in h3)
+    # members given as a one-shot iterator are read once
+    assert not is_l_subgyrogroup(t21, [0, 1, 2])
+    assert not is_l_subgyrogroup(t21, iter([0, 1, 2]))
+    assert all(not is_l_subgyrogroup(t21, iter(h)) for h in h3)
 
 
 def test_cosets_of_trivial_and_full(z6):
@@ -361,6 +365,7 @@ def test_coset_partition_z6(z6):
     assert part.cosets == ((0, 3), (1, 4), (2, 5))
     assert part.representatives == (0, 1, 2)
     assert part.index_formula_holds(6)
+    assert left_cosets(z6, iter([0, 3])) == part
 
 
 def test_left_cosets_ignore_repeated_members(z6, t21):
