@@ -116,7 +116,7 @@ def serialize_action_table(gset):
 
 def diagnose_action(carrier, table):
     """Check both action axioms exhaustively; return all diagnostics."""
-    t = np.ascontiguousarray(table, dtype=np.int64)
+    t = np.asarray(table)
     n = carrier.order
     if t.ndim != 2 or t.shape[0] != n:
         return [violation("table_shape", t.shape,
@@ -124,8 +124,12 @@ def diagnose_action(carrier, table):
     k = t.shape[1]
     if k < 1:
         return [violation("table_shape", t.shape, "expected at least one point")]
+    if not np.issubdtype(t.dtype, np.integer):  # bool is no integer type
+        return [violation("table_range", (),
+                          f"entries of type {t.dtype} are not integers")]
     if t.min() < 0 or t.max() >= k:
         return [violation("table_range", (), f"entries must lie in 0..{k - 1}")]
+    t = np.ascontiguousarray(t, dtype=np.int64)
     diags = [violation("identity_acts_trivially", (int(x),),
                        f"0.{x} = {int(t[0, x])} != {x}")
              for x in np.nonzero(t[0] != np.arange(k))[0][:MAX_WITNESSES]]
@@ -182,7 +186,7 @@ def action_from_homomorphism(carrier, perms):
     permutations; rejects non-homomorphic assignments with a witness.  Such a
     homomorphism is an action: sigma_0 o sigma_0 = sigma_0, so sigma_0 = id.
     """
-    p = np.ascontiguousarray(perms, dtype=np.int64)
+    p = np.asarray(perms)
     n = carrier.order
     if p.ndim != 2 or p.shape[0] != n:
         raise ValidationError([violation("perm_shape", p.shape,
@@ -191,7 +195,11 @@ def action_from_homomorphism(carrier, perms):
     if k < 1:
         raise ValidationError([violation("perm_shape", p.shape,
                                          "expected at least one point")])
-    bad = np.nonzero((np.sort(p, axis=1) != np.arange(k)).any(axis=1))[0]
+    if np.issubdtype(p.dtype, np.integer):  # bool is no integer type
+        p = np.ascontiguousarray(p, dtype=np.int64)
+        bad = np.nonzero((np.sort(p, axis=1) != np.arange(k)).any(axis=1))[0]
+    else:
+        bad = np.arange(n)
     diags = [violation("permutation", (int(a),),
                        f"row {a} is not a permutation of 0..{k - 1}")
              for a in bad[:MAX_WITNESSES]]
@@ -209,11 +217,13 @@ def orbits_and_stabilizers(gset):
     """Full orbit decomposition with per-point stabilizers and fixed sets.
 
     Returns ``gset.decomposition``, which is computed once per G-set.
-    Orbits are computed by sweeping every carrier element per point (no
-    generator closure: gyrogroups need not be generated efficiently).  The
-    stabilizer theorems are re-verified on the result: each stabilizer must
-    be an L-subgyrogroup invariant under every gyration.  Each distinct
-    stabilizer is checked once; a failure names the first point with it.
+    Column x of the table lists orb(x) and the orbits partition the points,
+    so the orbits are read off the column minima, each represented by its
+    smallest point (no generator closure: gyrogroups need not be generated
+    efficiently).  The stabilizer theorems are re-verified on the result:
+    each stabilizer must be an L-subgyrogroup invariant under every
+    gyration.  Each distinct stabilizer is checked once; a failure names
+    the first point with it.
     """
     return gset.decomposition
 
@@ -222,17 +232,10 @@ def _decompose(gset):
     t = gset.table
     k = gset.points
     carrier = gset.carrier
-    orbit_of = [-1] * k
-    orbits = []
-    reps = []
-    for x in range(k):
-        if orbit_of[x] >= 0:
-            continue
-        members = tuple(np.unique(t[:, x]).tolist())
-        for y in members:
-            orbit_of[y] = len(orbits)
-        orbits.append(members)
-        reps.append(x)
+    # column x lists orb(x), so its minimum names the orbit
+    reps, orbit_of = np.unique(t.min(axis=0), return_inverse=True)
+    orbits = tuple(tuple(np.flatnonzero(orbit_of == i).tolist())
+                   for i in range(len(reps)))
     fixes = t == np.arange(k)  # fixes[a, x]: a.x = x
     stabs = tuple(tuple(np.flatnonzero(col).tolist()) for col in fixes.T)
     checked = set()
@@ -249,8 +252,8 @@ def _decompose(gset):
             a, b, _ = leak
             raise GyroError(f"gyr[{a},{b}] does not preserve stab({x})")
     return OrbitDecomposition(
-        orbits=tuple(orbits), representatives=tuple(reps),
-        orbit_of=tuple(orbit_of), stabilizers=stabs,
+        orbits=orbits, representatives=tuple(reps.tolist()),
+        orbit_of=tuple(orbit_of.tolist()), stabilizers=stabs,
         fixed_points=tuple(np.flatnonzero(fixes.all(axis=0)).tolist()),
         fixed_by=tuple(tuple(np.flatnonzero(row).tolist()) for row in fixes))
 

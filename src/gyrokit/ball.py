@@ -295,8 +295,6 @@ class GyrationMatrix:
     matrix: np.ndarray
     linearity_residual: float
     orthogonality_residual: float
-    samples: int
-    seed: int
 
 
 def ball_gyration_matrix(carrier, a, b, samples, seed):
@@ -324,8 +322,7 @@ def ball_gyration_matrix(carrier, a, b, samples, seed):
     lin = float(np.max(_norm(images - probes @ m.T)))
     orth = float(np.linalg.norm(m.T @ m - np.eye(dim)))
     return GyrationMatrix(matrix=m, linearity_residual=lin,
-                          orthogonality_residual=orth, samples=samples,
-                          seed=seed)
+                          orthogonality_residual=orth)
 
 
 def check_ball_laws(carrier, samples, seed):

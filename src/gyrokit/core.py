@@ -97,6 +97,8 @@ class GyrogroupCarrier:
     ``distance``  -- numeric defect used for residual reports (0.0 == equal)
     ``contains``  -- domain membership, used by closure checks
     ``gyration``  -- gyr[a, b]c, computed apart from the gyrator identity
+    ``eps``       -- the largest ``distance`` read as equal: 0.0 for exact
+                     carriers, positive for floating-point ones
 
     A carrier that sampled checks run on also supplies
     ``sample_batch(rng, count)``, a batch of ``count`` elements drawn from
@@ -108,6 +110,7 @@ class GyrogroupCarrier:
     """
 
     zero = None
+    eps = 0.0
 
     def oplus(self, a, b):
         raise NotImplementedError
@@ -175,7 +178,7 @@ def _entry(batch, i):
     return x.item() if isinstance(x, np.generic) else x
 
 
-def check_cancellation_laws(carrier, a, b, tol=0.0):
+def check_cancellation_laws(carrier, a, b):
     """Check the four cancellation laws over the pairs (a[i], b[i]) of two
     equal-length batches.
 
@@ -186,12 +189,13 @@ def check_cancellation_laws(carrier, a, b, tol=0.0):
 
     Law (i) cannot be hit by random collisions on an analytic carrier, so it
     is exercised on the constructed collision c := -a + (a+b), which realises
-    a+c = a+b and must therefore recover c = b.  ``tol`` is the residual
-    allowed per law (0.0 for exact carriers).  Returns four Checks, each
-    with its ``worst`` residual in ``detail`` and, when that exceeds
-    ``tol``, the first pair over ``tol`` as its witness.  Raises ValueError
-    for empty batches, since no pair checks nothing.
+    a+c = a+b and must therefore recover c = b.  The residual allowed per
+    law is ``carrier.eps``.  Returns four Checks, each with its ``worst``
+    residual in ``detail`` and, when that exceeds ``carrier.eps``, the
+    first pair over it as its witness.  Raises ValueError for empty
+    batches, since no pair checks nothing.
     """
+    tol = carrier.eps
     defects = _cancellation_defects(carrier, a, b)
     results = []
     for name in sorted(defects):

@@ -37,10 +37,12 @@ def is_gmap(phi):
     """True iff phi commutes with the action: phi(a.x) = a.phi(x) for all
     a, x (checked exhaustively)."""
     _require_same_carrier(phi.source, phi.target)
-    m = np.array(phi.mapping, dtype=np.int64)
-    if len(m) != phi.source.points:
+    try:
+        m = np.array([_read_index(y, phi.target.points, "point")
+                      for y in phi.mapping], dtype=np.int64)
+    except ValueError:
         return False
-    if m.size and (m.min() < 0 or m.max() >= phi.target.points):
+    if len(m) != phi.source.points:
         return False
     return bool(np.array_equal(m[phi.source.table], phi.target.table[:, m]))
 
@@ -142,57 +144,48 @@ class ComponentMatch:
 def match_components(x, y):
     """Decide X = Y by matching transitive components pairwise.
 
-    Components are compared with are_equivalent_transitive and matched by
-    maximum bipartite matching (augmenting paths in index order, so ties
-    break toward the smallest representative).  On success the per-component
-    witnesses are assembled into one global equivalence and re-verified.
+    Each component of X, in index order, takes the first unmatched one of
+    Y, in index order, that are_equivalent_transitive accepts.  Equivalence
+    is an equivalence relation, so equivalent components form complete
+    bipartite blocks, and first fit matches as many pairs in each block as
+    a maximum matching does, leaving the same components unmatched.  On
+    success the per-component witnesses are assembled into one global
+    equivalence and re-verified.
     """
     _require_same_carrier(x, y)
     dec_x, dec_y = x.decomposition, y.decomposition
-    comps_x, comps_y = transitive_components(x), transitive_components(y)
-    nx, ny = len(comps_x), len(comps_y)
-    adj = [[] for _ in range(nx)]
-    witnesses = {}
-    for i, cx in enumerate(comps_x):
-        for j, cy in enumerate(comps_y):
-            if cx.points != cy.points:
+    comps_y = transitive_components(y)
+    free = list(range(len(comps_y)))
+    matched = []  # (i, j, witness)
+    for i, cx in enumerate(transitive_components(x)):
+        for j in free:
+            if comps_y[j].points != cx.points:
                 continue
-            ok, phi = are_equivalent_transitive(cx, cy)
+            ok, phi = are_equivalent_transitive(cx, comps_y[j])
             if ok:
-                adj[i].append(j)
-                witnesses[i, j] = phi
-    match_y = [-1] * ny
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_y[j] == -1 or augment(match_y[j], seen):
-                match_y[j] = i
-                return True
-        return False
-
-    matched = sum(augment(i, set()) for i in range(nx))
-    if matched < nx or matched < ny:
-        # the smallest unmatched component, of the first G-set if it has one
-        if matched < nx:
-            side, orbit = "first", dec_x.orbits[min(set(range(nx)) - set(match_y))]
+                free.remove(j)
+                matched.append((i, j, phi))
+                break
         else:
-            side, orbit = "second", dec_y.orbits[match_y.index(-1)]
-        return ComponentMatch(
-            equivalent=False, pairs=(), mapping=None, unmatched=tuple(orbit),
-            message=f"component {set(orbit)} of the {side} G-set has no "
-                    f"equivalent partner")
-    pairs = tuple(sorted((i, j) for j, i in enumerate(match_y)))
+            # the smallest unmatched component of the first G-set
+            return _unmatched("first", dec_x.orbits[i])
+    if free:
+        return _unmatched("second", dec_y.orbits[free[0]])
     mapping = [None] * x.points
-    for i, j in pairs:
-        phi = witnesses[i, j]
+    for i, j, phi in matched:
         for p, q in enumerate(phi.mapping):
             mapping[dec_x.orbits[i][p]] = dec_y.orbits[j][q]
     glob = GMap(source=x, target=y, mapping=tuple(mapping))
     if not is_equivalence(glob):
         raise GyroError("assembled component matching failed verification")
-    return ComponentMatch(equivalent=True, pairs=pairs, mapping=glob,
-                          unmatched=None,
-                          message=f"matched {len(pairs)} component(s)")
+    return ComponentMatch(equivalent=True,
+                          pairs=tuple((i, j) for i, j, _ in matched),
+                          mapping=glob, unmatched=None,
+                          message=f"matched {len(matched)} component(s)")
+
+
+def _unmatched(side, orbit):
+    return ComponentMatch(
+        equivalent=False, pairs=(), mapping=None, unmatched=tuple(orbit),
+        message=f"component {set(orbit)} of the {side} G-set has no "
+                f"equivalent partner")

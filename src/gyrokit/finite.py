@@ -80,10 +80,13 @@ class CayleyTable:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        # a private copy: freezing it leaves the caller's array writable
-        t = np.array(self.table, dtype=np.int64, order="C", copy=True)
+        t = np.asarray(self.table)
         if t.shape != (self.order, self.order):
             raise ValueError(f"table shape {t.shape} != ({self.order}, {self.order})")
+        if not np.issubdtype(t.dtype, np.integer):  # bool is no integer type
+            raise ValueError(f"table entries of type {t.dtype} are not integers")
+        # a private copy: freezing it leaves the caller's array writable
+        t = np.array(t, dtype=np.int64, order="C", copy=True)
         if t.min() < 0 or t.max() >= self.order:
             raise ValueError("table entries out of range 0..n-1")
         t.flags.writeable = False
@@ -181,12 +184,11 @@ class FiniteGyrogroup(GyrogroupCarrier):
     trusts its inputs.
     """
 
-    def __init__(self, table, inv, gyr_index, gyr_perms, labels=None):
+    def __init__(self, table, inv, gyr_index, gyr_perms):
         self.table = table
         self.inv = inv
         self.gyr_index = gyr_index
         self.gyr_perms = gyr_perms
-        self.labels = labels
         for arr in (self.table, self.inv, self.gyr_index, self.gyr_perms):
             arr.flags.writeable = False
         self.zero = 0
@@ -543,9 +545,8 @@ def validate_gyrogroup(t):
     diags, table, inv, gyr_index, gyr_perms = _diagnose(t)
     if diags:
         raise ValidationError(diags)
-    labels = t.labels if isinstance(t, CayleyTable) else None
     return FiniteGyrogroup(table=table, inv=inv, gyr_index=gyr_index,
-                           gyr_perms=gyr_perms, labels=labels)
+                           gyr_perms=gyr_perms)
 
 
 def _read_index(x, n, name):
@@ -587,10 +588,8 @@ def _close(g, mask, new):
     inverses of the new members; it stops when a round adds nothing.
 
     A round that starts with more than n/2 members sets the whole mask
-    instead, as the closure contains the mask and a proper subgyrogroup H
-    has at most n/2 members: x + h = h' with h, h' in H would give
-    x = h' + (-(h' + h) + h') in H, so for x outside H the |H| members of
-    x + H lie outside H.
+    instead, as the closure contains the mask and a proper subgyrogroup
+    has at most n/2 members (proved in the module docstring).
     """
     while len(new):
         s = np.flatnonzero(mask)
@@ -627,7 +626,7 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
     not inside it; the join closes only the sums that involve <x> minus s.
     A closure depends only on the union s | <x>, so a union closed before
     is skipped, and a join stops as G once it holds more than n/2 members,
-    the most a proper subgyrogroup has (see ``_close``).
+    the most a proper subgyrogroup has (proved in the module docstring).
 
     Refuses orders beyond ``cap``, which bounds the lattice search: the
     number of subgyrogroups, and so the joins, can grow quickly with the

@@ -488,3 +488,52 @@ def test_homomorphism_is_certified_by_one_law_check(monkeypatch, s3_conjugation)
     assert np.array_equal(out.table, s3_conjugation.table)
     assert len(calls) == 1 and not out.table.flags.writeable
     assert build_representation(out).kernel == (0,)
+
+
+def _orbits_by_union_find(table):
+    """Independent oracle: the classes of the edges x -> a.x, merged by
+    union-find, as (orbits, representatives, orbit_of)."""
+    parent = list(range(table.shape[1]))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a in range(table.shape[0]):
+        for x in range(table.shape[1]):
+            rx, ry = root(x), root(int(table[a, x]))
+            parent[max(rx, ry)] = min(rx, ry)  # roots stay the smallest
+    reps = sorted({root(x) for x in range(len(parent))})
+    orbits = tuple(tuple(x for x in range(len(parent)) if root(x) == r)
+                   for r in reps)
+    return orbits, tuple(reps), tuple(reps.index(root(x))
+                                      for x in range(len(parent)))
+
+
+def test_orbits_match_union_find_on_relabelled_random_actions(z6, s3, t21):
+    rng = np.random.default_rng(7)
+    for g in (z6, s3, t21):
+        for seed in range(12):
+            gset = random_action(g, seed=seed)
+            gset = relabel_points(gset, rng.permutation(gset.points))
+            dec = orbits_and_stabilizers(gset)
+            got = (dec.orbits, dec.representatives, dec.orbit_of)
+            assert got == _orbits_by_union_find(gset.table), (g, seed)
+            assert all(type(x) is int for x in dec.representatives + dec.orbit_of)
+
+
+def test_action_tables_that_are_not_integers_are_rejected():
+    from gyrokit.actions import diagnose_action
+    z3 = validate_gyrogroup(cyclic(3))
+    z2 = validate_gyrogroup(cyclic(2))
+    for carrier, table in ((z3, cyclic(3) + 0.5), (z3, cyclic(3).astype(float)),
+                           (z2, cyclic(2).astype(bool))):
+        [d] = diagnose_action(carrier, table)
+        assert d.check == "table_range" and "not integers" in d.detail["message"]
+        with pytest.raises(ValidationError, match="table_range"):
+            validate_action(carrier, table)
+        with pytest.raises(ValidationError) as exc:
+            action_from_homomorphism(carrier, table)
+        assert [(d.check, d.witness) for d in exc.value.diagnostics] == \
+            [("permutation", (a,)) for a in range(carrier.order)]

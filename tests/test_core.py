@@ -130,7 +130,7 @@ def test_cancellation_laws_sampled_ball():
         b = BallGyrogroup(dim=2, variant=variant)
         pairs = [(b.sample(rng), b.sample(rng)) for _ in range(50)]
         xs, ys = (np.array(batch) for batch in zip(*pairs))
-        for law in check_cancellation_laws(b, xs, ys, tol=1e-9):
+        for law in check_cancellation_laws(b, xs, ys):
             assert law.passed, (variant, law)
 
 
@@ -153,7 +153,7 @@ def test_cancellation_laws_reject_empty_batches(t21):
     for carrier, empty in ((BallGyrogroup(dim=2), np.empty((0, 2))),
                            (t21, np.empty(0, dtype=np.int64))):
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            check_cancellation_laws(carrier, empty, empty, tol=1e-9)
+            check_cancellation_laws(carrier, empty, empty)
 
 
 def _first_repeat_loop(row):
@@ -217,3 +217,14 @@ def test_sampled_witness_of_pair_carrier_is_a_pair():
     draw = carrier.sample_batch(np.random.default_rng(2), 100, 0.99)
     assert isinstance(x, PairElement) and 0 <= i < 100
     assert x.u.tolist() == draw.u[i].tolist() and int(x.r) == int(draw.r[i])
+
+
+def test_cancellation_law_tolerance_is_the_carriers_eps(t21):
+    rng = np.random.default_rng(3)
+    ball = BallGyrogroup(dim=2)
+    xs, ys = (ball.sample_batch(rng, 8) for _ in range(2))
+    pairs = np.arange(21)
+    for carrier, a, b, eps in ((ball, xs, ys, 1e-9), (t21, pairs, pairs[::-1], 0.0)):
+        assert carrier.eps == eps
+        assert all(law.tolerance == eps and law.passed
+                   for law in check_cancellation_laws(carrier, a, b))

@@ -185,3 +185,99 @@ def test_fundamental_isomorphism_rejects_outside_point(s3, z):
     reason = "is outside 0..5" if type(z) is int else "is not an integer"
     with pytest.raises(ValueError, match=f"point {z} {reason}"):
         fundamental_isomorphism(regular_action(s3), z)
+
+
+def _equivalent_by_search(x, y):
+    """Independent oracle: some bijection of the points commutes with every
+    carrier element, found by trying all of them at once."""
+    if x.points != y.points:
+        return False
+    maps = np.array(list(permutations(range(y.points))))  # one per row
+    # row m works iff maps[m][x.table[a, p]] == y.table[a, maps[m][p]]
+    lhs = np.take_along_axis(maps[:, None, :].repeat(x.carrier.order, 1),
+                             x.table[None, :, :].repeat(len(maps), 0), axis=2)
+    rhs = y.table[:, maps].transpose(1, 0, 2)
+    return bool((lhs == rhs).all(axis=(1, 2)).any())
+
+
+def test_match_components_agrees_with_bijection_search(groups):
+    """Unions of at most 6 points, often with repeated components, matched
+    against shuffled and relabelled rearrangements, half of them with one
+    component swapped for another of its size; D4's same-size components
+    (cosets of its centre and of a reflection, say) can be inequivalent."""
+    from gyrokit import enumerate_subgyrogroups
+    rng = np.random.default_rng(15)
+    verdicts, repeats = [], 0
+    for name in ("Z6", "S3", "D4"):
+        g = groups[name]
+        pool = [build_coset_action(g, h) for h in enumerate_subgyrogroups(g)
+                if g.order // len(h) <= 6]
+        for _ in range(40):
+            parts, room = [], 6
+            while not parts or rng.random() < 0.75:
+                # the parts so far are candidates again, so repeats are common
+                fits = [c for c in pool + parts if c.points <= room]
+                if not fits:
+                    break
+                parts.append(fits[int(rng.integers(len(fits)))])
+                room -= parts[-1].points
+            repeats += len({id(c) for c in parts}) < len(parts)
+            x = disjoint_union(parts)
+            others = [parts[int(i)] for i in rng.permutation(len(parts))]
+            if rng.random() < 0.5:
+                i = int(rng.integers(len(others)))
+                same = [c for c in pool
+                        if c.points == others[i].points and c is not others[i]]
+                if same:
+                    others[i] = same[int(rng.integers(len(same)))]
+            y = relabel_points(disjoint_union(others),
+                               rng.permutation(x.points))
+            m = match_components(x, y)
+            assert m.equivalent == _equivalent_by_search(x, y), (name, parts)
+            if m.equivalent:
+                assert is_equivalence(m.mapping)
+                assert sorted(j for _, j in m.pairs) == \
+                    list(range(len(m.pairs)))
+            else:
+                assert m.mapping is None and m.unmatched
+            verdicts.append(m.equivalent)
+    assert repeats >= 30
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
+def test_d4_centre_and_reflection_cosets_are_inequivalent(groups):
+    from gyrokit import conjugate_set, enumerate_subgyrogroups
+    d4 = groups["D4"]
+    halves = [h for h in enumerate_subgyrogroups(d4) if len(h) == 2]
+    normal = [h for h in halves
+              if all(conjugate_set(d4, a, h) == h for a in range(8))]
+    [centre] = normal
+    reflection = next(h for h in halves if h not in normal)
+    x = build_coset_action(d4, centre)
+    y = build_coset_action(d4, reflection)
+    assert x.points == y.points == 4
+    assert not match_components(x, y).equivalent
+    assert not _equivalent_by_search(x, y)
+
+
+def test_first_fit_compares_each_component_with_the_free_ones(monkeypatch, z6):
+    from gyrokit import equivalence
+    calls = []
+    real = equivalence.are_equivalent_transitive
+    monkeypatch.setattr(equivalence, "are_equivalent_transitive",
+                        lambda a, b: calls.append(1) or real(a, b))
+    c2, c3 = (build_coset_action(z6, h) for h in ((0, 2, 4), (0, 3)))
+    x = disjoint_union([c3, c3, c2])
+    y = disjoint_union([c2, c3, c3])
+    m = match_components(x, y)
+    assert m.equivalent and is_equivalence(m.mapping)
+    assert m.pairs == ((0, 1), (1, 2), (2, 0))
+    assert len(calls) == 3
+
+
+def test_mappings_that_are_not_integers_are_no_gmaps(groups):
+    reg = regular_action(groups["Z3"])
+    assert not is_gmap(GMap(reg, reg, (0.5, 1.7, 2.2)))
+    assert not is_equivalence(GMap(reg, reg, (False, True, 2)))
+    assert not is_gmap(GMap(reg, reg, (0, 1, 3)))
+    assert is_equivalence(GMap(reg, reg, tuple(np.arange(3))))

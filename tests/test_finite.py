@@ -156,6 +156,20 @@ def test_order_zero_table_is_rejected():
             check(empty)
 
 
+def test_tables_that_are_not_integers_are_rejected():
+    # a cast to int64 would truncate 2.7 and read bools as 0 and 1, and
+    # certify a table other than the one passed in
+    rounded = cyclic(3).astype(float)
+    rounded[1, 1] = 2.7
+    for table in (rounded, cyclic(3).astype(float), cyclic(2).astype(bool)):
+        for check in (diagnose_gyrogroup, validate_gyrogroup,
+                      lambda t: CayleyTable(len(t), t)):
+            with pytest.raises(ValueError, match="are not integers"):
+                check(table)
+    for dtype in (np.int8, np.uint16, np.int64):
+        assert validate_gyrogroup(cyclic(3).astype(dtype)).order == 3
+
+
 def test_validation_never_stops_at_first_witness():
     table = cyclic(6).copy()
     table[1, 1], table[1, 2] = table[1, 2], table[1, 1]
