@@ -8,8 +8,7 @@ shows the same story on an uncountable carrier with finitely many cosets.
 
 from gyrokit import (CriterionError, build_coset_action, classify,
                      coset_criterion, coset_criterion_sampled,
-                     orbits_and_stabilizers, self_action_possible,
-                     self_action_witness, validate_gyrogroup)
+                     orbits_and_stabilizers, validate_gyrogroup)
 from gyrokit.catalog import cyclic, twisted21
 from gyrokit.pairs import PairGyrogroup, check_pair_axioms
 
@@ -19,9 +18,9 @@ print("=" * 70)
 
 z6 = validate_gyrogroup(cyclic(6))
 t21 = validate_gyrogroup(twisted21())
-print(f"  Z/6 (a group):        {self_action_possible(z6)}")
-w = self_action_witness(t21)
-print(f"  order-21 carrier:     {self_action_possible(t21)}, "
+print(f"  Z/6 (a group):        {z6.is_degenerate()}")
+w = t21.nontrivial_gyration()
+print(f"  order-21 carrier:     {t21.is_degenerate()}, "
       f"witness gyr[{w[0]},{w[1]}]{w[2]} = {t21.gyration(*w)} != {w[2]}\n")
 
 print("=" * 70)

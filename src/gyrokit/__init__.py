@@ -26,8 +26,7 @@ from .core import (Check, CriterionError, GyroError, GyrogroupCarrier,
 from .coset_actions import (CriterionReport, build_coset_action,
                             coset_criterion, coset_criterion_sampled,
                             induced_action_over_subgyrogroup,
-                            self_action_possible, self_action_possible_sampled,
-                            self_action_witness)
+                            self_action_possible_sampled)
 from .equivalence import (ComponentMatch, GMap, are_equivalent_transitive,
                           fundamental_isomorphism, is_equivalence, is_gmap,
                           match_components, transitive_components)

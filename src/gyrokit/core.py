@@ -154,8 +154,12 @@ def conjugate(carrier, a, b):
 
 
 def conjugate_set(carrier, a, members):
-    """Conjugate of a finite carrier's subset ``members`` by a, sorted."""
-    conj = conjugate(carrier, a, np.asarray(members, dtype=np.int64))
+    """Conjugate of a finite carrier's subset ``members`` by a, sorted.
+    Raises ValueError naming the first member that is not an element."""
+    from .finite import _read_members  # finite imports this module
+
+    members = np.array(_read_members(carrier, members), dtype=np.int64)
+    conj = conjugate(carrier, a, members)
     return tuple(sorted(conj.tolist()))
 
 

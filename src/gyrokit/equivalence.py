@@ -4,10 +4,17 @@ Two transitive G-sets over the same carrier are equivalent exactly when
 their point stabilizers are conjugate; a general G-set is determined up to
 rearrangement by its transitive components.  Decisions here are exact and
 every produced witness map is re-verified as an equivalence.
+
+The conjugacy verdict is cross-checked by fixed points.  For transitive X
+and Y of k points each and S = stab_X(0), X = Y exactly when S fixes a
+point of Y: an equivalence phi sends 0 to a point that S fixes, since
+s.phi(0) = phi(s.0) = phi(0); conversely a point y that S fixes gives the
+G-map a.0 |-> a.y, well defined because a.0 = b.0 puts -b + a in S, so
+b.y = b.((-b + a).y) = a.y, and bijective because both sets are transitive
+of one size.  The test reads only the two action tables.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -15,8 +22,6 @@ from .actions import restrict_to_invariant
 from .core import GyroError, conjugate
 from .coset_actions import induced_action_over_subgyrogroup
 from .finite import _read_index
-
-BRUTE_FORCE_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -75,23 +80,14 @@ def fundamental_isomorphism(gset, z):
     return phi
 
 
-def _brute_force_equivalent(x, y):
-    if x.points != y.points:
-        return False
-    for perm in permutations(range(y.points)):
-        if is_equivalence(GMap(source=x, target=y, mapping=perm)):
-            return True
-    return False
-
-
 def are_equivalent_transitive(x, y):
     """Decide equivalence of two transitive G-sets over one carrier.
 
     Searches for a carrier element conjugating one point stabilizer onto
     the other; on success composes the two fundamental isomorphisms into an
-    explicit equivalence witness.  For point counts up to
-    ``BRUTE_FORCE_LIMIT`` the verdict is cross-checked against exhaustive
-    bijection search.  Returns (equivalent, witness GMap or None).
+    explicit equivalence witness.  The verdict is cross-checked at every
+    point count by the fixed-point test of the module docstring, which does
+    not use ``conjugate``.  Returns (equivalent, witness GMap or None).
     """
     _require_same_carrier(x, y)
     for g in (x, y):
@@ -116,11 +112,11 @@ def are_equivalent_transitive(x, y):
         witness = GMap(source=x, target=y, mapping=tuple(y.table[c, y0].tolist()))
         if not is_equivalence(witness):
             raise GyroError("conjugate stabilizers produced a non-equivalence")
-    if x.points <= BRUTE_FORCE_LIMIT and y.points <= BRUTE_FORCE_LIMIT:
-        brute = _brute_force_equivalent(x, y)
-        if brute != (found is not None):
-            raise GyroError(
-                "stabilizer-conjugacy decision disagrees with bijection search")
+    fixed = x.points == y.points and bool(
+        (y.table[list(stab_x)] == np.arange(y.points)).all(axis=0).any())
+    if fixed != (found is not None):
+        raise GyroError(
+            "stabilizer-conjugacy decision disagrees with the fixed-point test")
     return found is not None, witness
 
 

@@ -93,6 +93,12 @@ class CayleyTable:
         object.__setattr__(self, "table", t)
         if self.labels is not None and len(self.labels) != self.order:
             raise ValueError("label count != order")
+        for name in self.labels or ():
+            # the text format splits labels at whitespace and cuts at '#'
+            if not isinstance(name, str) or "#" in name \
+                    or name.split() != [name]:
+                raise ValueError(f"label {name!r} is not a non-empty string "
+                                 f"free of whitespace and '#'")
 
 
 def _read_table(text, header, sizes, labels=False):

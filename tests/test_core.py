@@ -94,6 +94,14 @@ def test_conjugate_set_is_bijective_image(t21):
         assert conjugate_set(t21, a, members) == members
 
 
+@pytest.mark.parametrize("member, reason", [(2.7, "is not an integer"),
+                                            (-1, "is outside 0..5")])
+def test_conjugate_set_rejects_non_elements(s3, member, reason):
+    # read unchecked, 2.7 was truncated to 2 and -1 wrapped round to 5
+    with pytest.raises(ValueError, match=f"member {member} {reason}"):
+        conjugate_set(s3, 1, (member,))
+
+
 def test_gyration_map_is_automorphism(t21):
     def gm(c):
         return gyration(t21, 1, 3, c)

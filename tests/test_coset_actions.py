@@ -6,27 +6,22 @@ import pytest
 from gyrokit import (CriterionError, PairGyrogroup, ValidationError,
                      build_coset_action, build_representation, classify,
                      coset_criterion, coset_criterion_sampled,
-                     enumerate_subgyrogroups, induced_action_over_subgyrogroup,
-                     left_cosets, orbits_and_stabilizers, self_action_possible,
-                     self_action_possible_sampled, self_action_witness,
-                     validate_action)
+                     enumerate_subgyrogroups, gyration,
+                     induced_action_over_subgyrogroup, left_cosets,
+                     orbits_and_stabilizers, random_action,
+                     self_action_possible_sampled, subgyrogroup_closure,
+                     validate_action, validate_gyrogroup)
+from gyrokit.actions import diagnose_action
+from gyrokit.catalog import frobenius, square_root_twist
 
 from conftest import (classical_coset_table, defect_leak_loop,
                       gyration_leak_loop, trivial_action)
 
 
-def test_self_action_possible_for_groups(groups):
-    for name, g in groups.items():
-        assert self_action_possible(g), name
-        assert self_action_witness(g) is None
-        # a.x = a + x really validates as an action
-        validate_action(g, np.array(g.table))
-
-
-def test_self_action_impossible_nondegenerate(t21):
-    assert not self_action_possible(t21)
-    a, b, c = self_action_witness(t21)
-    assert t21.gyration(a, b, c) != c
+def test_left_addition_acts_exactly_on_degenerate_carriers(fixture_carriers):
+    # a.x = a + x satisfies the action law iff every gyration is the identity
+    for name, g in fixture_carriers.items():
+        assert (diagnose_action(g, g.table) == []) == g.is_degenerate(), name
 
 
 def test_criterion_passes_for_every_group_subgroup(groups):
@@ -63,6 +58,37 @@ def test_criterion_witnesses_match_loops(fixture_carriers):
             assert rep.witness1 == gyration_leak_loop(g, h), (name, h)
             assert rep.witness2 == defect_leak_loop(g, h), (name, h)
             assert rep.passed == (rep.witness1 is None and rep.witness2 is None)
+
+
+def test_translate_defects_decide_kernels_criterion_and_quotient(
+        fixture_carriers):
+    """The translate defects D = {-x + gyr[a, b]x}, read off the gyrator
+    identity: every action's kernel contains D, the coset criterion holds
+    for H exactly when D lies in H, and G/N, for N the closure of D, is a
+    group."""
+    carriers = dict(fixture_carriers, T57=validate_gyrogroup(
+        square_root_twist(frobenius(19, 3, 7))))
+    for name, g in carriers.items():
+        n = np.arange(g.order)
+        a, b, x = n[:, None, None], n[None, :, None], n[None, None, :]
+        defects = np.unique(g.oplus(g.oinv(x), gyration(g, a, b, x)))
+        passing = []
+        for h in enumerate_subgyrogroups(g):
+            holds = bool(np.isin(defects, h).all())
+            assert coset_criterion(g, h).passed == holds, (name, h)
+            if holds:
+                passing.append(h)
+        for seed in range(5):
+            kernel = build_representation(
+                random_action(g, seed, subgroups=passing)).kernel
+            assert np.isin(defects, kernel).all(), (name, seed)
+        part = left_cosets(g, subgyrogroup_closure(g, defects.tolist()))
+        coset_of, reps = np.array(part.coset_of), np.array(part.representatives)
+        quotient = coset_of[g.table[np.ix_(reps, reps)]]
+        # (x + N) + (y + N) = (x + y) + N does not depend on x and y
+        assert np.array_equal(coset_of[g.table],
+                              quotient[np.ix_(coset_of, coset_of)]), name
+        assert validate_gyrogroup(quotient).is_degenerate(), name
 
 
 def test_criterion_rejects_non_subgyrogroup(z6):

@@ -119,7 +119,8 @@ def test_non_transitive_input_rejected(s3_conjugation, z6):
 
 
 def test_agreement_with_brute_force_search(z6, s3, t21):
-    """Conjugacy decision agrees with bijection search on small fixtures."""
+    """Conjugacy decision agrees with the test-side bijection search on
+    small fixtures."""
     from gyrokit import enumerate_subgyrogroups
     fixtures = []
     for g in (z6, s3):
@@ -133,8 +134,23 @@ def test_agreement_with_brute_force_search(z6, s3, t21):
                 continue
             if x.points > 6 or y.points > 6:
                 continue
-            # the library cross-checks internally and raises on disagreement
-            are_equivalent_transitive(x, y)
+            assert are_equivalent_transitive(x, y)[0] == \
+                _equivalent_by_search(x, y)
+
+
+def test_wrong_conjugate_is_caught_by_the_fixed_point_test(monkeypatch):
+    """Beyond any bijection search: D_16 on the 8 cosets of a reflection
+    subgroup, with conjugate returning no member of any stabilizer, so
+    conjugacy says 'not equivalent' where the fixed-point test finds one."""
+    from gyrokit import GyroError, equivalence, validate_gyrogroup
+    from gyrokit.catalog import dihedral
+    d16 = validate_gyrogroup(dihedral(8))
+    x = build_coset_action(d16, (0, 8))
+    assert x.points == 8 and are_equivalent_transitive(x, x)[0]
+    monkeypatch.setattr(equivalence, "conjugate",
+                        lambda g, a, b: np.full(np.broadcast(a, b).shape, -1))
+    with pytest.raises(GyroError, match="fixed-point test"):
+        are_equivalent_transitive(x, x)
 
 
 def test_transitive_components_order(s3_conjugation):

@@ -1,5 +1,7 @@
 """Cayley-table ingestion, exhaustive validation, subgyrogroups, cosets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,16 @@ def test_serialize_roundtrip_is_canonical():
     assert serialize_cayley_table(again) == text
     assert again.table.tolist() == ct.table.tolist()
     assert again.labels == ct.labels
+
+
+@pytest.mark.parametrize("labels, bad", [
+    (("e", "g#h"), "g#h"), (("e", "g h"), "g h"), ((1, 2), 1), (("e", ""), ""),
+    (("e", "g\t"), "g\t")])
+def test_labels_the_text_format_cannot_hold_are_rejected(labels, bad):
+    # '#' starts a comment and whitespace splits a label, so these would
+    # serialize to text that parses back wrong or not at all
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r} ")):
+        CayleyTable(2, cyclic(2), labels=labels)
 
 
 # -- validation ---------------------------------------------------------
