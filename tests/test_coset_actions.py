@@ -18,6 +18,21 @@ from conftest import (classical_coset_table, defect_leak_loop,
                       gyration_leak_loop, trivial_action)
 
 
+def test_self_action_possible_for_groups(groups):
+    for name, g in groups.items():
+        assert g.is_degenerate(), name
+        assert g.nontrivial_gyration() is None
+        # a.x = a + x really validates as an action
+        validate_action(g, np.array(g.table))
+
+
+def test_self_action_impossible_nondegenerate(t21):
+    assert not t21.is_degenerate()
+    a, b, c = t21.nontrivial_gyration()
+    assert t21.gyration(a, b, c) != c
+    assert diagnose_action(t21, t21.table) != []
+
+
 def test_left_addition_acts_exactly_on_degenerate_carriers(fixture_carriers):
     # a.x = a + x satisfies the action law iff every gyration is the identity
     for name, g in fixture_carriers.items():
