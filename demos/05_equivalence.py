@@ -12,8 +12,7 @@ from gyrokit import (are_equivalent_transitive, build_coset_action,
                      disjoint_union, enumerate_subgyrogroups,
                      fundamental_isomorphism, is_equivalence,
                      match_components, orbits_and_stabilizers,
-                     transitive_components, validate_action,
-                     validate_gyrogroup)
+                     validate_action, validate_gyrogroup)
 from gyrokit.catalog import cyclic, symmetric
 
 print("=" * 70)
@@ -58,8 +57,8 @@ print("=" * 70)
 x = disjoint_union([a, b])
 y = disjoint_union([b, a])
 print(f"  X = 3-coset action ++ 2-coset action, Y = the same reordered")
-comps = transitive_components(x)
-print(f"  components of X: {[c.points for c in comps]} points")
+orbits = orbits_and_stabilizers(x).orbits
+print(f"  components of X: {[len(o) for o in orbits]} points")
 m = match_components(x, y)
 print(f"  matched: {m.equivalent}, pairing {m.pairs}, "
       f"assembled map {m.mapping.mapping}")

@@ -29,7 +29,7 @@ from .coset_actions import (CriterionReport, build_coset_action,
                             self_action_possible_sampled)
 from .equivalence import (ComponentMatch, GMap, are_equivalent_transitive,
                           fundamental_isomorphism, is_equivalence, is_gmap,
-                          match_components, transitive_components)
+                          match_components)
 from .finite import (CayleyTable, CosetPartition, FiniteGyrogroup,
                      TableFormatError, diagnose_gyrogroup,
                      enumerate_subgyrogroups, is_l_subgyrogroup,

@@ -269,9 +269,6 @@ class BallGyrogroup(GyrogroupCarrier):
         (u,) = self._checked_coords(u)
         return _dot(u, u) < 1.0
 
-    def sample(self, rng):
-        return self.sample_batch(rng, 1)[0]
-
     def sample_batch(self, rng, count, max_norm=SAMPLE_MAX_NORM):
         """Uniform points of the ball scaled to norms <= max_norm."""
         g = rng.standard_normal((count, self.dim))

@@ -31,8 +31,6 @@ from .finite import (SUBGROUP_ENUM_CAP, TableFormatError,
                      parse_cayley_table, validate_gyrogroup)
 from .pairs import PairGyrogroup, rotation_quotient_gset
 
-LAW_TOL = 1e-9
-
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
 
@@ -274,12 +272,12 @@ def _law_checks(carrier, args):
             checks.append(Check("closure", value, seed=args.seed,
                                 samples=args.samples))
         elif name not in ("samples", "seed"):
-            passed = value <= LAW_TOL
+            passed = value <= carrier.eps
             i, *triple = worst_at[name]
             checks.append(Check(
                 name, passed,
                 None if passed else [i] + [_plain(x) for x in triple],
-                args.seed, args.samples, LAW_TOL, {"worst": value}))
+                args.seed, args.samples, carrier.eps, {"worst": value}))
     return checks
 
 

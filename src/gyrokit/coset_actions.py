@@ -127,7 +127,7 @@ def build_coset_action(g, members, criterion=None):
             f"gyr-invariance={report.condition_gyr_preserves_subgroup}, "
             f"translate-defect={report.condition_translate_defect_in_subgroup}"
             f"{extra}")
-    if not (part.is_partition and part.equal_sizes):
+    if not part.is_partition:
         raise GyroError("criterion passed but cosets do not partition")
     if g.order != part.index * len(part.subgroup):
         raise GyroError("index formula |G| = [G:H] |H| failed")

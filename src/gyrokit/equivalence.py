@@ -1,17 +1,19 @@
 """G-maps, the fundamental isomorphism, and equivalence of G-sets.
 
-Two transitive G-sets over the same carrier are equivalent exactly when
-their point stabilizers are conjugate; a general G-set is determined up to
-rearrangement by its transitive components.  Decisions here are exact and
-every produced witness map is re-verified as an equivalence.
+Every orbit is a coset space G/stab(x) (the fundamental isomorphism), so
+two orbits are equivalent exactly when their point stabilizers are
+conjugate, and two G-sets are equivalent exactly when their orbits pair up
+so.  Orbit pairs are decided on the G-sets' own tables and decompositions,
+with no sub-G-set built.  Decisions here are exact and every produced
+witness map is verified as an equivalence.
 
-The conjugacy verdict is cross-checked by fixed points.  For transitive X
-and Y of k points each and S = stab_X(0), X = Y exactly when S fixes a
-point of Y: an equivalence phi sends 0 to a point that S fixes, since
-s.phi(0) = phi(s.0) = phi(0); conversely a point y that S fixes gives the
-G-map a.0 |-> a.y, well defined because a.0 = b.0 puts -b + a in S, so
-b.y = b.((-b + a).y) = a.y, and bijective because both sets are transitive
-of one size.  The test reads only the two action tables.
+The conjugacy verdict is cross-checked by fixed points.  For orbits O of
+X and P of Y of one size and S = stab_X(x) for x in O, O = P exactly when
+S fixes a point of P: an equivalence phi sends x to a point that S fixes,
+since s.phi(x) = phi(s.x) = phi(x); conversely a point y of P that S fixes
+gives the G-map a.x |-> a.y, well defined because a.x = b.x puts -b + a in
+S, so b.y = b.((-b + a).y) = a.y, and bijective because both orbits are
+transitive of one size.  The test reads only the two action tables.
 """
 
 from dataclasses import dataclass
@@ -80,55 +82,58 @@ def fundamental_isomorphism(gset, z):
     return phi
 
 
+def _orbit_partner(x, i, y, j):
+    """Where an equivalence of orbit i of X with orbit j of Y sends x_i, or
+    None when the two orbits are not equivalent.
+
+    x_i and y_j are the smallest points of the orbits.  The orbits are
+    equivalent exactly when some a conjugates stab(y_j) onto stab(x_i); the
+    first such a* gives the partner a*.y_j.  The fixed-point test of the
+    module docstring, which does not use ``conjugate``, cross-checks it.
+    """
+    dec_x, dec_y = x.decomposition, y.decomposition
+    orbit_y = list(dec_y.orbits[j])
+    stab_x = list(dec_x.stabilizers[dec_x.orbits[i][0]])
+    stab_y = dec_y.stabilizers[orbit_y[0]]
+    # row a: the conjugate of stab_y by a; conjugation is injective, so it
+    # is stab_x iff it lies in stab_x and the two have one size
+    conj = conjugate(x.carrier, np.arange(x.carrier.order)[:, None],
+                     np.array(stab_y))
+    hits = np.flatnonzero(np.isin(conj, stab_x).all(axis=1)
+                          & (len(stab_x) == len(stab_y)))
+    fixed = len(dec_x.orbits[i]) == len(orbit_y) and bool(
+        (y.table[np.ix_(stab_x, orbit_y)] == orbit_y).all(axis=0).any())
+    if fixed != bool(len(hits)):
+        raise GyroError(
+            "stabilizer-conjugacy decision disagrees with the fixed-point test")
+    return int(y.table[hits[0], orbit_y[0]]) if len(hits) else None
+
+
 def are_equivalent_transitive(x, y):
     """Decide equivalence of two transitive G-sets over one carrier.
 
-    Searches for a carrier element conjugating one point stabilizer onto
-    the other; on success composes the two fundamental isomorphisms into an
-    explicit equivalence witness.  The verdict is cross-checked at every
-    point count by the fixed-point test of the module docstring, which does
-    not use ``conjugate``.  Returns (equivalent, witness GMap or None).
+    Decided by ``_orbit_partner`` on the single orbits; on success the
+    witness sends a.0 to a.p for the partner p of 0, and is verified as an
+    equivalence.  Returns (equivalent, witness GMap or None).
     """
     _require_same_carrier(x, y)
     for g in (x, y):
         if len(g.decomposition.orbits) != 1:
             raise ValueError("both G-sets must be transitive")
-    carrier = x.carrier
-    stab_x, stab_y = (g.decomposition.stabilizers[0] for g in (x, y))
-    # row a: the conjugate of stab_y by a; conjugation is injective, so it
-    # is stab_x iff it lies in stab_x and the two have one size
-    conj = conjugate(carrier, np.arange(carrier.order)[:, None],
-                     np.array(stab_y))
-    hits = np.flatnonzero(np.isin(conj, stab_x).all(axis=1)
-                          & (len(stab_x) == len(stab_y)))
-    found = int(hits[0]) if len(hits) else None
-    witness = None
-    if found is not None:
-        # stab_x = stab(found . y0), so both fundamental isomorphisms factor
-        # through the same coset space G/stab_x: the first c with c.0 = p
-        # sends p to c.y0
-        y0 = int(y.table[found, 0])
-        _, c = np.unique(x.table[:, 0], return_index=True)
-        witness = GMap(source=x, target=y, mapping=tuple(y.table[c, y0].tolist()))
-        if not is_equivalence(witness):
-            raise GyroError("conjugate stabilizers produced a non-equivalence")
-    fixed = x.points == y.points and bool(
-        (y.table[list(stab_x)] == np.arange(y.points)).all(axis=0).any())
-    if fixed != (found is not None):
-        raise GyroError(
-            "stabilizer-conjugacy decision disagrees with the fixed-point test")
-    return found is not None, witness
-
-
-def transitive_components(gset):
-    """The orbits of a G-set as transitive sub-G-sets, ordered by their
-    smallest point."""
-    return [restrict_to_invariant(gset, o) for o in gset.decomposition.orbits]
+    partner = _orbit_partner(x, 0, y, 0)
+    if partner is None:
+        return False, None
+    mapping = np.full(x.points, -1)
+    mapping[x.table[:, 0]] = y.table[:, partner]
+    witness = GMap(source=x, target=y, mapping=tuple(mapping.tolist()))
+    if not is_equivalence(witness):
+        raise GyroError("conjugate stabilizers produced a non-equivalence")
+    return True, witness
 
 
 @dataclass(frozen=True)
 class ComponentMatch:
-    """Outcome of matching transitive components of two G-sets."""
+    """Outcome of matching the orbits of two G-sets."""
 
     equivalent: bool
     pairs: tuple
@@ -138,46 +143,41 @@ class ComponentMatch:
 
 
 def match_components(x, y):
-    """Decide X = Y by matching transitive components pairwise.
+    """Decide X = Y by matching the orbits of X and Y pairwise.
 
-    Each component of X, in index order, takes the first unmatched one of
-    Y, in index order, that are_equivalent_transitive accepts.  Equivalence
-    is an equivalence relation, so equivalent components form complete
-    bipartite blocks, and first fit matches as many pairs in each block as
-    a maximum matching does, leaving the same components unmatched.  On
-    success the per-component witnesses are assembled into one global
-    equivalence and re-verified.
+    Each orbit of X, in index order, takes the first unmatched one of Y,
+    in index order, that ``_orbit_partner`` accepts.  Equivalence is an
+    equivalence relation, so equivalent orbits form complete bipartite
+    blocks, and first fit matches as many pairs in each block as a maximum
+    matching does, leaving the same orbits unmatched.  Each match sends
+    a.x_i to a.p for the partner p of x_i; on success the assembled map is
+    verified as one equivalence.
     """
     _require_same_carrier(x, y)
-    dec_x, dec_y = x.decomposition, y.decomposition
-    comps_y = transitive_components(y)
-    free = list(range(len(comps_y)))
-    matched = []  # (i, j, witness)
-    for i, cx in enumerate(transitive_components(x)):
+    orbits_x, orbits_y = x.decomposition.orbits, y.decomposition.orbits
+    free = list(range(len(orbits_y)))
+    pairs = []
+    mapping = np.full(x.points, -1)  # a gap fails the verification
+    for i, orbit in enumerate(orbits_x):
         for j in free:
-            if comps_y[j].points != cx.points:
+            if len(orbits_y[j]) != len(orbit):
                 continue
-            ok, phi = are_equivalent_transitive(cx, comps_y[j])
-            if ok:
+            partner = _orbit_partner(x, i, y, j)
+            if partner is not None:
                 free.remove(j)
-                matched.append((i, j, phi))
+                pairs.append((i, j))
+                mapping[x.table[:, orbit[0]]] = y.table[:, partner]
                 break
         else:
-            # the smallest unmatched component of the first G-set
-            return _unmatched("first", dec_x.orbits[i])
+            # the smallest unmatched orbit of the first G-set
+            return _unmatched("first", orbit)
     if free:
-        return _unmatched("second", dec_y.orbits[free[0]])
-    mapping = [None] * x.points
-    for i, j, phi in matched:
-        for p, q in enumerate(phi.mapping):
-            mapping[dec_x.orbits[i][p]] = dec_y.orbits[j][q]
-    glob = GMap(source=x, target=y, mapping=tuple(mapping))
+        return _unmatched("second", orbits_y[free[0]])
+    glob = GMap(source=x, target=y, mapping=tuple(mapping.tolist()))
     if not is_equivalence(glob):
         raise GyroError("assembled component matching failed verification")
-    return ComponentMatch(equivalent=True,
-                          pairs=tuple((i, j) for i, j, _ in matched),
-                          mapping=glob, unmatched=None,
-                          message=f"matched {len(matched)} component(s)")
+    return ComponentMatch(True, tuple(pairs), glob, None,
+                          f"matched {len(pairs)} component(s)")
 
 
 def _unmatched(side, orbit):

@@ -692,13 +692,11 @@ class CosetPartition:
     representatives: tuple
     index: int
     is_partition: bool
-    equal_sizes: bool
     overlaps: tuple = field(default=())
     coset_of: tuple | None = None
 
     def index_formula_holds(self, order):
-        return self.is_partition and self.equal_sizes and \
-            order == self.index * len(self.subgroup)
+        return self.is_partition and order == self.index * len(self.subgroup)
 
 
 def left_cosets(g, members):
@@ -724,6 +722,5 @@ def left_cosets(g, members):
     return CosetPartition(subgroup=tuple(h), cosets=tuple(map(tuple, cosets.tolist())),
                           representatives=tuple(reps.tolist()), index=len(reps),
                           is_partition=is_partition,
-                          equal_sizes=True,  # each a+H lists |H| sums
                           overlaps=overlaps,
                           coset_of=tuple(owner.tolist()) if is_partition else None)

@@ -113,6 +113,11 @@ class PairGyrogroup(GyrogroupCarrier):
 
         Condition 1: gyrations map B_hat into B_hat.
         Condition 2: -z + gyr[x, y]z lands in B_hat for all x, y, z.
+
+        Both hold exactly: a gyration keeps the rotation index of its
+        argument, so every translate defect -z + gyr[x, y]z has rotation
+        index -gamma + gamma = 0 and lies in B_hat.  The sampled check is a
+        numeric cross-check of the implementation.
         """
         return coset_criterion_sampled(self, self.in_hat, self.sample_hat,
                                        samples, seed).as_dict()

@@ -174,8 +174,8 @@ def test_gyration_matrix_orthogonal_on_random_pairs():
     for variant in ("mobius", "einstein"):
         ball = BallGyrogroup(dim=2, variant=variant)
         for _ in range(20):
-            a = ball.sample(rng)
-            b = ball.sample(rng)
+            a = ball.sample_batch(rng, 1)[0]
+            b = ball.sample_batch(rng, 1)[0]
             m = ball_gyration_matrix(ball, a, b, samples=8, seed=1)
             assert m.orthogonality_residual <= 1e-8
             assert m.linearity_residual <= 1e-8

@@ -136,7 +136,8 @@ def test_cancellation_laws_sampled_ball():
     rng = np.random.default_rng(11)
     for variant in ("mobius", "einstein"):
         b = BallGyrogroup(dim=2, variant=variant)
-        pairs = [(b.sample(rng), b.sample(rng)) for _ in range(50)]
+        pairs = [(b.sample_batch(rng, 1)[0], b.sample_batch(rng, 1)[0])
+                 for _ in range(50)]
         xs, ys = (np.array(batch) for batch in zip(*pairs))
         for law in check_cancellation_laws(b, xs, ys):
             assert law.passed, (variant, law)

@@ -1,15 +1,16 @@
 """G-maps, fundamental isomorphism, equivalence decisions, components."""
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 
-from gyrokit import (GMap, are_equivalent_transitive,
-                     build_coset_action, classify, disjoint_union,
+from gyrokit import (GMap, are_equivalent_transitive, build_coset_action,
+                     coset_criterion, disjoint_union, enumerate_subgyrogroups,
                      fundamental_isomorphism, is_equivalence, is_gmap,
-                     match_components, orbits_and_stabilizers, relabel_points,
-                     transitive_components)
+                     match_components, orbits_and_stabilizers, random_action,
+                     relabel_points, validate_gyrogroup)
+from gyrokit.catalog import dihedral, symmetric
 
 from conftest import regular_action, trivial_action
 
@@ -87,7 +88,6 @@ def test_self_equivalence(z6):
 
 def test_conjugate_coset_actions_are_equivalent(s3):
     # two conjugate order-2 subgroups of S3 give equivalent coset actions
-    from gyrokit import enumerate_subgyrogroups
     subs = [h for h in enumerate_subgyrogroups(s3) if len(h) == 2]
     assert len(subs) == 3
     x = build_coset_action(s3, subs[0])
@@ -121,7 +121,6 @@ def test_non_transitive_input_rejected(s3_conjugation, z6):
 def test_agreement_with_brute_force_search(z6, s3, t21):
     """Conjugacy decision agrees with the test-side bijection search on
     small fixtures."""
-    from gyrokit import enumerate_subgyrogroups
     fixtures = []
     for g in (z6, s3):
         for h in enumerate_subgyrogroups(g):
@@ -140,24 +139,21 @@ def test_agreement_with_brute_force_search(z6, s3, t21):
 
 def test_wrong_conjugate_is_caught_by_the_fixed_point_test(monkeypatch):
     """Beyond any bijection search: D_16 on the 8 cosets of a reflection
-    subgroup, with conjugate returning no member of any stabilizer, so
-    conjugacy says 'not equivalent' where the fixed-point test finds one."""
-    from gyrokit import GyroError, equivalence, validate_gyrogroup
-    from gyrokit.catalog import dihedral
+    subgroup, alone and in a union with its regular action, with conjugate
+    returning no member of any stabilizer, so conjugacy says 'not
+    equivalent' where the fixed-point test finds one."""
+    from gyrokit import GyroError, equivalence
     d16 = validate_gyrogroup(dihedral(8))
     x = build_coset_action(d16, (0, 8))
+    union = disjoint_union([x, build_coset_action(d16, (0,))])
     assert x.points == 8 and are_equivalent_transitive(x, x)[0]
+    assert match_components(union, union).equivalent
     monkeypatch.setattr(equivalence, "conjugate",
                         lambda g, a, b: np.full(np.broadcast(a, b).shape, -1))
     with pytest.raises(GyroError, match="fixed-point test"):
         are_equivalent_transitive(x, x)
-
-
-def test_transitive_components_order(s3_conjugation):
-    comps = transitive_components(s3_conjugation)
-    assert [c.points for c in comps] == [1, 3, 2]
-    for c in comps:
-        assert classify(c).transitive
+    with pytest.raises(GyroError, match="fixed-point test"):
+        match_components(union, union)
 
 
 def test_match_self_is_identity_assembly(s3_conjugation):
@@ -221,7 +217,6 @@ def test_match_components_agrees_with_bijection_search(groups):
     against shuffled and relabelled rearrangements, half of them with one
     component swapped for another of its size; D4's same-size components
     (cosets of its centre and of a reflection, say) can be inequivalent."""
-    from gyrokit import enumerate_subgyrogroups
     rng = np.random.default_rng(15)
     verdicts, repeats = [], 0
     for name in ("Z6", "S3", "D4"):
@@ -262,7 +257,7 @@ def test_match_components_agrees_with_bijection_search(groups):
 
 
 def test_d4_centre_and_reflection_cosets_are_inequivalent(groups):
-    from gyrokit import conjugate_set, enumerate_subgyrogroups
+    from gyrokit import conjugate_set
     d4 = groups["D4"]
     halves = [h for h in enumerate_subgyrogroups(d4) if len(h) == 2]
     normal = [h for h in halves
@@ -279,9 +274,9 @@ def test_d4_centre_and_reflection_cosets_are_inequivalent(groups):
 def test_first_fit_compares_each_component_with_the_free_ones(monkeypatch, z6):
     from gyrokit import equivalence
     calls = []
-    real = equivalence.are_equivalent_transitive
-    monkeypatch.setattr(equivalence, "are_equivalent_transitive",
-                        lambda a, b: calls.append(1) or real(a, b))
+    real = equivalence._orbit_partner
+    monkeypatch.setattr(equivalence, "_orbit_partner",
+                        lambda x, i, y, j: calls.append(1) or real(x, i, y, j))
     c2, c3 = (build_coset_action(z6, h) for h in ((0, 2, 4), (0, 3)))
     x = disjoint_union([c3, c3, c2])
     y = disjoint_union([c2, c3, c3])
@@ -289,6 +284,67 @@ def test_first_fit_compares_each_component_with_the_free_ones(monkeypatch, z6):
     assert m.equivalent and is_equivalence(m.mapping)
     assert m.pairs == ((0, 1), (1, 2), (2, 0))
     assert len(calls) == 3
+
+
+def test_matching_reads_the_orbits_in_place(monkeypatch, s3_conjugation):
+    """No sub-G-set is built or validated, and no transitive decision is
+    delegated: match_components works on the two G-sets' own tables."""
+    from gyrokit import actions, equivalence
+    x = s3_conjugation
+    y = relabel_points(disjoint_union([x, x]), np.arange(12)[::-1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by match_components")
+
+    for mod in (actions, equivalence):
+        for name in ("restrict_to_invariant", "validate_action",
+                     "are_equivalent_transitive"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    m = match_components(y, y)
+    assert m.equivalent and is_equivalence(m.mapping)
+    assert not match_components(x, y).equivalent
+
+
+def _marks(gset, incidence):
+    """Burnside's marks: row r of the 0/1 incidence matrix is a subgyrogroup
+    K, and its mark is the number of points whose stabilizer contains K,
+    that is, the points that no member of K moves."""
+    moved = gset.table != np.arange(gset.points)
+    return ((incidence @ moved) == 0).sum(axis=1)
+
+
+def test_match_components_agrees_with_the_table_of_marks(groups, t21):
+    """Every stabilizer contains the normal subgyrogroup N generated by the
+    translate defects, so each G-set is a set over the group G/N, whose
+    subgroups are the K/N; by Burnside two such sets are equivalent exactly
+    when every subgyrogroup K fixes as many points in one as in the other.
+    Unlike the bijection search, this reaches unions of up to 16 points."""
+    carriers = [groups["Z6"], groups["S3"], groups["D4"], t21,
+                validate_gyrogroup(symmetric(4)),
+                validate_gyrogroup(dihedral(8))]
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for g in carriers:
+        subs = enumerate_subgyrogroups(g)
+        incidence = np.zeros((len(subs), g.order), dtype=np.int64)
+        for r, h in enumerate(subs):
+            incidence[r, list(h)] = 1
+        passing = [h for h in subs if coset_criterion(g, h).passed]
+        acts = [random_action(g, seed, subgroups=passing)
+                for seed in range(20)]
+        marks = [_marks(a, incidence) for a in acts]
+        for a, b in combinations_with_replacement(range(len(acts)), 2):
+            x, y = acts[a], acts[b]
+            if x.points != y.points:
+                continue
+            y = relabel_points(y, rng.permutation(y.points))
+            m = match_components(x, y)
+            assert m.equivalent == np.array_equal(marks[a], marks[b]), \
+                (g.order, a, b)
+            if a != b:
+                verdicts.append(m.equivalent)
+    assert sum(verdicts) >= 20 and len(verdicts) - sum(verdicts) >= 50
 
 
 def test_mappings_that_are_not_integers_are_no_gmaps(groups):

@@ -156,7 +156,7 @@ def test_conjugate_of_hat_by_rotation_stays_hat(carrier):
     for k in range(6):
         rot = carrier.element([0.0, 0.0], k)
         for _ in range(50):
-            h = PairElement(carrier.ball.sample(rng), 0)
+            h = PairElement(carrier.ball.sample_batch(rng, 1)[0], 0)
             c = conjugate(carrier, rot, h)
             assert int(np.asarray(c.r)) == 0
 
