@@ -462,9 +462,9 @@ def faithful_quotient_action(gset):
 
 
 def random_action(carrier, seed, subgroups=None):
-    """A random verified-homomorphism action: a disjoint union of coset
-    actions of criterion-passing subgyrogroups with randomly relabelled
-    points, re-verified through action_from_homomorphism."""
+    """A random verified action: a disjoint union of coset actions of
+    criterion-passing subgyrogroups, its points randomly permuted (the
+    permuted table verified by relabel_points) and labelled 0..k-1."""
     from .coset_actions import build_coset_action, coset_criterion
     from .finite import SUBGROUP_ENUM_CAP, enumerate_subgyrogroups
 
@@ -490,5 +490,4 @@ def random_action(carrier, seed, subgroups=None):
         total += g.points
     union = disjoint_union(parts)
     perm = rng.permutation(union.points)
-    relabelled = relabel_points(union, perm)
-    return action_from_homomorphism(carrier, relabelled.table)
+    return _gset(carrier, relabel_points(union, perm).table)

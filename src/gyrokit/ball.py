@@ -204,12 +204,12 @@ class BallGyrogroup(GyrogroupCarrier):
     def __init__(self, dim=2, variant="mobius"):
         if variant not in _ADDS:
             raise ValueError(f"variant must be one of {sorted(_ADDS)}")
-        if dim < 1:
+        self.dim = core._read_int(dim, "dim")
+        if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        self.dim = dim
         self.variant = variant
         self._add = _ADDS[variant]
-        zero = np.zeros(dim)
+        zero = np.zeros(self.dim)
         zero.flags.writeable = False
         self.zero = zero
 

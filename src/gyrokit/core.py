@@ -215,6 +215,14 @@ def check_cancellation_laws(carrier, a, b):
     return results
 
 
+def _read_int(x, name):
+    """``x`` as a Python int.  Raises ValueError naming ``x`` as a ``name``
+    unless it is a Python int or a numpy integer, never a bool."""
+    if type(x) is not int and not isinstance(x, np.integer):
+        raise ValueError(f"{name} {x!r} is not an integer")
+    return int(x)
+
+
 def _first_repeats(rows):
     """(row, earlier column, repeating column) of the first repeated entry
     of each row of ``rows`` that has one, in row order: the first column

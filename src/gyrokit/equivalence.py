@@ -110,25 +110,16 @@ def _orbit_partner(x, i, y, j):
 
 
 def are_equivalent_transitive(x, y):
-    """Decide equivalence of two transitive G-sets over one carrier.
-
-    Decided by ``_orbit_partner`` on the single orbits; on success the
-    witness sends a.0 to a.p for the partner p of 0, and is verified as an
-    equivalence.  Returns (equivalent, witness GMap or None).
+    """Decide equivalence of two transitive G-sets over one carrier, as
+    :func:`match_components` decides it on their single orbits.  Returns
+    (equivalent, witness GMap or None).
     """
     _require_same_carrier(x, y)
     for g in (x, y):
         if len(g.decomposition.orbits) != 1:
             raise ValueError("both G-sets must be transitive")
-    partner = _orbit_partner(x, 0, y, 0)
-    if partner is None:
-        return False, None
-    mapping = np.full(x.points, -1)
-    mapping[x.table[:, 0]] = y.table[:, partner]
-    witness = GMap(source=x, target=y, mapping=tuple(mapping.tolist()))
-    if not is_equivalence(witness):
-        raise GyroError("conjugate stabilizers produced a non-equivalence")
-    return True, witness
+    m = match_components(x, y)
+    return m.equivalent, m.mapping
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ distinct gyration once: ``gyr_perms[d, n]`` holds the d distinct maps and
 takes O(n^2 + dn) memory (d = 29 of the 41,209 pairs of the order-203
 square-root twist).  Validation builds the n^3 gyration values a block of
 rows at a time and finds the distinct maps among them by fingerprint, each
-match confirmed by an exact comparison.  It decides bijectivity and the
+block confirmed by one exact comparison; after a first collision the store
+keys rows by their bytes.  It decides bijectivity and the
 automorphism law once per distinct map, and gyroassociativity exactly
 through an n^2 table of the pairs (x, y) with x + (-x + y) != y, so a valid
 table makes no n^3 comparison for that law.  Other modules read gyrations
@@ -45,12 +46,13 @@ Table file format (UTF-8 text)::
 Comments start with '#'.  Element 0 is always the candidate identity.
 """
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (GyroError, GyrogroupCarrier, ValidationError,
-                   _first_repeats, violation)
+                   _first_repeats, _read_int, violation)
 
 # Witness lists inside a single check are capped for readability; the
 # violation count is always exact.
@@ -93,12 +95,14 @@ class CayleyTable:
         object.__setattr__(self, "table", t)
         if self.labels is not None and len(self.labels) != self.order:
             raise ValueError("label count != order")
-        for name in self.labels or ():
+        for i, name in enumerate(self.labels or ()):
             # the text format splits labels at whitespace and cuts at '#'
             if not isinstance(name, str) or "#" in name \
                     or name.split() != [name]:
                 raise ValueError(f"label {name!r} is not a non-empty string "
                                  f"free of whitespace and '#'")
+            if name in self.labels[:i]:
+                raise ValueError(f"label {name!r} is repeated")
 
 
 def _read_table(text, header, sizes, labels=False):
@@ -124,6 +128,9 @@ def _read_table(text, header, sizes, labels=False):
                 raise TableFormatError(
                     f"expected {n} labels, got {len(parts) - 1}", lineno)
             names = tuple(parts[1:])
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise TableFormatError(f"label {name!r} is repeated", lineno)
             continue
         if len(rows) == n:
             raise TableFormatError(f"extra row; table already has {n} rows", lineno)
@@ -318,92 +325,51 @@ def _gyration_blocks(t, inv):
         yield a0, gyr
 
 
-def _splitmix64(seed, count):
-    """The first ``count`` outputs of the SplitMix64 generator from ``seed``,
-    as int64; uint64 arithmetic wraps mod 2^64.  Drawn without numpy.random,
-    whose import alone costs about 6 MB of resident memory."""
-    z = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) \
-        * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))).view(np.int64)
-
-
-# Fingerprint weights for gyration rows: a row's key is its dot product
-# with these, wrapping mod 2^64.  Equal rows have equal keys; a row is
-# stored under its key only once confirmed equal to the stored row, so a
-# collision costs time, never a wrong index.  Orders beyond the array's
-# length reuse the weights cyclically.
-_FINGERPRINT_WEIGHTS = _splitmix64(0x67797231, 4096)
+# Fingerprint weights for gyration rows: a row's fingerprint is its dot
+# product with these, wrapping mod 2^64.  Drawn by the stdlib generator,
+# which numpy imports anyway; numpy.random would cost about 6 MB of resident
+# memory.  Orders beyond the array's length reuse the weights cyclically.
+_FINGERPRINT_WEIGHTS = np.frombuffer(
+    random.Random(0x67797231).randbytes(8 * 4096), dtype="<i8")
 
 
 class _RowStore:
     """The distinct rows met so far, numbered in order of first appearance.
 
-    ``rows[:count]`` holds them in one array that grows by doubling, and
-    ``keys`` maps a fingerprint to the indices of the stored rows that
-    carry it: one index unless fingerprints collided.
+    ``rows`` holds them in one array, and ``keys`` maps each row's key to
+    its index.  Keys are fingerprints until a block differs from the stored
+    rows its fingerprints name, which only a collision causes; from then on
+    (``exact``) every row is keyed by its bytes.
     """
 
     def __init__(self, width):
         self.weights = np.resize(_FINGERPRINT_WEIGHTS, width)
-        self.rows = np.empty((16, width), dtype=np.int64)
-        self.count = 0
+        self.rows = np.empty((0, width), dtype=np.int64)
         self.keys = {}
+        self.exact = False
 
     def index(self, rows):
         """The index of every row of the 2-D array ``rows``, storing the
         rows not met before in row order."""
-        fingerprints = rows @ self.weights
-        uniq, first, inverse = np.unique(fingerprints, return_index=True,
-                                         return_inverse=True)
-        count, added = self.count, []
-        ids = np.empty(len(uniq), dtype=np.int64)
-        for u in np.argsort(first):
-            key = int(uniq[u])
-            known = self.keys.get(key)
-            if known is None:
-                known = self.keys[key] = [self._append(rows[first[u]])]
-                added.append(key)
-            ids[u] = known[0]
-        ids = ids[inverse.ravel()]
-        if np.array_equal(self.rows[ids], rows):
-            return ids
-        # a fingerprint collision: undo this block and split it exactly
-        for key in added:
-            del self.keys[key]
-        self.count = count
-        return self._split(rows, fingerprints)
-
-    def _split(self, rows, fingerprints):
-        """:meth:`index` comparing whole rows: each distinct row, in order
-        of first appearance, is looked up among the stored rows with its
-        fingerprint."""
-        _, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-        ids = np.empty(len(first), dtype=np.int64)
-        for u in np.argsort(first):
-            row = rows[first[u]]
-            known = self.keys.setdefault(int(fingerprints[first[u]]), [])
-            match = np.flatnonzero((self.rows[known] == row).all(axis=1))
-            if not len(match):
-                match = [len(known)]
-                known.append(self._append(row))
-            ids[u] = known[match[0]]
-        return ids[inverse.ravel()]
-
-    def _append(self, row):
-        if self.count == len(self.rows):
-            grown = np.empty((2 * len(self.rows), self.rows.shape[1]),
-                             dtype=np.int64)
-            grown[:self.count] = self.rows
-            self.rows = grown
-        self.rows[self.count] = row
-        self.count += 1
-        return self.count - 1
-
-    def distinct(self):
-        return self.rows[:self.count].copy()
+        while True:
+            keys = (rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
+                    if self.exact else rows @ self.weights)
+            uniq, first, inverse = np.unique(keys, return_index=True,
+                                             return_inverse=True)
+            known, order = dict(self.keys), np.argsort(first)
+            ids = np.empty(len(order), dtype=np.int64)
+            # unseen keys take the next ids in order of first appearance
+            ids[order] = [known.setdefault(k, len(known)) for k in uniq[order].tolist()]
+            stored = self.rows
+            if len(known) > len(stored):
+                stored = np.vstack([stored, rows[np.sort(first[ids >= len(stored)])]])
+            ids = ids[inverse.ravel()]
+            if np.array_equal(stored[ids], rows):
+                self.rows, self.keys = stored, known
+                return ids
+            # a fingerprint collision: re-key the store by row bytes
+            self.exact = True
+            self.keys = {row.tobytes(): i for i, row in enumerate(self.rows)}
 
 
 def diagnose_gyrogroup(t):
@@ -497,7 +463,7 @@ def _diagnose(t):
                 f"{a}+({b}+{c}) = {int(a_bc[i, b, c])} but "
                 f"({a}+{b})+gyr[{a},{b}]{c} = "
                 f"{int(table[ab[i, b], gyr[i, b, c]])}"))
-    gyr_perms = store.distinct()
+    gyr_perms = store.rows
 
     # (4) each gyr[a,b] is a bijection and respects the operation (G3),
     # decided once per distinct gyration and reported per pair (a, b)
@@ -560,11 +526,10 @@ def _read_index(x, n, name):
     a ``name`` ("member", "point", ...) unless it is a Python int or a
     numpy integer (not a bool), as ``FiniteGyrogroup.contains`` counts an
     element, in that range."""
-    if type(x) is not int and not isinstance(x, np.integer):
-        raise ValueError(f"{name} {x!r} is not an integer")
+    x = _read_int(x, name)
     if not 0 <= x < n:
         raise ValueError(f"{name} {x} is outside 0..{n - 1}")
-    return int(x)
+    return x
 
 
 def _read_members(g, members):

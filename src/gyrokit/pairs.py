@@ -54,10 +54,10 @@ class PairGyrogroup(GyrogroupCarrier):
     eps = BallGyrogroup.eps
 
     def __init__(self, m=6, variant="mobius"):
-        if m < 1:
+        self.m = core._read_int(m, "m")
+        if self.m < 1:
             raise ValueError("m must be >= 1")
         self.ball = BallGyrogroup(dim=2, variant=variant)
-        self.m = m
         self.zero = PairElement(self.ball.zero, 0)
 
     def element(self, coords, rotation):

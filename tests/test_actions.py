@@ -368,6 +368,20 @@ def test_random_actions_are_seeded_and_verified(t21):
     g3 = random_action(t21, seed=124)
     assert g1.points != g3.points or not np.array_equal(g1.table, g3.table)
 
+
+def test_random_action_checks_the_law_on_its_table_once(monkeypatch, t21):
+    from gyrokit import actions
+    seen = []
+    real = actions._action_law_violations
+    monkeypatch.setattr(actions, "_action_law_violations",
+                        lambda carrier, t: seen.append(np.array(t))
+                        or real(carrier, t))
+    g = random_action(t21, seed=2)  # nine points, in more than one orbit
+    assert len(g.decomposition.orbits) > 1
+    assert g.point_labels == tuple(range(g.points))
+    assert sum(np.array_equal(t, g.table) for t in seen) == 1
+
+
 def test_random_action_beyond_the_cap_asks_for_subgroups():
     g = validate_gyrogroup(cyclic(SUBGROUP_ENUM_CAP + 1))
     with pytest.raises(GyroError, match="pass subgroups= to random_action") as exc:

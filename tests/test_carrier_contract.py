@@ -1,4 +1,7 @@
-"""The carrier contract: every carrier's operations broadcast over batches."""
+"""The carrier contract: every carrier's operations broadcast over batches,
+and its size parameters are integers."""
+
+import re
 
 import numpy as np
 import pytest
@@ -59,3 +62,18 @@ def test_finite_contains_rejects_what_is_not_an_element():
     assert g.contains(np.array([0, 20, 21, -1])).tolist() == \
         [True, True, False, False]
     assert g.contains(21) is False and g.contains(1.0) is False
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
+def test_carrier_sizes_must_be_integers(value):
+    # a float m would make rotation indices floats, and True would count as 1
+    for make, name in ((BallGyrogroup, "dim"), (PairGyrogroup, "m")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} {value!r} is not an integer")):
+            make(**{name: value})
+
+
+def test_carrier_sizes_may_be_numpy_integers():
+    assert BallGyrogroup(dim=np.int64(3)).zero.shape == (3,)
+    pairs = PairGyrogroup(m=np.int32(4))
+    assert type(pairs.m) is int and pairs.element([0, 0], 5).r == 1

@@ -82,6 +82,14 @@ def test_malformed_file_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_repeated_labels_exit_two(tmp_path, capsys):
+    p = tmp_path / "x.gyro"
+    p.write_text("gyro 2\nlabels a a\n0 1\n1 0\n")
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert "line 2: label 'a' is repeated" in out + err
+
+
 def test_malformed_action_file_exit_two(files, tmp_path, capsys):
     p = tmp_path / "x.act"
     p.write_text("action 6 3\n0 1 2\n")

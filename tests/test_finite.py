@@ -86,10 +86,11 @@ def test_serialize_roundtrip_is_canonical():
 
 @pytest.mark.parametrize("labels, bad", [
     (("e", "g#h"), "g#h"), (("e", "g h"), "g h"), ((1, 2), 1), (("e", ""), ""),
-    (("e", "g\t"), "g\t")])
+    (("e", "g\t"), "g\t"), (("a", "a"), "a")])
 def test_labels_the_text_format_cannot_hold_are_rejected(labels, bad):
     # '#' starts a comment and whitespace splits a label, so these would
-    # serialize to text that parses back wrong or not at all
+    # serialize to text that parses back wrong or not at all; a repeated
+    # label names two elements at once
     with pytest.raises(ValueError, match=re.escape(f"label {bad!r} ")):
         CayleyTable(2, cyclic(2), labels=labels)
 
@@ -546,30 +547,50 @@ def diagnosis(table):
     return [(d.check, d.witness, d.detail) for d in diags], store
 
 
-def test_fingerprint_collisions_are_split_exactly(monkeypatch):
+def store_modes(monkeypatch):
+    """After each block the gyration store indexes, whether it keys rows
+    exactly (by their bytes) rather than by fingerprint."""
+    modes = []
+    index = finite._RowStore.index
+
+    def recorded(self, rows):
+        ids = index(self, rows)
+        modes.append(self.exact)
+        return ids
+
+    monkeypatch.setattr(finite._RowStore, "index", recorded)
+    return modes
+
+
+def test_fingerprint_collisions_switch_to_exact_keys(monkeypatch):
     tables = [twisted21(), twisted39()]
     for seed, table in enumerate((twisted21(), twisted39(), dihedral(6))):
         for axis in (0, 1):
             tables += entry_transpositions(table, axis, 2, [seed, axis])
     want = [diagnosis(t) for t in tables]
-    # equal weights give every permutation the same fingerprint, so every
-    # block with two distinct gyrations collides and is split exactly
+    # equal weights give every permutation the same fingerprint, so the
+    # first block with two distinct gyrations collides
     monkeypatch.setattr(finite, "_FINGERPRINT_WEIGHTS",
                         np.ones_like(finite._FINGERPRINT_WEIGHTS))
-    splits = []
-    split = finite._RowStore._split
-
-    def counted_split(self, *args):
-        splits.append(1)
-        return split(self, *args)
-
-    monkeypatch.setattr(finite._RowStore, "_split", counted_split)
+    modes = store_modes(monkeypatch)
     for block in (finite._BLOCK_CELLS, 1):
         monkeypatch.setattr(finite, "_BLOCK_CELLS", block)
         for table, expected in zip(tables, want):
-            splits.clear()
+            modes.clear()
             assert diagnosis(table) == expected
-            assert splits
+            # the store switched, and for good
+            assert modes[-1] and modes == sorted(modes)
+
+
+def test_valid_tables_keep_fingerprint_keys(monkeypatch):
+    # a fingerprint that collided on valid tables would only slow
+    # validation, so no other test would notice it
+    modes = store_modes(monkeypatch)
+    for p, q, r in LADDER_GROUPS.values():
+        validate_gyrogroup(square_root_twist(frobenius(p, q, r)))
+    for k in (16, 32):
+        validate_gyrogroup(dihedral(k))
+    assert modes and not any(modes)
 
 
 def test_gyroassociativity_matches_dense_oracle_at_order_57():

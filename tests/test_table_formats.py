@@ -15,6 +15,7 @@ GYRO_ERRORS = [
     ("gyro 0\n", "line 1: order must be >= 1", 1, None),
     ("gyro -3\n", "line 1: order must be >= 1", 1, None),
     ("gyro 2\nlabels e\n0 1\n1 0\n", "line 2: expected 2 labels, got 1", 2, None),
+    ("gyro 3\nlabels e a a\n", "line 2: label 'a' is repeated", 2, None),
     ("gyro 2\n0 1\nlabels e g\n",
      "line 3: row 1 has 3 entries, expected 2", 3, None),
     ("gyro 2\n0 1\n1 0\n0 1\n",
