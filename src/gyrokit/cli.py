@@ -7,9 +7,12 @@ whose checks are ``core.Check`` records, written with their stable keys
 seeds produce byte-identical JSON.  Stochastic subcommands require an
 explicit --seed.  A reader that closes the output early (``| head``) ends
 the command quietly, with the exit code it would otherwise have had.
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -410,10 +413,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built on first use; parsing leaves it as it
+    was, so one serves every call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -61,7 +61,8 @@ class PairGyrogroup(GyrogroupCarrier):
         self.zero = PairElement(self.ball.zero, 0)
 
     def element(self, coords, rotation):
-        return PairElement(self.ball.element(coords), int(rotation) % self.m)
+        rotation = core._read_int(rotation, "rotation")
+        return PairElement(self.ball.element(coords), rotation % self.m)
 
     def oplus(self, x, y):
         return PairElement(self.ball.oplus(x.u, y.u), (x.r + y.r) % self.m)

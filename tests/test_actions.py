@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gyrokit import (GyroError, ValidationError, action_from_homomorphism,
-                     build_representation, burnside_count,
+                     build_coset_action, build_representation, burnside_count,
                      check_orbit_stabilizer, classify, conjugate,
                      disjoint_union, faithful_quotient_action,
                      orbit_decomposition_equation, orbits_and_stabilizers,
@@ -14,8 +14,9 @@ from gyrokit import (GyroError, ValidationError, action_from_homomorphism,
                      restrict_to_invariant, serialize_action_table,
                      stabilizer_of_translate, validate_action,
                      validate_gyrogroup)
-from gyrokit.catalog import cyclic
-from gyrokit.finite import SUBGROUP_ENUM_CAP
+from gyrokit.actions import diagnose_action
+from gyrokit.catalog import cyclic, dihedral
+from gyrokit.finite import MAX_WITNESSES, SUBGROUP_ENUM_CAP
 
 from conftest import regular_action, trivial_action
 
@@ -79,6 +80,100 @@ def test_action_file_errors_carry_positions():
     with pytest.raises(TableFormatError) as exc:
         parse_action_table("action 2 2\n0 1\n0 9\n")
     assert exc.value.line == 3
+
+
+def law_cells_loop(g, t):
+    """Independent oracle: the first MAX_WITNESSES cells (a, b, x,
+    a.(b.x), (a+b).x) where the action law fails, by plain loops over
+    (a, b, x) in that order; t is a list of rows over 0..k-1."""
+    op = g.table.tolist()
+    cells = []
+    for a in range(len(t)):
+        for b in range(len(t)):
+            for x in range(len(t[0])):
+                lhs, rhs = t[a][t[b][x]], t[op[a][b]][x]
+                if lhs != rhs:
+                    cells.append((a, b, x, lhs, rhs))
+                    if len(cells) == MAX_WITNESSES:
+                        return cells
+    return cells
+
+
+def diagnose_action_loop(g, table):
+    """diagnose_action's (check, witness, message) list, from the loops."""
+    k = len(table[0])
+    out = [("identity_acts_trivially", (x,), f"0.{x} = {table[0][x]} != {x}")
+           for x in range(k) if table[0][x] != x][:MAX_WITNESSES]
+    return out + [("action_compatible", (a, b, x),
+                   f"{a}.({b}.{x}) = {lhs} != ({a}+{b}).{x} = {rhs} "
+                   f"(gyr[{a},{b}] obstruction)")
+                  for a, b, x, lhs, rhs in law_cells_loop(g, table)]
+
+
+def homomorphism_loop(g, perms):
+    """action_from_homomorphism's (check, witness, message) list, from the
+    loops."""
+    k = len(perms[0])
+    out = [("permutation", (a,), f"row {a} is not a permutation of 0..{k - 1}")
+           for a in range(len(perms))
+           if sorted(perms[a]) != list(range(k))][:MAX_WITNESSES]
+    return out or [("homomorphism", (a, b),
+                    f"perm({a}+{b}) != perm({a}) o perm({b}) at point {x}")
+                   for a, b, x, _, _ in law_cells_loop(g, perms)]
+
+
+def _assert_law_diagnostics_match_the_loops(g, bad):
+    def triples(diags):
+        return [(d.check, d.witness, d.detail["message"]) for d in diags]
+    expected = diagnose_action_loop(g, bad.tolist())
+    assert expected and triples(diagnose_action(g, bad)) == expected
+    with pytest.raises(ValidationError) as exc:
+        action_from_homomorphism(g, bad)
+    assert triples(exc.value.diagnostics) == homomorphism_loop(g, bad.tolist())
+
+
+def _corrupt(table, how, seed):
+    """``table`` with two different rows swapped, or one entry overwritten
+    by another point, both drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    t = table.copy()
+    if how == "row_swap":
+        i = rng.integers(len(t))
+        j = rng.choice(np.flatnonzero((t != t[i]).any(axis=1)))
+        t[[i, j]] = t[[j, i]]
+    else:
+        a, x = rng.integers(len(t)), rng.integers(t.shape[1])
+        t[a, x] = (t[a, x] + rng.integers(1, t.shape[1])) % t.shape[1]
+    return t
+
+
+@pytest.fixture(scope="module")
+def law_tables(t21):
+    """(carrier, valid action table) pairs: the regular action of D16
+    (order 32) and the action of the order-21 twist on the cosets of Z7."""
+    d16 = validate_gyrogroup(dihedral(16))
+    z7 = build_coset_action(t21, (0, 3, 6, 9, 12, 15, 18))
+    return {"D16": (d16, np.array(d16.table)), "T21/Z7": (t21, np.array(z7.table))}
+
+
+@pytest.mark.parametrize("name", ["D16", "T21/Z7"])
+def test_valid_tables_give_no_law_diagnostics(law_tables, name):
+    g, t = law_tables[name]
+    assert diagnose_action_loop(g, t.tolist()) == [] == diagnose_action(g, t)
+    assert homomorphism_loop(g, t.tolist()) == []
+    assert np.array_equal(action_from_homomorphism(g, t).table, t)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("how", ["row_swap", "overwrite"])
+@pytest.mark.parametrize("name", ["D16", "T21/Z7"])
+def test_law_diagnostics_match_the_loop_oracle(law_tables, name, how, seed):
+    g, t = law_tables[name]
+    _assert_law_diagnostics_match_the_loops(g, _corrupt(t, how, seed))
+
+
+def test_left_gyroaddition_diagnostics_match_the_loop_oracle(t21):
+    _assert_law_diagnostics_match_the_loops(t21, np.array(t21.table))
 
 
 # -- representations ----------------------------------------------------------
@@ -380,6 +475,21 @@ def test_random_action_checks_the_law_on_its_table_once(monkeypatch, t21):
     assert len(g.decomposition.orbits) > 1
     assert g.point_labels == tuple(range(g.points))
     assert sum(np.array_equal(t, g.table) for t in seen) == 1
+
+
+def test_relabel_and_restrict_check_the_law_on_their_output_once(
+        monkeypatch, s3_conjugation):
+    from gyrokit import actions
+    orbit = next(o for o in s3_conjugation.decomposition.orbits if len(o) == 3)
+    seen = []
+    real = actions._action_law_violations
+    monkeypatch.setattr(actions, "_action_law_violations",
+                        lambda carrier, t: seen.append(np.array(t))
+                        or real(carrier, t))
+    outs = (relabel_points(s3_conjugation, [5, 4, 3, 2, 1, 0]),
+            restrict_to_invariant(s3_conjugation, orbit))
+    assert len(seen) == 2
+    assert all(np.array_equal(t, out.table) for t, out in zip(seen, outs))
 
 
 def test_random_action_beyond_the_cap_asks_for_subgroups():

@@ -77,3 +77,18 @@ def test_carrier_sizes_may_be_numpy_integers():
     assert BallGyrogroup(dim=np.int64(3)).zero.shape == (3,)
     pairs = PairGyrogroup(m=np.int32(4))
     assert type(pairs.m) is int and pairs.element([0, 0], 5).r == 1
+
+
+@pytest.mark.parametrize("rotation", [2.7, 2.0, True, False, "3", None])
+def test_pair_rotations_must_be_integers(rotation):
+    # int() would truncate 2.7 to 2, read True as 1 and parse "3"
+    with pytest.raises(ValueError, match=re.escape(
+            f"rotation {rotation!r} is not an integer")):
+        PairGyrogroup(m=6).element([0, 0], rotation)
+
+
+@pytest.mark.parametrize("rotation, index", [(3, 3), (8, 2), (-1, 5),
+                                             (np.int64(13), 1), (np.uint8(6), 0)])
+def test_pair_rotations_are_reduced_mod_m(rotation, index):
+    r = PairGyrogroup(m=6).element([0, 0], rotation).r
+    assert type(r) is int and r == index

@@ -105,6 +105,34 @@ def test_unknown_subcommand_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_reused_parser_keeps_no_state(files, capsys):
+    gyr = ("gyr", files["t21"], "-a", "1", "-b", "3")
+    argvs = [gyr[:2] + gyr[4:],               # usage error: no -a
+             ("--version",),
+             gyr + ("--report", "json"),      # --report after the subcommand
+             gyr]                             # text, the global default
+    first = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [2, 0, 0, 0]
+    assert "the following arguments are required: -a" in first[0][2]
+    assert first[2][1].startswith("{") and not first[3][1].startswith("{")
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0), (3, 0, 2, 1, 3)):
+        assert [run(capsys, *argvs[i]) for i in order] == [first[i] for i in order]
+
+
+def test_main_builds_its_parser_once(monkeypatch, files, capsys):
+    from gyrokit import cli
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        codes = [main(argv) for argv in (["--version"], ["validate", files["z6"]],
+                                         ["frobnicate"], ["validate", files["s3"]])]
+    finally:
+        cli._parser.cache_clear()
+    assert codes == [0, 0, 2, 0] and len(built) == 1
+
+
 def test_gyr_value(files, capsys):
     code, out, _ = run(capsys, "gyr", files["t21"], "-a", "1", "-b", "3",
                        "-c", "1")
