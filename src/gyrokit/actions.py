@@ -1,11 +1,14 @@
 """Finite gyrogroup actions: validation, orbits, stabilizers, counting.
 
 Everything in this module is exact: tables are integer arrays and the
-orbit count is a Fraction.  The classical theorem suite (orbit-stabilizer,
-orbit decomposition, double counting, conjugate stabilizers, gyration
-invariance of stabilizers) is re-verified on every computed decomposition
-rather than assumed; a failure raises, since it cannot happen for a
-validated input.
+orbit count is a Fraction.  The classical theorems are re-verified rather
+than assumed.  Every computed decomposition checks that each stabilizer is
+a gyration-invariant L-subgyrogroup; a failure raises, since it cannot
+happen for a validated input.  The other theorems are checked by the
+functions that use them: ``check_orbit_stabilizer`` (orbit-stabilizer) and
+``orbit_decomposition_equation`` return a Check, while ``burnside_count``
+(double counting) and ``stabilizer_of_translate`` (conjugate stabilizers)
+raise on a failure.
 
 Each G-set is decomposed once: ``FiniteGSet.decomposition`` is computed on
 first use, kept, and read by every analysis; its stabilizer theorems are
@@ -448,7 +451,6 @@ def faithful_quotient_action(gset):
         raise GyroError("kernel cosets do not partition the carrier")
     coset_of = np.array(part.coset_of)
     reps = np.array(part.representatives)
-    q = part.index
     qt = coset_of[carrier.table[reps[:, None], reps[None, :]]]
     bad = np.argwhere(coset_of[carrier.table]
                       != qt[coset_of[:, None], coset_of[None, :]])

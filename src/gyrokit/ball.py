@@ -217,7 +217,7 @@ class BallGyrogroup(GyrogroupCarrier):
         """Admit a vector as a ball element; enforces finite coordinates and
         the boundary margin."""
         u = np.asarray(coords, dtype=float)
-        if u.shape[-1] != self.dim:
+        if u.ndim == 0 or u.shape[-1] != self.dim:
             raise InvalidElementError(f"expected dimension {self.dim}, got {u.shape}")
         if not np.all(np.isfinite(u)):
             raise InvalidElementError("coordinates must be finite")
@@ -228,6 +228,8 @@ class BallGyrogroup(GyrogroupCarrier):
 
     def _checked_coords(self, *points):
         """``_coords`` of points that each have ``dim`` coordinates."""
+        if any(np.ndim(p) == 0 for p in points):
+            raise InvalidElementError(f"expected dimension {self.dim}, got a scalar")
         out = _coords(*points)
         for x in out:
             if len(x) != self.dim:

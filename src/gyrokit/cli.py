@@ -333,67 +333,62 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--report", choices=("text", "json"), default="text")
     subparsers = p.add_subparsers(dest="command", required=True)
+    # --report is accepted both before and after the subcommand; SUPPRESS
+    # keeps the global value when the trailing flag is absent
+    trailing = argparse.ArgumentParser(add_help=False)
+    trailing.add_argument("--report", choices=("text", "json"),
+                          default=argparse.SUPPRESS)
+    sub = functools.partial(subparsers.add_parser, parents=[trailing])
 
-    class sub:
-        # --report is accepted both before and after the subcommand;
-        # SUPPRESS keeps the global value when the trailing flag is absent
-        @staticmethod
-        def add_parser(name, **kw):
-            s = subparsers.add_parser(name, **kw)
-            s.add_argument("--report", choices=("text", "json"),
-                           default=argparse.SUPPRESS)
-            return s
-
-    s = sub.add_parser("validate", help="certify a Cayley table")
+    s = sub("validate", help="certify a Cayley table")
     s.add_argument("table")
     s.set_defaults(func=cmd_validate)
 
-    s = sub.add_parser("gyr", help="evaluate a gyration")
+    s = sub("gyr", help="evaluate a gyration")
     s.add_argument("table")
     s.add_argument("-a", type=int, required=True)
     s.add_argument("-b", type=int, required=True)
     s.add_argument("-c", type=int, default=None)
     s.set_defaults(func=cmd_gyr)
 
-    s = sub.add_parser("subgyro", help="enumerate subgyrogroups")
+    s = sub("subgyro", help="enumerate subgyrogroups")
     s.add_argument("table")
     s.add_argument("--cap", type=int, default=SUBGROUP_ENUM_CAP)
     s.set_defaults(func=cmd_subgyro)
 
-    s = sub.add_parser("cosets", help="left cosets of a subgyrogroup")
+    s = sub("cosets", help="left cosets of a subgyrogroup")
     s.add_argument("table")
     s.add_argument("--subset", required=True)
     s.set_defaults(func=cmd_cosets)
 
-    s = sub.add_parser("act", help="validate and analyse an action table")
+    s = sub("act", help="validate and analyse an action table")
     s.add_argument("table")
     s.add_argument("action")
     s.set_defaults(func=cmd_act)
 
-    s = sub.add_parser("burnside", help="orbit count by double counting")
+    s = sub("burnside", help="orbit count by double counting")
     s.add_argument("table")
     s.add_argument("action")
     s.set_defaults(func=cmd_burnside)
 
-    s = sub.add_parser("classify", help="action type flags")
+    s = sub("classify", help="action type flags")
     s.add_argument("table")
     s.add_argument("action")
     s.set_defaults(func=cmd_classify)
 
-    s = sub.add_parser("coset-action",
-                       help="criterion and construction for G/H")
+    s = sub("coset-action", help="criterion and construction for G/H")
     s.add_argument("table")
     s.add_argument("--subset", required=True)
     s.add_argument("--build", action="store_true")
     s.set_defaults(func=cmd_coset_action)
 
-    s = sub.add_parser("equiv", help="decide equivalence of two G-sets")
+    s = sub("equiv", help="decide equivalence of two G-sets")
     s.add_argument("action1")
     s.add_argument("action2")
     s.add_argument("--table", required=True)
     s.set_defaults(func=cmd_equiv)
 
-    s = sub.add_parser("ball", help="ball carrier: evaluate or law suite")
+    s = sub("ball", help="ball carrier: evaluate or law suite")
     s.add_argument("--dim", type=int, default=2)
     s.add_argument("--variant", choices=("mobius", "einstein"),
                    default="mobius")
@@ -403,7 +398,7 @@ def build_parser():
     s.add_argument("--v", default=None)
     s.set_defaults(func=cmd_ball)
 
-    s = sub.add_parser("pairs", help="pair carrier law suite")
+    s = sub("pairs", help="pair carrier law suite")
     s.add_argument("--m", type=int, default=6)
     s.add_argument("--variant", choices=("mobius", "einstein"),
                    default="mobius")

@@ -155,9 +155,10 @@ def conjugate(carrier, a, b):
 
 def conjugate_set(carrier, a, members):
     """Conjugate of a finite carrier's subset ``members`` by a, sorted.
-    Raises ValueError naming the first member that is not an element."""
-    from .finite import _read_members  # finite imports this module
+    Raises ValueError when ``a`` or a member is not an element."""
+    from .finite import _read_index, _read_members  # finite imports this module
 
+    a = _read_index(a, carrier.order, "element")
     members = np.array(_read_members(carrier, members), dtype=np.int64)
     conj = conjugate(carrier, a, members)
     return tuple(sorted(conj.tolist()))

@@ -22,10 +22,17 @@ for one map, ``gyration_leak`` for gyration invariance of a subset,
 ``nontrivial_gyration`` for a gyration that is not the identity.
 
 Subgyrogroups are boolean masks over 0..n-1 inside this module.  A mask is
-closed under + and inverse by semi-naive rounds, each forming only the sums
-that involve a newly added member.  A round that starts with more than n/2
-members sets the whole mask instead, since a proper subgyrogroup H has at
-most n/2 members:
+closed by plain rounds under +: each round adds every sum of two members,
+and the closure is done when a round adds nothing.  No inverse step is
+needed, since a nonempty finite subset H closed under + is a subgyrogroup:
+
+    for x in H, the map h -> x + h sends H into H.  It is injective by
+    left cancellation, so it permutes the finite set H.  So x + h = x for
+    some h in H, which gives h = 0.  Also x + h = 0 for some h in H, which
+    gives h = -x.
+
+A round that starts with more than n/2 members sets the whole mask
+instead, since a proper subgyrogroup H has at most n/2 members:
 
     if x + h = h' with h, h' in H, right cancellation and the gyrator
     identity give x = h' + gyr[h', h](-h) = h' + (-(h' + h) + h'), in H;
@@ -550,30 +557,19 @@ def is_subgyrogroup(g, members):
     return bool(inside[g.inv[h]].all() and inside[g.table[np.ix_(h, h)]].all())
 
 
-def _close(g, mask, new):
-    """Close the boolean ``mask`` over 0..n-1 in place under + and inverse.
-
-    ``new`` lists the members whose sums and inverses may be missing: every
-    sum of two members outside ``new`` must already lie in ``mask``.  Each
-    round forms only the sums a+b and b+a with b newly added, and the
-    inverses of the new members; it stops when a round adds nothing.
-
-    A round that starts with more than n/2 members sets the whole mask
-    instead, as the closure contains the mask and a proper subgyrogroup
-    has at most n/2 members (proved in the module docstring).
-    """
-    while len(new):
+def _close(g, mask):
+    """Close the nonempty boolean ``mask`` over 0..n-1 in place under +,
+    by rounds that add every sum of two members until one adds nothing; a
+    round that starts with more than n/2 members sets the whole mask.  The
+    module docstring proves the result a subgyrogroup and the exit exact."""
+    while True:
         s = np.flatnonzero(mask)
         if 2 * len(s) > g.order:
             mask[:] = True
-            break
-        hit = np.zeros_like(mask)
-        hit[g.table[s[:, None], new]] = True
-        hit[g.table[new[:, None], s]] = True
-        hit[g.inv[new]] = True
-        new = np.flatnonzero(hit & ~mask)
-        mask |= hit
-    return mask
+            return mask
+        mask[g.table[s[:, None], s]] = True
+        if np.count_nonzero(mask) == len(s):
+            return mask
 
 
 def subgyrogroup_closure(g, seed):
@@ -584,7 +580,7 @@ def subgyrogroup_closure(g, seed):
     members = _read_members(g, seed)
     mask = np.zeros(g.order, dtype=bool)
     mask[[0, *members]] = True
-    return tuple(np.flatnonzero(_close(g, mask, np.flatnonzero(mask))).tolist())
+    return tuple(np.flatnonzero(_close(g, mask)).tolist())
 
 
 def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
@@ -594,10 +590,9 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
     closure of s + <x>, so every subgyrogroup is reached from {0} by joining
     one-generated closures <x> one at a time, and one x per distinct <x>
     suffices.  Each found subgyrogroup s is joined with every distinct <x>
-    not inside it; the join closes only the sums that involve <x> minus s.
-    A closure depends only on the union s | <x>, so a union closed before
-    is skipped, and a join stops as G once it holds more than n/2 members,
-    the most a proper subgyrogroup has (proved in the module docstring).
+    not inside it.  A union s | <x> closed before is skipped, and a join
+    stops as G once it holds more than n/2 members, the most a proper
+    subgyrogroup has (proved in the module docstring).
 
     Refuses orders beyond ``cap``, which bounds the lattice search: the
     number of subgyrogroups, and so the joins, can grow quickly with the
@@ -607,10 +602,9 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
         raise GyroError(
             f"order {g.order} exceeds enumeration cap {cap}; raise cap explicitly")
     one = np.eye(g.order, dtype=bool)
-    # one mask per distinct <x>; 0 + x = x + 0 = x, so only x is new in {0, x}
-    cyclic = {}
+    cyclic = {}  # one mask per distinct <x>
     for x in range(g.order):
-        cx = _close(g, one[0] | one[x], np.array([x]))
+        cx = _close(g, one[0] | one[x])
         cyclic.setdefault(cx.tobytes(), cx)
     found = {one[0].tobytes(): one[0]}
     frontier = [one[0]]
@@ -618,15 +612,14 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
     while frontier:
         s = frontier.pop()
         for cx in cyclic.values():
-            extra = cx & ~s
-            if not extra.any():
-                continue
             union = s | cx
+            if np.array_equal(union, s):
+                continue
             bits = union.tobytes()
             if bits in joined:
                 continue
             joined.add(bits)
-            c = _close(g, union, np.flatnonzero(extra))
+            c = _close(g, union)
             key = c.tobytes()
             if key not in found:
                 found[key] = c

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .ball import SAMPLE_MAX_NORM, BallGyrogroup
+from .ball import BallGyrogroup
 from .core import GyrogroupCarrier
 from .coset_actions import coset_criterion_sampled
 
@@ -83,8 +83,8 @@ class PairGyrogroup(GyrogroupCarrier):
         r = np.asarray(x.r)
         return self.ball.contains(x.u) & (r >= 0) & (r < self.m)
 
-    def sample_batch(self, rng, count, max_norm=SAMPLE_MAX_NORM):
-        return PairElement(self.ball.sample_batch(rng, count, max_norm),
+    def sample_batch(self, rng, count):
+        return PairElement(self.ball.sample_batch(rng, count),
                            rng.integers(0, self.m, size=count))
 
     # -- B_hat coset machinery -------------------------------------------

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from gyrokit import (BallGyrogroup, FiniteGyrogroup, PairElement,
-                     PairGyrogroup, validate_gyrogroup)
+from gyrokit import (BallGyrogroup, FiniteGyrogroup, InvalidElementError,
+                     PairElement, PairGyrogroup, validate_gyrogroup)
 from gyrokit.catalog import twisted21
 
 CARRIERS = {
@@ -92,3 +92,30 @@ def test_pair_rotations_must_be_integers(rotation):
 def test_pair_rotations_are_reduced_mod_m(rotation, index):
     r = PairGyrogroup(m=6).element([0, 0], rotation).r
     assert type(r) is int and r == index
+
+
+@pytest.mark.parametrize("variant", ["mobius", "einstein"])
+def test_ball_points_must_have_a_coordinate_axis(variant):
+    # unchecked, element raised a bare IndexError on a scalar, and the
+    # operations a numpy AxisError or, beside a 1-d point, read the scalar
+    # as that point
+    ball = BallGyrogroup(dim=1, variant=variant)
+    calls = [lambda: ball.oplus(0.5, 0.2), lambda: ball.oplus([0.5], 0.2),
+             lambda: ball.oinv(0.5), lambda: ball.contains(0.5),
+             lambda: ball.distance(0.5, [0.2]),
+             lambda: ball.gyration([0.5], [0.2], 0.1)]
+    for call in calls:
+        with pytest.raises(InvalidElementError,
+                           match="expected dimension 1, got a scalar"):
+            call()
+    with pytest.raises(InvalidElementError,
+                       match=re.escape("expected dimension 1, got ()")):
+        ball.element(0.5)
+    pairs = PairGyrogroup(variant=variant)
+    with pytest.raises(InvalidElementError,
+                       match=re.escape("expected dimension 2, got ()")):
+        pairs.element(0.5, 1)
+    with pytest.raises(InvalidElementError,
+                       match="expected dimension 2, got a scalar"):
+        pairs.oplus(PairElement(0.5, 1), pairs.zero)
+    assert ball.element([0.5]).shape == (1,)

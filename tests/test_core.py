@@ -102,6 +102,17 @@ def test_conjugate_set_rejects_non_elements(s3, member, reason):
         conjugate_set(s3, 1, (member,))
 
 
+@pytest.mark.parametrize("a, reason", [(True, "is not an integer"),
+                                       (-1, "is outside 0..5"),
+                                       (2.7, "is not an integer"),
+                                       (6, "is outside 0..5")])
+def test_conjugate_set_rejects_non_element_conjugators(s3, a, reason):
+    # read unchecked, True indexed the table as a mask and gave a nested
+    # tuple, -1 wrapped round to 5, and 2.7 and 6 raised a bare IndexError
+    with pytest.raises(ValueError, match=f"element {a} {reason}"):
+        conjugate_set(s3, a, (1,))
+
+
 def test_gyration_map_is_automorphism(t21):
     def gm(c):
         return gyration(t21, 1, 3, c)
@@ -223,7 +234,7 @@ def test_sampled_witness_of_pair_carrier_is_a_pair():
     carrier = PairGyrogroup(m=6)
     residuals, worst_at = sampled_law_residuals(carrier, 100, 2)
     i, x, y, z = worst_at["left_loop"]
-    draw = carrier.sample_batch(np.random.default_rng(2), 100, 0.99)
+    draw = carrier.sample_batch(np.random.default_rng(2), 100)
     assert isinstance(x, PairElement) and 0 <= i < 100
     assert x.u.tolist() == draw.u[i].tolist() and int(x.r) == int(draw.r[i])
 

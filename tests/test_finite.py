@@ -250,8 +250,11 @@ def test_t21_subgyrogroup_inventory(t21):
 
 
 def test_enumeration_matches_closure_search(fixture_carriers):
+    # S4 has members of order 3 and 4, whose inverses the closure under +
+    # alone reaches only as sums; the oracle adds inverses explicitly
     carriers = dict(fixture_carriers, T39=validate_gyrogroup(twisted39()),
-                    F57=validate_gyrogroup(frobenius(19, 3, 7)))
+                    F57=validate_gyrogroup(frobenius(19, 3, 7)),
+                    S4=validate_gyrogroup(symmetric(4)))
     for name, g in carriers.items():
         subs = enumerate_subgyrogroups(g)
         assert subs == closure_search_subgyrogroups(g), name
