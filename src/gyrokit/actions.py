@@ -3,9 +3,13 @@
 Everything in this module is exact: tables are integer arrays and the
 orbit count is a Fraction.  The classical theorems are re-verified rather
 than assumed.  Every computed decomposition checks that each stabilizer is
-a gyration-invariant L-subgyrogroup; a failure raises, since it cannot
-happen for a validated input.  The other theorems are checked by the
-functions that use them: ``check_orbit_stabilizer`` (orbit-stabilizer) and
+a subgyrogroup S containing every translate defect -y + gyr[a, b]y, as
+``faithful_quotient_action`` checks its kernel; a failure raises, since the
+action law puts every defect in the kernel (``coset_actions`` proves it).
+That implies the rest: gyr[a, b]h = h + (-h + gyr[a, b]h) lies in S for h
+in S, so S is gyration-invariant, and so an L-subgyrogroup.  The other
+theorems are checked by the functions that use them:
+``check_orbit_stabilizer`` (orbit-stabilizer) and
 ``orbit_decomposition_equation`` return a Check, while ``burnside_count``
 (double counting) and ``stabilizer_of_translate`` (conjugate stabilizers)
 raise on a failure.
@@ -33,8 +37,8 @@ import numpy as np
 
 from .core import Check, GyroError, ValidationError, conjugate_set, violation
 from .finite import (MAX_WITNESSES, TableFormatError, _read_index,
-                     _read_table, is_l_subgyrogroup, is_subgyrogroup,
-                     left_cosets, validate_gyrogroup)
+                     _read_table, is_subgyrogroup, left_cosets,
+                     validate_gyrogroup)
 
 # random_action joins 1 to RANDOM_MAX_PARTS coset actions, and stops before
 # one that would take it past RANDOM_MAX_POINTS points
@@ -55,7 +59,8 @@ class FiniteGSet:
         return self.table.shape[1]
 
     def act(self, a, x):
-        return int(self.table[a, x])
+        a = _read_index(a, self.carrier.order, "element")
+        return int(self.table[a, _read_index(x, self.points, "point")])
 
     @cached_property
     def decomposition(self):
@@ -234,9 +239,10 @@ def orbits_and_stabilizers(gset):
     so the orbits are read off the column minima, each represented by its
     smallest point (no generator closure: gyrogroups need not be generated
     efficiently).  The stabilizer theorems are re-verified on the result:
-    each stabilizer must be an L-subgyrogroup invariant under every
-    gyration.  Each distinct stabilizer is checked once; a failure names
-    the first point with it.
+    each stabilizer must be a subgyrogroup containing every translate
+    defect, and so gyration-invariant (see the module docstring).  Each
+    distinct stabilizer is checked once; a failure names the first point
+    with it.
     """
     return gset.decomposition
 
@@ -251,24 +257,26 @@ def _decompose(gset):
                    for i in range(len(reps)))
     fixes = t == np.arange(k)  # fixes[a, x]: a.x = x
     stabs = tuple(tuple(np.flatnonzero(col).tolist()) for col in fixes.T)
-    checked = set()
+    first = {}  # each distinct stabilizer, keyed to the first point with it
     for x, s in enumerate(stabs):
-        if s in checked:
-            continue
-        checked.add(s)
+        first.setdefault(s, x)
+    for s, x in first.items():
         if not is_subgyrogroup(carrier, s):
             raise GyroError(f"stab({x}) fails the subgyrogroup criterion")
-        if not is_l_subgyrogroup(carrier, s):
-            raise GyroError(f"stab({x}) is not an L-subgyrogroup")
-        leak = carrier.gyration_leak(s)
-        if leak is not None:
-            a, b, _ = leak
-            raise GyroError(f"gyr[{a},{b}] does not preserve stab({x})")
+        _require_defects(carrier, s, f"stab({x})")
     return OrbitDecomposition(
         orbits=orbits, representatives=tuple(reps.tolist()),
         orbit_of=tuple(orbit_of.tolist()), stabilizers=stabs,
         fixed_points=tuple(np.flatnonzero(fixes.all(axis=0)).tolist()),
         fixed_by=tuple(tuple(np.flatnonzero(row).tolist()) for row in fixes))
+
+
+def _require_defects(carrier, members, name):
+    """Raise GyroError unless ``members``, named ``name``, holds every defect."""
+    leak = carrier.defect_leak(members)
+    if leak is not None:
+        a, b, y = leak
+        raise GyroError(f"{name} misses the translate defect -{y} + gyr[{a},{b}]{y}")
 
 
 def check_orbit_stabilizer(gset, decomposition=None):
@@ -344,7 +352,8 @@ def classify(gset, decomposition=None):
 
     Sharp transitivity is computed independently by unique-solution search
     and then checked against its two characterisations (transitive + free,
-    transitive + semiregular); free implies semiregular implies faithful.
+    transitive + semiregular); semiregular implies faithful, and free
+    implies semiregular unchecked, as all implies any over k >= 1 points.
     """
     dec = decomposition or gset.decomposition
     t = gset.table
@@ -359,12 +368,8 @@ def classify(gset, decomposition=None):
         bool(np.all(np.sort(t, axis=0) == np.arange(k)[:, None]))
     if sharply != (transitive and free) or sharply != (transitive and semiregular):
         raise GyroError("sharp-transitivity characterisation violated")
-    if free and not semiregular:
-        raise GyroError("free action must be semiregular")
     if semiregular and not faithful:
         raise GyroError("semiregular action must be faithful")
-    if transitive and (free != semiregular):
-        raise GyroError("transitive action: free and semiregular must agree")
     return ActionClassification(faithful=faithful, transitive=transitive,
                                 free=free, semiregular=semiregular,
                                 sharply_transitive=sharply)
@@ -442,10 +447,7 @@ def faithful_quotient_action(gset):
     """
     carrier = gset.carrier
     kernel = build_representation(gset).kernel
-    leak = carrier.gyration_leak(kernel)
-    if leak is not None:
-        a, b, _ = leak
-        raise GyroError(f"gyr[{a},{b}] does not preserve the kernel")
+    _require_defects(carrier, kernel, "the kernel")
     part = left_cosets(carrier, kernel)
     if not part.is_partition:
         raise GyroError("kernel cosets do not partition the carrier")

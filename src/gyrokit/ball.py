@@ -140,7 +140,8 @@ def mobius_add(u, v):
     precision there.  Evaluated by ``BallGyrogroup.oplus``, domain checks
     included.
     """
-    return BallGyrogroup(dim=np.shape(u)[-1], variant="mobius").oplus(u, v)
+    # a scalar u gets dimension 1, and oplus then refuses it as a scalar
+    return BallGyrogroup(dim=(np.shape(u) or (1,))[-1], variant="mobius").oplus(u, v)
 
 
 def _mobius_add(u, v, nu2):
@@ -162,7 +163,7 @@ def einstein_add(u, v):
     u ~ -v near the boundary.  Evaluated by ``BallGyrogroup.oplus``,
     domain checks included.
     """
-    return BallGyrogroup(dim=np.shape(u)[-1], variant="einstein").oplus(u, v)
+    return BallGyrogroup(dim=(np.shape(u) or (1,))[-1], variant="einstein").oplus(u, v)
 
 
 def _einstein_add(u, v, nu2):
@@ -301,10 +302,10 @@ def ball_gyration_matrix(carrier, a, b, samples, seed):
 
     Column j is gyr(a, b, s e_j) / s for s = ``PROBE_SCALE``, which keeps
     probes inside the ball for any admissible a, b while avoiding
-    cancellation.  Raises ValueError when ``samples`` < 1, since no probe
-    measures nothing.
+    cancellation.  Raises ValueError unless ``samples`` is an integer >= 1,
+    since no probe measures nothing.
     """
-    if samples < 1:
+    if core._read_int(samples, "samples") < 1:
         raise ValueError("samples must be >= 1")
     a = carrier.element(a)
     b = carrier.element(b)
@@ -330,7 +331,7 @@ def check_ball_laws(carrier, samples, seed):
     Covers the axiom residuals (gyroassociativity, left loop, identity and
     inverses, automorphism property, closure) plus the four cancellation
     laws, all evaluated on ``samples`` random triples with norms <=
-    ``SAMPLE_MAX_NORM`` drawn from the given seed.  Raises ValueError when
-    ``samples`` < 1.
+    ``SAMPLE_MAX_NORM`` drawn from the given seed.  Raises ValueError
+    unless ``samples`` is an integer >= 1.
     """
     return core.sampled_law_residuals(carrier, samples, seed)[0]

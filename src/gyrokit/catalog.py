@@ -97,23 +97,21 @@ def square_root_twist(group_table):
     for m = |x|), which makes the operation well defined.  For a nonabelian
     group the result is a nonassociative loop whose gyrations are nontrivial;
     run it through validate_gyrogroup to certify the gyrogroup axioms.
+    Raises ValueError if some x^((n+1)/2) does not square to x.
     """
     t = np.asarray(group_table)
     n = t.shape[0]
     if n % 2 == 0:
         raise ValueError("square-root twist needs a group of odd order")
-
-    def power(a, k):
-        r = 0
-        for _ in range(k):
-            r = int(t[r, a])
-        return r
-
+    ai = np.arange(n)
     # x^(n+1) = x by Lagrange, so x^((n+1)/2) squares to x
-    sqrt = np.array([power(a, (n + 1) // 2) for a in range(n)], dtype=np.int64)
-    for a in range(n):
-        assert t[sqrt[a], sqrt[a]] == a
-    return t[t[sqrt[:, None], np.arange(n)[None, :]], sqrt[:, None]]
+    sqrt = np.zeros(n, dtype=np.int64)
+    for _ in range((n + 1) // 2):
+        sqrt = t[sqrt, ai]
+    bad = np.flatnonzero(t[sqrt, sqrt] != ai)
+    if len(bad):
+        raise ValueError(f"not a group table: {bad[0]} has no square root")
+    return t[t[sqrt[:, None], ai[None, :]], sqrt[:, None]]
 
 
 def twisted21():

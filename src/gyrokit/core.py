@@ -262,14 +262,15 @@ def check_cancellation_laws_exhaustive(carrier):
 
 def _sample_triples(carrier, samples, seed):
     """The draws every sampled check starts from: a generator seeded with
-    ``seed``, and three batches a, b, c of ``carrier.sample_batch(rng,
-    samples)`` drawn from it in that order.  Further draws continue from
-    the returned generator.  Raises ValueError when ``samples`` < 1, since
-    no sample checks nothing."""
+    ``seed``, ``samples`` as a Python int, and three batches a, b, c of
+    ``carrier.sample_batch(rng, samples)`` drawn from it in that order.
+    Further draws continue from the returned generator.  Raises ValueError
+    unless ``samples`` is an integer >= 1, since no sample checks nothing."""
+    samples = _read_int(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    return (rng, *(carrier.sample_batch(rng, samples) for _ in range(3)))
+    return (rng, samples, *(carrier.sample_batch(rng, samples) for _ in range(3)))
 
 
 def sampled_law_residuals(carrier, samples, seed):
@@ -285,7 +286,7 @@ def sampled_law_residuals(carrier, samples, seed):
     maps each law to (i, a[i], b[i], c[i]) for the first triple i at which
     that worst residual occurs.
     """
-    _, a, b, c = _sample_triples(carrier, samples, seed)
+    _, samples, a, b, c = _sample_triples(carrier, samples, seed)
     per_block = {}  # law -> [(worst, global index)], one per block
     closure = True
     for lo in range(0, samples, _BLOCK_TRIPLES):

@@ -33,8 +33,8 @@ def self_action_possible_sampled(carrier, samples, seed):
     gyration among the carrier's own gyrations, one that moves some c by
     more than ``carrier.eps``.  Returns (possible, witness_or_None); the
     witness is the triple (a, b, c) whose gyration moves c the most.
-    Raises ValueError when ``samples`` < 1."""
-    _, a, b, c = _sample_triples(carrier, samples, seed)
+    Raises ValueError unless ``samples`` is an integer >= 1."""
+    _, _, a, b, c = _sample_triples(carrier, samples, seed)
     d = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
     worst = int(np.argmax(d))
     if float(d[worst]) <= carrier.eps:
@@ -94,9 +94,9 @@ def coset_criterion_sampled(carrier, in_subgroup, sample_subgroup,
     ``in_subgroup``     -- vectorised membership predicate
     ``sample_subgroup`` -- (rng, count) -> batch of subgroup elements
 
-    Raises ValueError when ``samples`` < 1.
+    Raises ValueError unless ``samples`` is an integer >= 1.
     """
-    rng, a, b, x = _sample_triples(carrier, samples, seed)
+    rng, samples, a, b, x = _sample_triples(carrier, samples, seed)
     h = sample_subgroup(rng, samples)
     img = carrier.gyration(a, b, h)
     ok1 = bool(np.all(in_subgroup(img))) and bool(np.all(carrier.contains(img)))

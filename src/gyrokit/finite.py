@@ -259,9 +259,8 @@ class FiniteGyrogroup(GyrogroupCarrier):
         """The first (a, b, x) in row-major order with the translate defect
         -x + gyr[a, b]x outside H = ``members``, or None."""
         _, inside = self._member_mask(members)
-        # outside[x, y] is True iff -x + y lies outside H
-        outside = ~inside[self.table[self.inv]]
-        return self._first_hit(outside[np.arange(self.order), self.gyr_perms])
+        # entry [k, x] is -x + gyr_perms[k, x], one row per distinct gyration
+        return self._first_hit(~inside[self.table[self.inv, self.gyr_perms]])
 
     def nontrivial_gyration(self):
         """The first (a, b, c) in row-major order with gyr[a, b]c != c, or

@@ -28,9 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .actions import validate_action
 from .ball import BallGyrogroup
+from .catalog import cyclic
 from .core import GyrogroupCarrier
 from .coset_actions import coset_criterion_sampled
+from .finite import validate_gyrogroup
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def check_pair_axioms(carrier, samples, seed):
     Rotation slots are compared exactly (a mismatch reports inf); ball slots
     contribute Euclidean residuals.  ``gyration_closed_form`` cross-checks
     the closed-form gyration against the gyrator identity.  Raises
-    ValueError when ``samples`` < 1.
+    ValueError unless ``samples`` is an integer >= 1.
     """
     return core.sampled_law_residuals(carrier, samples, seed)[0]
 
@@ -151,11 +154,5 @@ def rotation_quotient_gset(carrier):
     Exact finite shadow of the coset action; regular (sharply transitive)
     of degree m, which is testable with the action engine.
     """
-    from .actions import validate_action
-    from .catalog import cyclic
-    from .finite import validate_gyrogroup
-
-    m = carrier.m
-    fg = validate_gyrogroup(cyclic(m))
-    table = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-    return validate_action(fg, table)
+    fg = validate_gyrogroup(cyclic(carrier.m))
+    return validate_action(fg, fg.table)

@@ -1,5 +1,6 @@
 """Action engine: validation, representations, orbits, counting, quotients."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -519,6 +520,24 @@ def test_stabilizer_of_translate_rejects_outside_element(s3, a):
         stabilizer_of_translate(regular_action(s3), a, 1)
 
 
+def test_act_reads_its_indices_strictly(s3):
+    # unchecked, act(-1, 0) acted by element 5, act(1.5, 0) and act(0, 3)
+    # raised a bare IndexError and act(True, 0) a TypeError
+    gset = build_coset_action(s3, (0, 1))
+    assert gset.points == 3
+    for a, x, message in [(-1, 0, "element -1 is outside 0..5"),
+                          (6, 0, "element 6 is outside 0..5"),
+                          (1.5, 0, "element 1.5 is not an integer"),
+                          (True, 0, "element True is not an integer"),
+                          (0, 3, "point 3 is outside 0..2"),
+                          (0, -1, "point -1 is outside 0..2"),
+                          (0, False, "point False is not an integer")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gset.act(a, x)
+    assert [gset.act(np.int64(a), np.int64(0)) for a in range(6)] == \
+        gset.table[:, 0].tolist()
+
+
 @pytest.mark.parametrize("points, bad", [([6], 6), ([-1], -1), ([0, 2, 7], 7),
                                          ([1.7, 0.2, 2, 3, 4, 5], 1.7),
                                          ([0, True], True)])
@@ -578,13 +597,17 @@ def test_one_decomposition_per_gset(monkeypatch, s3):
 def test_each_distinct_stabilizer_is_checked_once(monkeypatch):
     from gyrokit import actions, validate_gyrogroup
     from gyrokit.catalog import dihedral
-    calls = []
-    real = actions.is_l_subgyrogroup
-    monkeypatch.setattr(actions, "is_l_subgyrogroup",
+    calls, leaks = [], []
+    real = actions.is_subgyrogroup
+    monkeypatch.setattr(actions, "is_subgyrogroup",
                         lambda g, h: calls.append(h) or real(g, h))
-    regular = regular_action(validate_gyrogroup(dihedral(32)))
+    d32 = validate_gyrogroup(dihedral(32))
+    real_leak = d32.defect_leak
+    monkeypatch.setattr(d32, "defect_leak",
+                        lambda h: leaks.append(h) or real_leak(h))
+    regular = regular_action(d32)
     assert orbits_and_stabilizers(regular).stabilizers == ((0,),) * 64
-    assert calls == [(0,)]
+    assert calls == leaks == [(0,)]
 
 
 def test_stabilizer_failure_names_first_point_with_it(t21):
@@ -597,8 +620,13 @@ def test_stabilizer_failure_names_first_point_with_it(t21):
     table = np.array([[x if a in s else (x + 1) % 4 for x, s in enumerate(stabs)]
                       for a in range(21)])
     fake = FiniteGSet(carrier=t21, table=table, point_labels=(0, 1, 2, 3))
-    with pytest.raises(GyroError, match=r"^stab\(1\) is not an L-subgyrogroup$"):
+    with pytest.raises(GyroError, match=r"^stab\(1\) misses the translate defect "):
         orbits_and_stabilizers(fake)
+    # nor is left gyroaddition, though every stabilizer is the L-subgyrogroup
+    # {0}: the kernel of an action contains every translate defect
+    forged = FiniteGSet(carrier=t21, table=t21.table, point_labels=tuple(range(21)))
+    with pytest.raises(GyroError, match=r"^stab\(0\) misses the translate defect "):
+        orbits_and_stabilizers(forged)
 
 
 def test_homomorphism_is_certified_by_one_law_check(monkeypatch, s3_conjugation):

@@ -1,5 +1,6 @@
 """Mobius/Einstein ball carriers: frozen values, laws, gyration matrices."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,34 @@ def test_gyration_matrix_rejects_zero_samples():
     ball = BallGyrogroup(dim=2)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         ball_gyration_matrix(ball, [0.1, 0.2], [0.3, -0.1], samples=0, seed=1)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "3"])
+def test_ball_checks_read_samples_as_integers(samples):
+    # unchecked, a float count raised a numpy TypeError
+    ball = BallGyrogroup(dim=2)
+    message = f"^samples {re.escape(repr(samples))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        ball_gyration_matrix(ball, [0.1, 0.2], [0.3, -0.1], samples, seed=1)
+    with pytest.raises(ValueError, match=message):
+        check_ball_laws(ball, samples, 1)
+
+
+def test_ball_law_report_holds_samples_as_a_python_int():
+    residuals = check_ball_laws(BallGyrogroup(dim=2), np.int64(3), 1)
+    assert type(residuals["samples"]) is int and residuals["samples"] == 3
+    assert residuals == check_ball_laws(BallGyrogroup(dim=2), 3, 1)
+
+
+@pytest.mark.parametrize("add", [mobius_add, einstein_add])
+def test_module_additions_refuse_scalars(add):
+    # unchecked, the additions raised a bare IndexError reading the
+    # dimension of a scalar first argument
+    for u, v in [(0.5, 0.2), (0.5, [0.2]), ([0.5], 0.2)]:
+        with pytest.raises(InvalidElementError,
+                           match="^expected dimension 1, got a scalar$"):
+            add(u, v)
+    assert add([0.5], [0.2]).shape == (1,)
 
 
 def test_gyration_three_dimensional():

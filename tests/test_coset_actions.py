@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gyrokit import (CriterionError, PairGyrogroup, ValidationError,
-                     build_coset_action, build_representation, classify,
+                     build_coset_action, build_representation,
+                     check_pair_axioms, classify,
                      coset_criterion, coset_criterion_sampled,
                      enumerate_subgyrogroups, gyration,
                      induced_action_over_subgyrogroup, left_cosets,
@@ -78,9 +79,9 @@ def test_criterion_witnesses_match_loops(fixture_carriers):
 def test_translate_defects_decide_kernels_criterion_and_quotient(
         fixture_carriers):
     """The translate defects D = {-x + gyr[a, b]x}, read off the gyrator
-    identity: every action's kernel contains D, the coset criterion holds
-    for H exactly when D lies in H, and G/N, for N the closure of D, is a
-    group."""
+    identity: every action's kernel, and so every point stabilizer,
+    contains D, the coset criterion holds for H exactly when D lies in H,
+    and G/N, for N the closure of D, is a group."""
     carriers = dict(fixture_carriers, T57=validate_gyrogroup(
         square_root_twist(frobenius(19, 3, 7))))
     for name, g in carriers.items():
@@ -94,9 +95,11 @@ def test_translate_defects_decide_kernels_criterion_and_quotient(
             if holds:
                 passing.append(h)
         for seed in range(5):
-            kernel = build_representation(
-                random_action(g, seed, subgroups=passing)).kernel
-            assert np.isin(defects, kernel).all(), (name, seed)
+            gset = random_action(g, seed, subgroups=passing)
+            assert np.isin(defects, build_representation(gset).kernel).all(), \
+                (name, seed)
+            for stab in gset.decomposition.stabilizers:
+                assert np.isin(defects, stab).all(), (name, seed)
         part = left_cosets(g, subgyrogroup_closure(g, defects.tolist()))
         coset_of, reps = np.array(part.coset_of), np.array(part.representatives)
         quotient = coset_of[g.table[np.ix_(reps, reps)]]
@@ -300,3 +303,19 @@ def test_sampled_checks_reject_zero_samples(check):
     # a verdict on no sample would check nothing
     with pytest.raises(ValueError, match="samples must be >= 1"):
         check(PairGyrogroup(m=6), 1)
+
+
+@pytest.mark.parametrize("samples", [2.5, True])
+def test_sampled_checks_read_samples_as_integers(samples):
+    # unchecked, 2.5 raised a numpy TypeError and True, where the criterion
+    # drew its subgroup sample, "an integer is required"
+    p = PairGyrogroup(m=6)
+    message = f"^samples {samples!r} is not an integer$"
+    for check in (
+            lambda: coset_criterion_sampled(p, p.in_hat, p.sample_hat, samples, 1),
+            lambda: self_action_possible_sampled(p, samples, 1),
+            lambda: check_pair_axioms(p, samples, 1)):
+        with pytest.raises(ValueError, match=message):
+            check()
+    report = coset_criterion_sampled(p, p.in_hat, p.sample_hat, np.int64(4), 1)
+    assert type(report.samples) is int and report.samples == 4

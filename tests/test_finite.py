@@ -620,3 +620,27 @@ def test_gyroassociativity_matches_dense_oracle_at_order_57():
     # both sides of the witness cap: tables that pass the law, and tables
     # whose exact count beyond MAX_WITNESSES is compared
     assert 0 in counts and min(c for c in counts if c) > finite.MAX_WITNESSES
+
+
+def test_square_root_twist_refuses_tables_without_square_roots():
+    # the roots were checked by assert: a bare AssertionError, and under
+    # python -O an all-zero table
+    for table in (np.zeros((3, 3), dtype=np.int64), cyclic(3)[:, ::-1]):
+        with pytest.raises(ValueError, match="^not a group table: "):
+            square_root_twist(table)
+
+
+def test_square_root_twist_matches_a_loop_of_powers():
+    for p, q, r in list(LADDER_GROUPS.values())[:3]:
+        t = frobenius(p, q, r)
+        n = len(t)
+
+        def power(a, k):
+            x = 0
+            for _ in range(k):
+                x = int(t[x, a])
+            return x
+
+        sqrt = [power(a, (n + 1) // 2) for a in range(n)]
+        oracle = [[t[t[sqrt[a], b], sqrt[a]] for b in range(n)] for a in range(n)]
+        assert np.array_equal(square_root_twist(t), oracle), n
