@@ -8,8 +8,9 @@ shows the same story on an uncountable carrier with finitely many cosets.
 
 from gyrokit import (CriterionError, build_coset_action, classify,
                      coset_criterion, coset_criterion_sampled,
-                     orbits_and_stabilizers, validate_gyrogroup)
-from gyrokit.catalog import cyclic, twisted21
+                     orbits_and_stabilizers, random_action,
+                     validate_gyrogroup)
+from gyrokit.catalog import cyclic, frobenius, square_root_twist, twisted21
 from gyrokit.pairs import PairGyrogroup, check_pair_axioms
 
 print("=" * 70)
@@ -47,6 +48,14 @@ for members, label in [((0,), "H = {0}"), ((0, 1, 2), "a non-L subloop")]:
         build_coset_action(t21, members)
     except CriterionError as exc:
         print(f"  {label}: refused -> {str(exc)[:72]}...")
+
+# H passes the criterion exactly when it contains N, the closure of the
+# translate defects; random_action searches only the subgyrogroups above N
+t93 = validate_gyrogroup(square_root_twist(frobenius(31, 3, 5)))
+gset = random_action(t93, seed=0)
+print(f"  order-93 carrier, no subgroups= given: random action on "
+      f"{gset.points} points, orbit sizes "
+      f"{sorted(len(o) for o in orbits_and_stabilizers(gset).orbits)}")
 print()
 
 print("=" * 70)

@@ -36,9 +36,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import Check, GyroError, ValidationError, conjugate_set, violation
-from .finite import (MAX_WITNESSES, TableFormatError, _read_index,
-                     _read_table, is_subgyrogroup, left_cosets,
-                     validate_gyrogroup)
+from .finite import (MAX_WITNESSES, SUBGROUP_ENUM_CAP, TableFormatError,
+                     _defect_closure, _lattice, _read_index, _read_table,
+                     is_subgyrogroup, left_cosets, validate_gyrogroup)
 
 # random_action joins 1 to RANDOM_MAX_PARTS coset actions, and stops before
 # one that would take it past RANDOM_MAX_POINTS points
@@ -279,6 +279,15 @@ def _require_defects(carrier, members, name):
         raise GyroError(f"{name} misses the translate defect -{y} + gyr[{a},{b}]{y}")
 
 
+def _own_decomposition(gset, decomposition):
+    """``gset.decomposition``.  Raises ValueError unless ``decomposition``
+    is None or that very object: a decomposition verified for another
+    G-set, or built by hand, says nothing about this one."""
+    if decomposition is not None and decomposition is not gset.decomposition:
+        raise ValueError("decomposition must be gset.decomposition")
+    return gset.decomposition
+
+
 def check_orbit_stabilizer(gset, decomposition=None):
     """Verify |G| = |orb(x)| |stab(x)| for every point, exactly.
 
@@ -286,7 +295,7 @@ def check_orbit_stabilizer(gset, decomposition=None):
     well defined and injective: a.x = b.x iff (-b + a).x = x iff
     a + stab(x) = b + stab(x).
     """
-    dec = decomposition or gset.decomposition
+    dec = _own_decomposition(gset, decomposition)
     t = gset.table
     carrier = gset.carrier
     n, k = t.shape
@@ -317,7 +326,7 @@ def check_orbit_stabilizer(gset, decomposition=None):
 def orbit_decomposition_equation(gset, decomposition=None):
     """Verify |X| = |Fix(X)| + sum of [G : stab(x_i)] over representatives
     of the nonsingleton orbits, with indexes from actual coset counts."""
-    dec = decomposition or gset.decomposition
+    dec = _own_decomposition(gset, decomposition)
     carrier = gset.carrier
     indexes = sorted(left_cosets(carrier, dec.stabilizers[rep]).index
                      for rep, orbit in zip(dec.representatives, dec.orbits)
@@ -338,7 +347,7 @@ def burnside_count(gset, decomposition=None):
     The result must be an integer equal to the direct orbit count; any
     discrepancy raises.
     """
-    dec = decomposition or gset.decomposition
+    dec = _own_decomposition(gset, decomposition)
     n = gset.carrier.order
     count = Fraction(sum(len(f) for f in dec.fixed_by), n)
     if count.denominator != 1 or count != len(dec.orbits):
@@ -355,7 +364,7 @@ def classify(gset, decomposition=None):
     transitive + semiregular); semiregular implies faithful, and free
     implies semiregular unchecked, as all implies any over k >= 1 points.
     """
-    dec = decomposition or gset.decomposition
+    dec = _own_decomposition(gset, decomposition)
     t = gset.table
     k = gset.points
     kernel = build_representation(gset).kernel
@@ -478,19 +487,26 @@ def faithful_quotient_action(gset):
 def random_action(carrier, seed, subgroups=None):
     """A random verified action: a disjoint union of coset actions of
     criterion-passing subgyrogroups, its points randomly permuted (the
-    permuted table verified by relabel_points) and labelled 0..k-1."""
-    from .coset_actions import build_coset_action, coset_criterion
-    from .finite import SUBGROUP_ENUM_CAP, enumerate_subgyrogroups
+    permuted table verified by relabel_points) and labelled 0..k-1.
+
+    Without ``subgroups``, the candidates are the subgyrogroups above N,
+    the closure of the translate defects: exactly those that pass the
+    criterion.  They are the subgroups of the group G/N, so the search is
+    refused when the index [G:N] exceeds ``SUBGROUP_ENUM_CAP`` (for a
+    group, N = {0} and the index is the order)."""
+    # coset_actions imports this module, so it is imported on first call
+    from .coset_actions import build_coset_action
 
     rng = np.random.default_rng(seed)
     if subgroups is None:
-        try:
-            subs = enumerate_subgyrogroups(carrier)
-        except GyroError:
+        n = _defect_closure(carrier)
+        index = carrier.order // len(n)
+        if index > SUBGROUP_ENUM_CAP:
             raise GyroError(
-                f"order {carrier.order} exceeds enumeration cap "
-                f"{SUBGROUP_ENUM_CAP}; pass subgroups= to random_action") from None
-        subgroups = [h for h in subs if coset_criterion(carrier, h).passed]
+                f"index {index} of N, the closure of the translate defects, "
+                f"exceeds enumeration cap {SUBGROUP_ENUM_CAP}; "
+                f"pass subgroups= to random_action")
+        subgroups = _lattice(carrier, n)
     if not subgroups:
         raise GyroError("carrier has no criterion-passing subgyrogroups")
     parts = []

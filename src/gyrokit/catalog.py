@@ -13,6 +13,8 @@ from itertools import permutations
 
 import numpy as np
 
+from .finite import CayleyTable
+
 
 def cyclic(n):
     """Additive group Z/n."""
@@ -97,9 +99,11 @@ def square_root_twist(group_table):
     for m = |x|), which makes the operation well defined.  For a nonabelian
     group the result is a nonassociative loop whose gyrations are nontrivial;
     run it through validate_gyrogroup to certify the gyrogroup axioms.
-    Raises ValueError if some x^((n+1)/2) does not square to x.
+    Raises ValueError for an argument the table reader refuses (not
+    square, not integers, entries outside 0..n-1), or if some
+    x^((n+1)/2) does not square to x.
     """
-    t = np.asarray(group_table)
+    t = CayleyTable(order=len(group_table), table=group_table).table
     n = t.shape[0]
     if n % 2 == 0:
         raise ValueError("square-root twist needs a group of odd order")

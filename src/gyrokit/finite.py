@@ -42,7 +42,8 @@ permutations, misses H, and 2|H| <= n.  The closure contains the mask, so
 the exit is exact.  The lattice is enumerated by cyclic extension, joining
 the distinct one-generated closures <x> onto the subgyrogroups found so
 far; a closure depends only on the union s | <x> it starts from, so each
-union is closed once.
+union is closed once.  Started from a subgyrogroup in place of {0}, the
+same search lists only the subgyrogroups above it.
 
 Table file format (UTF-8 text)::
 
@@ -583,15 +584,8 @@ def subgyrogroup_closure(g, seed):
 
 
 def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
-    """All subgyrogroups, sorted by (size, members).
-
-    Cyclic extension (Neubuser's method): the closure of s + {x} is the
-    closure of s + <x>, so every subgyrogroup is reached from {0} by joining
-    one-generated closures <x> one at a time, and one x per distinct <x>
-    suffices.  Each found subgyrogroup s is joined with every distinct <x>
-    not inside it.  A union s | <x> closed before is skipped, and a join
-    stops as G once it holds more than n/2 members, the most a proper
-    subgyrogroup has (proved in the module docstring).
+    """All subgyrogroups, sorted by (size, members): the search
+    :func:`_lattice` from {0}.
 
     Refuses orders beyond ``cap``, which bounds the lattice search: the
     number of subgyrogroups, and so the joins, can grow quickly with the
@@ -600,20 +594,35 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
     if g.order > cap:
         raise GyroError(
             f"order {g.order} exceeds enumeration cap {cap}; raise cap explicitly")
+    return _lattice(g, (0,))
+
+
+def _lattice(g, start):
+    """All subgyrogroups containing the subgyrogroup ``start`` (a sorted
+    tuple), sorted by (size, members).
+
+    Cyclic extension (Neubuser's method): the closure of s + {x} is the
+    closure of s + <x>, so every subgyrogroup above ``start`` is reached
+    from it by joining one-generated closures <x> one at a time, and one x
+    per distinct <x> suffices.  Each found subgyrogroup s is joined with
+    every distinct <x> not inside it.  A union s | <x> closed before is
+    skipped, and a join stops as G once it holds more than n/2 members, the
+    most a proper subgyrogroup has (proved in the module docstring).
+    """
     one = np.eye(g.order, dtype=bool)
     cyclic = {}  # one mask per distinct <x>
     for x in range(g.order):
         cx = _close(g, one[0] | one[x])
         cyclic.setdefault(cx.tobytes(), cx)
-    found = {one[0].tobytes(): one[0]}
-    frontier = [one[0]]
+    cyclic = np.array(list(cyclic.values()))
+    base = one[list(start)].any(axis=0)
+    found = {base.tobytes(): base}
+    frontier = [base]
     joined = set()  # the unions s | <x> closed so far, as bytes
     while frontier:
         s = frontier.pop()
-        for cx in cyclic.values():
-            union = s | cx
-            if np.array_equal(union, s):
-                continue
+        unions = cyclic[(cyclic & ~s).any(axis=1)] | s  # the <x> not in s
+        for union in unions:
             bits = union.tobytes()
             if bits in joined:
                 continue
@@ -625,6 +634,16 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
                 frontier.append(c)
     subs = [tuple(np.flatnonzero(m).tolist()) for m in found.values()]
     return sorted(subs, key=lambda s: (len(s), s))
+
+
+def _defect_closure(g):
+    """N, the closure of the translate defects -y + gyr[a, b]y, as a sorted
+    tuple.  A subgyrogroup passes the coset criterion exactly when it
+    contains N, and every kernel and point stabilizer of an action does."""
+    mask = np.zeros(g.order, dtype=bool)
+    # entry [k, y] is -y + gyr_k y, one row per distinct gyration
+    mask[g.table[g.inv, g.gyr_perms]] = True
+    return tuple(np.flatnonzero(_close(g, mask)).tolist())
 
 
 def is_l_subgyrogroup(g, members):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gyrokit import (GyroError, ValidationError, action_from_homomorphism,
-                     build_coset_action, build_representation, burnside_count,
+from gyrokit import (GyroError, OrbitDecomposition, ValidationError,
+                     action_from_homomorphism, build_coset_action,
+                     build_representation, burnside_count,
                      check_orbit_stabilizer, classify, conjugate,
                      disjoint_union, faithful_quotient_action,
                      orbit_decomposition_equation, orbits_and_stabilizers,
@@ -592,6 +593,23 @@ def test_one_decomposition_per_gset(monkeypatch, s3):
     assert sum(g is gset for g in decomposed) == 1
     # every G-set built along the way is decomposed at most once too
     assert len({id(g) for g in decomposed}) == len(decomposed)
+
+
+def test_analyses_refuse_a_foreign_decomposition():
+    # one orbit, but the forgery claims three fixed points: Burnside gave 3
+    gset = regular_action(validate_gyrogroup(cyclic(3)))
+    forged = OrbitDecomposition(
+        orbits=((0,), (1,), (2,)), representatives=(0, 1, 2),
+        orbit_of=(0, 1, 2), stabilizers=((0, 1, 2),) * 3,
+        fixed_points=(0, 1, 2), fixed_by=((0, 1, 2),) * 3)
+    other = regular_action(validate_gyrogroup(cyclic(3))).decomposition
+    for analysis in (check_orbit_stabilizer, orbit_decomposition_equation,
+                     burnside_count, classify):
+        for dec in (forged, other):
+            with pytest.raises(ValueError, match="gset.decomposition"):
+                analysis(gset, dec)
+        assert analysis(gset, gset.decomposition) == analysis(gset)
+    assert burnside_count(gset) == 1
 
 
 def test_each_distinct_stabilizer_is_checked_once(monkeypatch):

@@ -13,9 +13,11 @@ from gyrokit import (CriterionError, PairGyrogroup, ValidationError,
                      self_action_possible_sampled, subgyrogroup_closure,
                      validate_action, validate_gyrogroup)
 from gyrokit.actions import diagnose_action
-from gyrokit.catalog import frobenius, square_root_twist
+from gyrokit.catalog import (dihedral, frobenius, quaternion,
+                             square_root_twist, symmetric)
+from gyrokit.finite import _defect_closure, _lattice
 
-from conftest import (classical_coset_table, defect_leak_loop,
+from conftest import (LADDER_GROUPS, classical_coset_table, defect_leak_loop,
                       gyration_leak_loop, trivial_action)
 
 
@@ -100,13 +102,59 @@ def test_translate_defects_decide_kernels_criterion_and_quotient(
                 (name, seed)
             for stab in gset.decomposition.stabilizers:
                 assert np.isin(defects, stab).all(), (name, seed)
-        part = left_cosets(g, subgyrogroup_closure(g, defects.tolist()))
+        closure = subgyrogroup_closure(g, defects.tolist())
+        assert _defect_closure(g) == closure, name
+        part = left_cosets(g, closure)
         coset_of, reps = np.array(part.coset_of), np.array(part.representatives)
         quotient = coset_of[g.table[np.ix_(reps, reps)]]
         # (x + N) + (y + N) = (x + y) + N does not depend on x and y
         assert np.array_equal(coset_of[g.table],
                               quotient[np.ix_(coset_of, coset_of)]), name
         assert validate_gyrogroup(quotient).is_degenerate(), name
+
+
+@pytest.fixture(scope="module")
+def criterion_lattices():
+    """Carriers with the criterion-passing part of their full lattices."""
+    tables = {f"T{n}": square_root_twist(frobenius(*pqr))
+              for n, pqr in LADDER_GROUPS.items() if n <= 93}
+    tables.update(S3=symmetric(3), S4=symmetric(4), D16=dihedral(8),
+                  D32=dihedral(16), Q8=quaternion())
+    out = {}
+    for name, t in tables.items():
+        g = validate_gyrogroup(t)
+        out[name] = g, [h for h in enumerate_subgyrogroups(g, cap=g.order)
+                        if coset_criterion(g, h).passed]
+    return out
+
+
+def test_lattice_above_the_defect_closure_is_the_passing_lattice(
+        criterion_lattices):
+    for name, (g, passing) in criterion_lattices.items():
+        assert _lattice(g, _defect_closure(g)) == passing, name
+
+
+def test_random_action_draws_from_the_lattice_above_the_defect_closure(
+        criterion_lattices):
+    for name in ("S4", "D16", "T21", "T57"):
+        g, passing = criterion_lattices[name]
+        for seed in range(10):
+            found = random_action(g, seed)
+            given = random_action(g, seed, subgroups=passing)
+            assert np.array_equal(found.table, given.table), (name, seed)
+            assert found.point_labels == given.point_labels, (name, seed)
+
+
+@pytest.mark.parametrize("p, q, r", [(31, 3, 5), (43, 3, 6), (29, 7, 7)],
+                         ids=["T93", "T129", "T203"])
+def test_random_action_beyond_order_64_needs_no_subgroups(p, q, r):
+    # the cap bounds [G:N] = q, not the order pq
+    g = validate_gyrogroup(square_root_twist(frobenius(p, q, r)))
+    n = list(_defect_closure(g))
+    assert len(n) == p
+    gset = random_action(g, seed=1)
+    # every point stabilizer contains N: each member of N fixes every point
+    assert (gset.table[n] == np.arange(gset.points)).all()
 
 
 def test_criterion_rejects_non_subgyrogroup(z6):

@@ -630,6 +630,16 @@ def test_square_root_twist_refuses_tables_without_square_roots():
             square_root_twist(table)
 
 
+def test_square_root_twist_reads_its_argument_as_a_table():
+    # a 3x4 array gave a 3x3 twist of its first columns, an entry 5 and a
+    # float table bare numpy IndexErrors
+    for table, message in ((np.arange(12).reshape(3, 4) % 3, "shape"),
+                           (np.array([[0, 1, 2], [1, 2, 0], [2, 0, 5]]), "range"),
+                           (cyclic(3).astype(float), "not integers")):
+        with pytest.raises(ValueError, match=message):
+            square_root_twist(table)
+
+
 def test_square_root_twist_matches_a_loop_of_powers():
     for p, q, r in list(LADDER_GROUPS.values())[:3]:
         t = frobenius(p, q, r)
