@@ -28,15 +28,19 @@ All functions broadcast over leading axes, so a "point" may be a single
 vector of shape (dim,) or a batch of shape (N, dim).  Results are never
 clamped: a sum with norm >= 1 signals a numerical error.
 
-The kernels are evaluated coordinate-major: each public function copies
-its arguments once into arrays whose axis 0 indexes the coordinates, each
+The kernels are evaluated coordinate-major: each public function reads
+its arguments as arrays whose axis 0 indexes the coordinates, each
 coordinate one contiguous row, so that per-point scalars such as |u|^2
-broadcast along whole rows and dot products sum over rows.  Results are
-point-major views (``np.moveaxis``) of coordinate-major memory, so a
-result passed back in is read without a copy.  Every operation runs
-elementwise in the same order whatever the memory layout of its inputs
-(C or Fortran order, strided slices, results of earlier calls), and gives
-bitwise-equal results on all of them.
+broadcast along whole rows and dot products sum over rows.  ``_coords``
+copies an argument only when one of its coordinate rows is not
+contiguous.  Results are point-major views (a transpose) of
+coordinate-major memory, and so are the draws of ``sample_batch``, so a
+result or a slice of a draw passed back in is read without a copy.  The
+kernels write only into temporaries they allocate themselves, never into
+an argument.  Every operation runs elementwise in the same order whatever
+the memory layout of its inputs (C or Fortran order, strided slices,
+results of earlier calls), and a point gives the same result alone as
+within a batch, bit for bit.
 
 Equality is tolerance-based (``BallGyrogroup.eps`` = 1e-9); the boundary
 margin (``BallGyrogroup.delta`` = 1e-6) is enforced when elements are
@@ -56,31 +60,40 @@ from .core import GyrogroupCarrier, InvalidElementError, NumericalError
 DENOM_GUARD = 1e-15
 PROBE_SCALE = 1e-3
 SAMPLE_MAX_NORM = 0.99
+# points per chunk of a draw of sample_batch
+_DRAW_CHUNK = 2 ** 16
 
 
 def _coords(*points):
     """The points as coordinate-major float arrays, padded to a common rank:
     axis 0 indexes the coordinates, and each coordinate is one contiguous
     row, so a single point (dim, 1) broadcasts against a batch (dim, N).  A
-    point-major view of coordinate-major memory (a kernel result) is taken
-    back without a copy."""
+    point-major view of coordinate-major memory (a kernel result, a draw of
+    ``sample_batch`` or a slice of either) is taken back without a copy."""
     arrays = [np.asarray(p, dtype=float) for p in points]
     rank = max(x.ndim for x in arrays)
-    return [np.ascontiguousarray(np.moveaxis(
-        x.reshape((1,) * (rank - x.ndim) + x.shape), -1, 0)) for x in arrays]
+    out = []
+    for x in arrays:
+        x = x.reshape((1,) * (rank - x.ndim) + x.shape)
+        x = x.transpose((rank - 1,) + tuple(range(rank - 1)))
+        if not (len(x) and x[0].flags.c_contiguous):
+            x = np.ascontiguousarray(x)
+        out.append(x)
+    return out
 
 
 def _points(x):
     """The point-major view (coordinates last) of a coordinate-major array."""
-    return np.moveaxis(x, 0, -1)
+    return x.transpose(tuple(range(1, x.ndim)) + (0,))
 
 
 def _dot(u, v):
     """<u, v> of coordinate-major points, summed row by row in coordinate
     order: a point gets the same sum alone as within a batch."""
     out = u[0] * v[0]
+    term = np.empty_like(out)  # an array even where out is a numpy scalar
     for i in range(1, len(u)):
-        out += u[i] * v[i]
+        out += np.multiply(u[i], v[i], out=term)
     return out
 
 
@@ -108,19 +121,25 @@ def lorentz_gamma(u):
 def _gram_defect(u, v):
     """|u|^2 |v|^2 - <u,v>^2 without cancellation: by the Lagrange identity,
     the sum of the squared 2 x 2 minors u_i v_j - u_j v_i over i < j."""
-    out = 0.0
+    shape = np.broadcast_shapes(u.shape[1:], v.shape[1:])
+    out, minor, term = np.zeros(shape), np.empty(shape), np.empty(shape)
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
-            minor = u[i] * v[j] - u[j] * v[i]
-            out = out + minor * minor
+            np.multiply(u[i], v[j], out=minor)
+            minor -= np.multiply(u[j], v[i], out=term)
+            minor *= minor
+            out += minor
     return out
 
 
 def _mobius_den(u, v, uv):
     """1 + 2<u,v> + |u|^2 |v|^2 as (1 + <u,v>)^2 + (|u|^2 |v|^2 - <u,v>^2),
     which keeps its significant digits when u ~ -v near the boundary;
-    ``uv`` is <u,v>."""
-    den = (1.0 + uv) ** 2 + _gram_defect(u, v)
+    ``uv`` is <u,v>.  The square is a product, as numpy squares an array:
+    a numpy scalar's ``** 2`` rounds differently in the last bit."""
+    den = 1.0 + uv
+    den *= den
+    den += _gram_defect(u, v)
     if np.any(np.abs(den) < DENOM_GUARD):
         raise NumericalError("mobius denominator underflow")
     return den
@@ -147,7 +166,11 @@ def mobius_add(u, v):
 def _mobius_add(u, v, nu2):
     s = u + v
     den = _mobius_den(u, v, _dot(u, v))
-    return ((1.0 - nu2) * s + _dot(s, s) * u) / den
+    out = u * _dot(s, s)
+    s *= 1.0 - nu2
+    out += s
+    out /= den
+    return out
 
 
 def einstein_add(u, v):
@@ -173,7 +196,11 @@ def _einstein_add(u, v, nu2):
     if np.any(np.abs(den) < DENOM_GUARD):
         raise NumericalError("einstein denominator underflow")
     c = (g2 * den - 1.0) / (gu * (1.0 + gu))
-    return ((u + v) / gu + c * u) / den
+    out = u + v
+    out /= gu
+    out += u * c
+    out /= den
+    return out
 
 
 def _mobius_gyration(u, v, w, nu2, nv2):
@@ -183,7 +210,13 @@ def _mobius_gyration(u, v, w, nu2, nv2):
     vw = _dot(v, w)
     a = vw * (1.0 + 2.0 * uv) - uw * nv2
     b = -(vw * nu2 + uw)
-    return w + 2.0 * (a * u + b * v) / _mobius_den(u, v, uv)
+    den = _mobius_den(u, v, uv)
+    out = u * a
+    out += v * b
+    out *= 2.0
+    out /= den
+    out += w
+    return out
 
 
 def _to_mobius(u, nu2):
@@ -273,11 +306,22 @@ class BallGyrogroup(GyrogroupCarrier):
         return _dot(u, u) < 1.0
 
     def sample_batch(self, rng, count, max_norm=SAMPLE_MAX_NORM):
-        """Uniform points of the ball scaled to norms <= max_norm."""
-        g = rng.standard_normal((count, self.dim))
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        g *= max_norm * rng.random((count, 1)) ** (1.0 / self.dim)
-        return g
+        """Uniform points of the ball scaled to norms <= max_norm.
+
+        The point-major view of coordinate-major memory, as a kernel result
+        is.  Drawn ``_DRAW_CHUNK`` points at a time, all the directions
+        first and then all the radii: the stream and the values of one
+        draw of ``count`` points, without its full-size temporaries."""
+        out = np.empty((self.dim, count))
+        chunks = [slice(lo, min(lo + _DRAW_CHUNK, count))
+                  for lo in range(0, count, _DRAW_CHUNK)]
+        for s in chunks:
+            g = rng.standard_normal((s.stop - s.start, self.dim))
+            g /= np.linalg.norm(g, axis=-1, keepdims=True)
+            out[:, s] = g.T
+        for s in chunks:
+            out[:, s] *= max_norm * rng.random(s.stop - s.start) ** (1.0 / self.dim)
+        return out.T
 
     def __repr__(self):
         return f"BallGyrogroup(dim={self.dim}, variant={self.variant!r})"

@@ -265,22 +265,27 @@ def _plain(x):
 def _law_checks(carrier, args):
     """Run the sampled law suite; returns one Check per residual.  A failing
     law's witness is [i, a, b, c]: its worst triple and that triple's index
-    in the draw.  A sample count the suite rejects is a usage error."""
+    in the draw; a failing closure's is the first triple with a sum outside
+    the domain.  A sample count the suite rejects is a usage error."""
     with _failing(USAGE_ERROR, "usage", ValueError):
         residuals, worst_at = sampled_law_residuals(
             carrier, args.samples, args.seed)
+
+    def witness(name, passed):
+        if passed:
+            return None
+        i, *triple = worst_at[name]
+        return [i] + [_plain(x) for x in triple]
+
     checks = []
     for name, value in sorted(residuals.items()):
         if name == "closure":
-            checks.append(Check("closure", value, seed=args.seed,
-                                samples=args.samples))
+            checks.append(Check("closure", value, witness(name, value),
+                                seed=args.seed, samples=args.samples))
         elif name not in ("samples", "seed"):
             passed = value <= carrier.eps
-            i, *triple = worst_at[name]
-            checks.append(Check(
-                name, passed,
-                None if passed else [i] + [_plain(x) for x in triple],
-                args.seed, args.samples, carrier.eps, {"worst": value}))
+            checks.append(Check(name, passed, witness(name, passed), args.seed,
+                                args.samples, carrier.eps, {"worst": value}))
     return checks
 
 

@@ -17,13 +17,16 @@ with the carrier's gyrations and report their distance from the gyrator
 identity on every sample as ``gyration_closed_form``.
 """
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
 # triples per block of the sampled law suites
-_BLOCK_TRIPLES = 2 ** 14
+_BLOCK_TRIPLES = 2 ** 15
 
 
 class GyroError(Exception):
@@ -164,11 +167,12 @@ def conjugate_set(carrier, a, members):
     return tuple(sorted(conj.tolist()))
 
 
-def _cancellation_defects(carrier, a, b):
-    ab = carrier.oplus(a, b)
-    rec = carrier.oplus(carrier.oinv(a), ab)
+def _cancellation_defects(carrier, a, b, ab, neg_a):
+    """The four cancellation-law defects of the pairs (a, b), given
+    ``ab`` = a + b and ``neg_a`` = -a."""
+    rec = carrier.oplus(neg_a, ab)
     left = carrier.distance(rec, b)
-    bma = carrier.oplus(b, carrier.oinv(a))
+    bma = carrier.oplus(b, neg_a)
     return {
         "left_cancellation": left,
         "general_left_cancellation": np.maximum(
@@ -201,7 +205,8 @@ def check_cancellation_laws(carrier, a, b):
     batches, since no pair checks nothing.
     """
     tol = carrier.eps
-    defects = _cancellation_defects(carrier, a, b)
+    defects = _cancellation_defects(carrier, a, b, carrier.oplus(a, b),
+                                    carrier.oinv(a))
     results = []
     for name in sorted(defects):
         d = np.asarray(defects[name])
@@ -273,6 +278,30 @@ def _sample_triples(carrier, samples, seed):
     return (rng, samples, *(carrier.sample_batch(rng, samples) for _ in range(3)))
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_residuals(carrier, a, b, c, lo):
+    """The laws of :func:`sampled_law_residuals` on one block of triples,
+    the first of them triple ``lo`` of the draw.  Returns (worst, outside):
+    worst maps each law to its worst residual in the block and the draw
+    index of the first triple where it occurs; outside is the draw index of
+    the first triple with a sum outside the domain, or None."""
+    ab, neg_a = carrier.oplus(a, b), carrier.oinv(a)
+    defects, inside = _axiom_defects(carrier, a, b, c, ab, neg_a)
+    defects.update(_cancellation_defects(carrier, a, b, ab, neg_a))
+    worst = {}
+    for law, d in defects.items():
+        i = int(np.argmax(d))  # a NaN is found first, as np.max finds it
+        worst[law] = (float(d[i]), lo + i)
+    outside = np.flatnonzero(np.logical_not(inside))
+    return worst, (lo + int(outside[0]) if outside.size else None)
+
+
 def sampled_law_residuals(carrier, samples, seed):
     """The sampled law suite shared by the analytic carriers.
 
@@ -284,24 +313,62 @@ def sampled_law_residuals(carrier, samples, seed):
     (residuals, worst_at): residuals maps each law to its worst residual
     over all triples, plus ``closure``, ``samples`` and ``seed``; worst_at
     maps each law to (i, a[i], b[i], c[i]) for the first triple i at which
-    that worst residual occurs.
+    that worst residual occurs, and ``closure`` to the first triple with a
+    sum outside the domain, or to None while closure holds.
+
+    With two or more blocks and two or more CPUs, the blocks are shared by
+    stride between the calling thread and one worker thread, which is
+    always joined before this returns; carriers are pure, so they need no
+    lock.  The per-block results are folded in block order, so the
+    residuals and witnesses are those of one thread going through the
+    blocks in order, and an exception raised by a block is re-raised from
+    the earliest block that raised, as that thread would have met it.
     """
     _, samples, a, b, c = _sample_triples(carrier, samples, seed)
-    per_block = {}  # law -> [(worst, global index)], one per block
-    closure = True
-    for lo in range(0, samples, _BLOCK_TRIPLES):
-        s = slice(lo, lo + _BLOCK_TRIPLES)
-        defects, inside = _axiom_defects(carrier, a[s], b[s], c[s])
-        defects.update(_cancellation_defects(carrier, a[s], b[s]))
-        closure = closure and inside
-        for law, d in defects.items():
-            i = int(np.argmax(d))  # a NaN is found first, as np.max finds it
-            per_block.setdefault(law, []).append((float(d[i]), lo + i))
+    starts = range(0, samples, _BLOCK_TRIPLES)
+    found = [None] * len(starts)  # per block: _block_residuals
+    # per thread: the first block that raised (len(starts): none) and why
+    failed_at, errors = [len(starts)] * 2, [None] * 2
+
+    def run(thread, stride):
+        for k in range(thread, len(starts), stride):
+            if k > min(failed_at):  # an earlier block has raised
+                return
+            s = slice(starts[k], starts[k] + _BLOCK_TRIPLES)
+            try:
+                found[k] = _block_residuals(carrier, a[s], b[s], c[s], starts[k])
+            except Exception as exc:
+                failed_at[thread], errors[thread] = k, exc
+                return
+
+    worker = None
+    if len(starts) >= 2 and _cpus() >= 2:
+        # in the caller's context, so that np.errstate holds there too
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(run, 1, 2))
+        worker.start()
+    try:
+        run(0, 1 if worker is None else 2)
+    except BaseException:
+        failed_at[0] = -1  # the worker stops after its current block
+        raise
+    finally:
+        if worker is not None:
+            worker.join()
+    if min(failed_at) < len(starts):
+        raise errors[failed_at.index(min(failed_at))]
+
+    def triple(i):
+        return (i, a[i], b[i], c[i])
+
     residuals, worst_at = {}, {}
-    for law, found in per_block.items():
-        residuals[law], i = found[int(np.argmax([v for v, _ in found]))]
-        worst_at[law] = (i, a[i], b[i], c[i])
-    residuals["closure"] = closure
+    for law in found[0][0]:
+        per_block = [worst[law] for worst, _ in found]
+        residuals[law], i = per_block[int(np.argmax([v for v, _ in per_block]))]
+        worst_at[law] = triple(i)
+    outside = next((i for _, i in found if i is not None), None)
+    residuals["closure"] = outside is None
+    worst_at["closure"] = None if outside is None else triple(outside)
     residuals["samples"] = samples
     residuals["seed"] = seed
     return residuals, worst_at
@@ -316,23 +383,26 @@ def check_axiom_residuals(carrier, a, b, c):
     The laws use the carrier's gyrations; ``gyration_closed_form`` is their
     distance from the gyrator identity.
     """
-    defects, closure = _axiom_defects(carrier, a, b, c)
+    defects, inside = _axiom_defects(carrier, a, b, c, carrier.oplus(a, b),
+                                     carrier.oinv(a))
     out = {law: float(np.max(d)) for law, d in defects.items()}
-    out["closure"] = closure
+    out["closure"] = bool(np.all(inside))
     return out
 
 
-def _axiom_defects(carrier, a, b, c):
+def _axiom_defects(carrier, a, b, c, ab, neg_a):
+    """(defects, inside): the axiom defects of the triples (a, b, c), given
+    ``ab`` = a + b and ``neg_a`` = -a, and whether each triple's a + b,
+    b + c and gyr[a, b]c all lie in the domain."""
     zero = carrier.zero
-    ab = carrier.oplus(a, b)
     bc = carrier.oplus(b, c)
     a_bc = carrier.oplus(a, bc)
     neg_ab = carrier.oinv(ab)
     gyr_c = carrier.gyration(a, b, c)
     defects = {
         "left_identity": carrier.distance(carrier.oplus(zero, a), a),
-        "left_inverse": carrier.distance(carrier.oplus(carrier.oinv(a), a), zero),
-        "right_inverse": carrier.distance(carrier.oplus(a, carrier.oinv(a)), zero),
+        "left_inverse": carrier.distance(carrier.oplus(neg_a, a), zero),
+        "right_inverse": carrier.distance(carrier.oplus(a, neg_a), zero),
         "gyroassociativity": carrier.distance(a_bc, carrier.oplus(ab, gyr_c)),
         "left_loop": carrier.distance(carrier.gyration(ab, b, c), gyr_c),
         # gyr[a,b] respects the operation: image of c+b vs. images combined
@@ -346,7 +416,6 @@ def _axiom_defects(carrier, a, b, c):
         "gyration_closed_form": carrier.distance(
             gyr_c, carrier.oplus(neg_ab, a_bc)),
     }
-    closure = bool(np.all(carrier.contains(ab))
-                   and np.all(carrier.contains(bc))
-                   and np.all(carrier.contains(gyr_c)))
-    return defects, closure
+    inside = (carrier.contains(ab) & carrier.contains(bc)
+              & carrier.contains(gyr_c))
+    return defects, inside

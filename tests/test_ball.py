@@ -352,6 +352,24 @@ def test_sample_batch_draw_is_frozen():
     assert p.r[[0, 999]].tolist() == [5, 0]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_batch_draws_in_chunks_what_one_draw_gives(dim):
+    def one_draw(rng, count):
+        g = rng.standard_normal((count, dim))
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        g *= 0.99 * rng.random((count, 1)) ** (1.0 / dim)
+        return g
+
+    ball = BallGyrogroup(dim=dim)
+    for count in (1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5):
+        mine, theirs = np.random.default_rng(count), np.random.default_rng(count)
+        x = ball.sample_batch(mine, count)
+        assert x.shape == (count, dim)
+        assert np.array_equal(x, one_draw(theirs, count)), count
+        assert mine.random() == theirs.random()  # the stream goes on alike
+        assert np.moveaxis(x, -1, 0)[0].flags.c_contiguous
+
+
 # -- memory layout ----------------------------------------------------------
 
 def _operations(ball):
@@ -413,3 +431,30 @@ def test_module_additions_do_not_depend_on_memory_layout(add):
         assert np.array_equal(add(args[0], args[1]), want), layout
     assert np.array_equal(np.stack([add(u, v) for u, v in zip(xs[0], xs[1])]), want)
     assert np.array_equal(add(xs[0][4], xs[1]), add(np.repeat(xs[0][4:5], 9, 0), xs[1]))
+
+
+@pytest.mark.parametrize("variant", ["mobius", "einstein"])
+def test_kernels_read_draws_in_place_and_never_write_them(variant):
+    from gyrokit.ball import _coords
+    ball = BallGyrogroup(dim=3, variant=variant)
+    rng = np.random.default_rng(12)
+    xs = [ball.sample_batch(rng, 40) for _ in range(3)]
+    kept = [x.copy() for x in xs]
+    blocks = [x[8:24] for x in xs]
+    assert all(np.shares_memory(_coords(b)[0], x) for b, x in zip(blocks, xs))
+    for op, arity in _operations(ball).values():
+        for args in (xs, blocks, [xs[0][3]] + blocks[1:]):
+            op(*args[:arity])
+    assert all(np.array_equal(x, k) for x, k in zip(xs, kept))
+
+
+@pytest.mark.parametrize("variant, name, seed, count, i", [
+    ("mobius", "oplus", 1, 20_000, 4703), ("einstein", "gyration", 5, 500, 48)])
+def test_a_point_alone_gives_its_batch_result(variant, name, seed, count, i):
+    # numpy squares an array by a product but a numpy scalar by pow, and
+    # the two rounded the square of 1 + <u,v> apart in the last bit here
+    ball = BallGyrogroup(dim=3, variant=variant)
+    rng = np.random.default_rng(seed)
+    xs = [ball.sample_batch(rng, count) for _ in range(3)]
+    op, arity = _operations(ball)[name]
+    assert np.array_equal(op(*(x[i] for x in xs[:arity])), op(*xs[:arity])[i])

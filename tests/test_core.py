@@ -1,10 +1,13 @@
 """Derived algebra shared by all carriers: gyration, coaddition, conjugates,
 cancellation laws."""
 
+import argparse
+import threading
+
 import numpy as np
 import pytest
 
-from gyrokit import (BallGyrogroup, check_cancellation_laws,
+from gyrokit import (BallGyrogroup, NumericalError, check_cancellation_laws,
                      check_cancellation_laws_exhaustive, coaddition, cominus,
                      conjugate, conjugate_set, diagnose_gyrogroup, gyration,
                      validate_gyrogroup)
@@ -237,6 +240,150 @@ def test_sampled_witness_of_pair_carrier_is_a_pair():
     draw = carrier.sample_batch(np.random.default_rng(2), 100)
     assert isinstance(x, PairElement) and 0 <= i < 100
     assert x.u.tolist() == draw.u[i].tolist() and int(x.r) == int(draw.r[i])
+
+
+def _hits(x, points):
+    """Where the batch ``x`` holds one of ``points``."""
+    x = np.asarray(x)[..., None, :]
+    return np.any(np.all(x == np.asarray(points), axis=-1), axis=-1)
+
+
+class RefusingBall(BallGyrogroup):
+    """A ball whose ``contains`` refuses the points ``outside`` and notes
+    the threads that call it."""
+
+    def __init__(self, outside, **kwargs):
+        super().__init__(**kwargs)
+        self.outside = outside
+        self.threads = set()
+
+    def contains(self, u):
+        self.threads.add(threading.get_ident())
+        return super().contains(u) & ~_hits(u, self.outside)
+
+
+class FailingBall(BallGyrogroup):
+    """A ball whose ``oplus`` raises NumericalError naming triple i when its
+    first argument holds the point ``bad[i]``."""
+
+    def __init__(self, bad, **kwargs):
+        super().__init__(**kwargs)
+        self.bad = bad
+
+    def oplus(self, u, v):
+        for i, point in self.bad.items():
+            if np.any(_hits(u, [point])):
+                raise NumericalError(f"triple {i}")
+        return super().oplus(u, v)
+
+
+class InterruptedBall(BallGyrogroup):
+    """A ball whose ``oplus`` raises KeyboardInterrupt when its first
+    argument holds the point ``stop``, and notes whether it was ever given
+    the point ``last``."""
+
+    def __init__(self, stop, last, **kwargs):
+        super().__init__(**kwargs)
+        self.stop, self.last = stop, last
+        self.reached_last = False
+
+    def oplus(self, u, v):
+        if np.any(_hits(u, [self.stop])):
+            raise KeyboardInterrupt
+        self.reached_last |= bool(np.any(_hits(u, [self.last])))
+        return super().oplus(u, v)
+
+
+class DividingBall(BallGyrogroup):
+    """A ball whose gyr[a, b] divides by zero when a is the point ``bad``."""
+
+    def __init__(self, bad, **kwargs):
+        super().__init__(**kwargs)
+        self.bad = bad
+
+    def gyration(self, a, b, c):
+        scale = np.where(_hits(a, [self.bad]), 0.0, 1.0)[..., None]
+        return super().gyration(a, b, c) / scale
+
+
+def _draw(samples, seed, dim=2):
+    rng = np.random.default_rng(seed)
+    return [BallGyrogroup(dim=dim).sample_batch(rng, samples) for _ in range(3)]
+
+
+def test_sampled_closure_witness_is_the_first_triple_outside(monkeypatch):
+    from gyrokit import cli, core
+    from gyrokit.core import sampled_law_residuals
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 1000)
+    samples = 3000
+    a, b, c = _draw(samples, 6)
+    # block 1 is the worker thread's, block 2 the calling thread's
+    k, later = 1005, 2001
+    ball = BallGyrogroup(dim=2)
+    carrier = RefusingBall(ball.oplus(a[[later, k]], b[[later, k]]), dim=2)
+    residuals, worst_at = sampled_law_residuals(carrier, samples, 6)
+    plain, plain_at = sampled_law_residuals(ball, samples, 6)
+    assert len(carrier.threads) == 2
+    assert residuals.pop("closure") is False and plain.pop("closure") is True
+    assert residuals == plain and plain_at["closure"] is None
+    i, wa, wb, wc = worst_at["closure"]
+    want = [k, a[k].tolist(), b[k].tolist(), c[k].tolist()]
+    assert [i, wa.tolist(), wb.tolist(), wc.tolist()] == want
+    checks = {x.check: x.as_dict() for x in cli._law_checks(
+        carrier, argparse.Namespace(samples=samples, seed=6))}
+    assert checks["closure"]["status"] == "fail"
+    assert checks["closure"]["witness"] == want
+    assert all(x["status"] == "pass" and x["witness"] is None
+               for name, x in checks.items() if name != "closure")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sampled_suite_raises_the_earliest_blocks_error(monkeypatch, cpus):
+    from gyrokit import core
+    from gyrokit.core import sampled_law_residuals
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 50)
+    a = _draw(300, 8)[0]
+    threads = threading.active_count()
+    residuals, _ = sampled_law_residuals(FailingBall({}, dim=2), 300, 8)
+    assert residuals == sampled_law_residuals(BallGyrogroup(dim=2), 300, 8)[0]
+    assert threading.active_count() == threads
+    # with two threads the even blocks are the caller's, the odd ones the
+    # worker's
+    for failing, first in (((160, 210), 160), ((110, 260), 110), ((270,), 270),
+                           ((20, 60), 20)):
+        carrier = FailingBall({i: a[i] for i in failing}, dim=2)
+        with pytest.raises(NumericalError, match=f"^triple {first}$"):
+            sampled_law_residuals(carrier, 300, 8)
+        assert threading.active_count() == threads
+
+
+def test_an_interrupted_sampled_suite_stops_and_joins_its_worker(monkeypatch):
+    from gyrokit import core
+    from gyrokit.core import sampled_law_residuals
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 50)
+    a = _draw(2000, 10)[0]
+    threads = threading.active_count()
+    # the caller's first block is interrupted; the worker's last is block 39
+    carrier = InterruptedBall(a[3], a[1990], dim=2)
+    with pytest.raises(KeyboardInterrupt):
+        sampled_law_residuals(carrier, 2000, 10)
+    assert threading.active_count() == threads
+    assert not carrier.reached_last
+
+
+def test_sampled_suite_keeps_the_callers_errstate_in_every_block(monkeypatch):
+    from gyrokit import core
+    from gyrokit.core import sampled_law_residuals
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 50)
+    a = _draw(200, 9)[0]
+    with np.errstate(all="raise"):
+        sampled_law_residuals(BallGyrogroup(dim=2), 200, 9)
+        with pytest.raises(FloatingPointError):
+            sampled_law_residuals(DividingBall(a[75], dim=2), 200, 9)
 
 
 def test_cancellation_law_tolerance_is_the_carriers_eps(t21):
