@@ -29,16 +29,17 @@ Action table file format (UTF-8 text)::
 Comments start with '#'.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .core import Check, GyroError, ValidationError, conjugate_set, violation
-from .finite import (MAX_WITNESSES, SUBGROUP_ENUM_CAP, TableFormatError,
-                     _defect_closure, _lattice, _read_index, _read_table,
-                     is_subgyrogroup, left_cosets, validate_gyrogroup)
+from .core import (MAX_WITNESSES, Check, GyroError, ValidationError,
+                   _read_index, conjugate_set, violation)
+from .finite import (SUBGROUP_ENUM_CAP, TableFormatError, _defect_closure,
+                     _lattice, _read_table, is_subgyrogroup, left_cosets,
+                     validate_gyrogroup)
 
 # random_action joins 1 to RANDOM_MAX_PARTS coset actions, and stops before
 # one that would take it past RANDOM_MAX_POINTS points
@@ -97,9 +98,7 @@ class ActionClassification:
     sharply_transitive: bool
 
     def as_dict(self):
-        return {"faithful": self.faithful, "transitive": self.transitive,
-                "free": self.free, "semiregular": self.semiregular,
-                "sharply_transitive": self.sharply_transitive}
+        return asdict(self)
 
 
 def _sizes(args, lineno):
@@ -507,17 +506,15 @@ def random_action(carrier, seed, subgroups=None):
                 f"exceeds enumeration cap {SUBGROUP_ENUM_CAP}; "
                 f"pass subgroups= to random_action")
         subgroups = _lattice(carrier, n)
-    if not subgroups:
-        raise GyroError("carrier has no criterion-passing subgyrogroups")
+    elif not subgroups:  # the lattice above N holds G, so it is never empty
+        raise GyroError("subgroups= is empty; pass at least one subgyrogroup")
     parts = []
-    total = 0
     for _ in range(int(rng.integers(1, RANDOM_MAX_PARTS + 1))):
         h = subgroups[int(rng.integers(len(subgroups)))]
         g = build_coset_action(carrier, h)
-        if total + g.points > RANDOM_MAX_POINTS and parts:
+        if sum(p.points for p in parts) + g.points > RANDOM_MAX_POINTS and parts:
             break
         parts.append(g)
-        total += g.points
     union = disjoint_union(parts)
     perm = rng.permutation(union.points)
     return _gset(carrier, relabel_points(union, perm).table)

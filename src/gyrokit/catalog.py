@@ -13,6 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .core import _read_int
 from .finite import CayleyTable
 
 
@@ -79,6 +80,7 @@ def frobenius(p, q, r):
     """Z/p semidirect Z/q of order pq, the Z/q part acting by multiplication
     by r: (i, j) + (i', j') = (i + r^j i', j + j').  Element i*q + j is the
     pair (i, j).  Needs r^q = 1 (mod p), so that j may be read mod q."""
+    p, q, r = (_read_int(x, name) for x, name in zip((p, q, r), "pqr"))
     if p < 2 or q < 1 or pow(r, q, p) != 1:
         raise ValueError(f"need p >= 2, q >= 1 and r^q = 1 (mod p), not {p, q, r}")
     i, j = np.arange(p * q) // q, np.arange(p * q) % q

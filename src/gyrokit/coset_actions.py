@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import build_representation, classify, validate_action
-from .core import (Check, CriterionError, GyroError, _sample_triples,
-                   conjugate)
-from .finite import _read_members, is_subgyrogroup, left_cosets
+from .core import (Check, CriterionError, GyroError, _read_members,
+                   _sample_triples, conjugate)
+from .finite import is_subgyrogroup, left_cosets
 
 
 def self_action_possible_sampled(carrier, samples, seed):

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import restrict_to_invariant
-from .core import GyroError, conjugate
+from .core import GyroError, _read_index, conjugate
 from .coset_actions import induced_action_over_subgyrogroup
-from .finite import _read_index
 
 
 @dataclass(frozen=True)

@@ -502,6 +502,12 @@ def test_random_action_beyond_the_cap_asks_for_subgroups():
     assert random_action(g, seed=1, subgroups=[(0,)]).points == g.order
 
 
+def test_random_action_refuses_an_empty_subgroups_argument(t21):
+    # the lattice above N always holds G, so only an empty argument is empty
+    with pytest.raises(GyroError, match="^subgroups= is empty; "):
+        random_action(t21, seed=1, subgroups=[])
+
+
 # -- arguments outside the G-set --------------------------------------------
 
 def outside(x):
@@ -559,6 +565,39 @@ def test_relabel_rejects_non_permutation(s3, perm):
 def test_disjoint_union_of_nothing_is_rejected():
     with pytest.raises(ValueError, match="no actions"):
         disjoint_union([])
+
+
+@pytest.mark.parametrize("table, check, message", [
+    (np.zeros((5, 6), dtype=np.int64), "table_shape",
+     "expected 6 rows, one per carrier element"),
+    (np.zeros(6, dtype=np.int64), "table_shape",
+     "expected 6 rows, one per carrier element"),
+    (np.full((6, 3), 3), "table_range", "entries must lie in 0..2"),
+    (np.full((6, 3), -1), "table_range", "entries must lie in 0..2")])
+def test_malformed_action_tables_are_rejected(s3, table, check, message):
+    [d] = diagnose_action(s3, table)
+    assert (d.check, d.detail["message"]) == (check, message)
+    with pytest.raises(ValidationError, match=f"{check}: {message}"):
+        validate_action(s3, table)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (7, 6), (6,)])
+def test_homomorphisms_of_the_wrong_shape_are_rejected(s3, shape):
+    with pytest.raises(ValidationError) as exc:
+        action_from_homomorphism(s3, np.zeros(shape, dtype=np.int64))
+    [d] = exc.value.diagnostics
+    assert (d.check, d.witness, d.detail["message"]) == \
+        ("perm_shape", shape, "expected 6 permutations")
+
+
+def test_restrict_to_no_points_is_rejected(s3):
+    with pytest.raises(ValueError, match="^empty subset$"):
+        restrict_to_invariant(regular_action(s3), [])
+
+
+def test_disjoint_union_over_two_carriers_is_rejected(z6, s3):
+    with pytest.raises(ValueError, match="^all actions must share one carrier$"):
+        disjoint_union([trivial_action(z6, 2), trivial_action(s3, 2)])
 
 
 def test_zero_point_table_is_rejected(s3):

@@ -70,6 +70,14 @@ def test_gamma_overflow():
         lorentz_gamma(np.array([1.0, 0.0]))
 
 
+def test_unknown_variant_is_rejected():
+    from gyrokit import PairGyrogroup
+    for make in (BallGyrogroup, PairGyrogroup):
+        with pytest.raises(ValueError, match=re.escape(
+                "variant must be one of ['einstein', 'mobius']")):
+            make(variant="x")
+
+
 def test_element_margin_enforced():
     ball = BallGyrogroup(dim=2, variant="mobius")
     ball.element([0.99, 0.0])
@@ -108,12 +116,22 @@ def test_operations_reject_points_of_another_dimension(variant, short, got):
             call()
 
 
-@pytest.mark.parametrize("coords", [[float("nan"), 0.0], [0.1, float("inf")],
-                                    [[0.1, 0.2], [float("-inf"), 0.0]]])
+NON_FINITE = [[float("nan"), 0.0], [0.1, float("inf")],
+              [[0.1, 0.2], [float("-inf"), 0.0]]]
+
+
+@pytest.mark.parametrize("coords", NON_FINITE)
 def test_element_rejects_non_finite_coordinates(coords):
     # NaN compares False with 1 - delta, so the margin cannot reject it
     with pytest.raises(InvalidElementError, match="must be finite"):
         BallGyrogroup(dim=2).element(coords)
+
+
+@pytest.mark.parametrize("coords", NON_FINITE)
+def test_lorentz_gamma_rejects_non_finite_coordinates(coords):
+    # NaN compares False with 1, so gamma of [nan, 0] was nan
+    with pytest.raises(InvalidElementError, match="^coordinates must be finite$"):
+        lorentz_gamma(coords)
 
 
 def test_results_stay_in_ball_on_samples():

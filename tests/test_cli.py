@@ -101,6 +101,32 @@ def test_malformed_action_file_exit_two(files, tmp_path, capsys):
     assert code == 2
 
 
+def test_act_on_an_invalid_action_table_fails_with_witnesses(files, tmp_path,
+                                                            capsys):
+    p = tmp_path / "shift.act"
+    p.write_text("action 6 3\n" + "1 2 0\n" * 6)  # 0 moves every point
+    code, out, _ = run(capsys, "--report", "json", "act", files["z6"], str(p))
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert [c["witness"] for c in report["checks"]
+            if c["check"] == "identity_acts_trivially"] == [[0], [1], [2]]
+    assert sum(c["check"] == "action_compatible"
+               for c in report["checks"]) == 8
+
+
+@pytest.mark.parametrize("flags, witness", [
+    (["-a", "6", "-b", "0"], [6, 0]), (["-a", "0", "-b", "-1"], [0, -1]),
+    (["-a", "1", "-b", "2", "-c", "6"], [6]),
+    (["-a", "1", "-b", "2", "-c", "-1"], [-1])])
+def test_gyr_elements_out_of_range_are_a_usage_error(files, capsys, flags,
+                                                     witness):
+    code, out, err = run(capsys, "--report", "json", "gyr", files["z6"], *flags)
+    assert code == 2 and out == ""
+    [check] = json.loads(err)["checks"]
+    assert (check["check"], check["witness"]) == ("element_range", witness)
+
+
 def test_unknown_subcommand_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -284,6 +310,33 @@ def test_ball_failing_law_reports_its_worst_triple(capsys, monkeypatch):
     assert by_name["left_loop"]["witness"] == [
         k, a[k].tolist(), b[k].tolist(), c[k].tolist()]
     assert by_name["left_inverse"]["status"] == "pass"
+    assert by_name["left_inverse"]["witness"] is None
+
+
+def test_pairs_failing_law_reports_its_worst_triple_as_pairs(capsys,
+                                                            monkeypatch):
+    import gyrokit.cli
+    from gyrokit import PairGyrogroup
+    from gyrokit.core import _sample_triples
+
+    from conftest import WrongGyrationBall
+    samples, seed, k = 500, 6, 321
+    _, _, a, b, c = _sample_triples(PairGyrogroup(m=6), samples, seed)
+
+    def wrong_pairs(**kw):
+        carrier = PairGyrogroup(**kw)
+        carrier.ball = WrongGyrationBall(a.u[k], dim=2, variant=kw["variant"])
+        return carrier
+
+    monkeypatch.setattr(gyrokit.cli, "PairGyrogroup", wrong_pairs)
+    code, out, _ = run(capsys, "--report", "json", "pairs", "--m", "6",
+                       "--seed", str(seed), "--samples", str(samples))
+    assert code == 1
+    by_name = {c["check"]: c for c in json.loads(out)["checks"]}
+    # each point of the witness is [ball coordinates, rotation index]
+    assert by_name["left_loop"]["status"] == "fail"
+    assert by_name["left_loop"]["witness"] == [
+        k, *([x.u[k].tolist(), int(x.r[k])] for x in (a, b, c))]
     assert by_name["left_inverse"]["witness"] is None
 
 

@@ -2,15 +2,18 @@
 cancellation laws."""
 
 import argparse
+import ast
+import inspect
 import threading
 
 import numpy as np
 import pytest
 
-from gyrokit import (BallGyrogroup, NumericalError, check_cancellation_laws,
+from gyrokit import (BallGyrogroup, NumericalError, ValidationError,
+                     check_axiom_residuals, check_cancellation_laws,
                      check_cancellation_laws_exhaustive, coaddition, cominus,
-                     conjugate, conjugate_set, diagnose_gyrogroup, gyration,
-                     validate_gyrogroup)
+                     conjugate, conjugate_set, core, diagnose_gyrogroup,
+                     gyration, validate_gyrogroup)
 from gyrokit.catalog import cyclic
 
 # Frozen from exact rational evaluation of the written formulas (the map is
@@ -395,3 +398,39 @@ def test_cancellation_law_tolerance_is_the_carriers_eps(t21):
         assert carrier.eps == eps
         assert all(law.tolerance == eps and law.passed
                    for law in check_cancellation_laws(carrier, a, b))
+
+
+def test_axiom_residuals_are_the_sampled_suites_axiom_laws(t21):
+    from gyrokit.core import _sample_triples, sampled_law_residuals
+    ball = BallGyrogroup(dim=3, variant="einstein")
+    _, _, a, b, c = _sample_triples(ball, 300, 4)
+    residuals = check_axiom_residuals(ball, a, b, c)
+    sampled, _ = sampled_law_residuals(ball, 300, 4)
+    assert len(residuals) == 9 and residuals["closure"] is True
+    assert residuals == {law: sampled[law] for law in residuals}
+    # single elements of a finite carrier: every law holds exactly
+    assert check_axiom_residuals(t21, 5, 7, 11) == dict.fromkeys(residuals, 0.0) \
+        | {"closure": True}
+
+
+def test_core_imports_nothing_from_the_package():
+    # every other module imports core, so core is the leaf of the import
+    # graph: no import of the package in it, at the top or in a function
+    tree = ast.parse(inspect.getsource(core))
+    found = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (
+                 node.level or (node.module or "").split(".")[0] == "gyrokit")
+             or isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "gyrokit" for a in node.names)]
+    assert found == []
+
+
+def test_validation_errors_list_max_witnesses_diagnostics(monkeypatch):
+    from gyrokit.finite import MAX_WITNESSES
+    assert MAX_WITNESSES == core.MAX_WITNESSES == 8
+    # the message reads the one witness bound, which every check caps by
+    monkeypatch.setattr(core, "MAX_WITNESSES", 3)
+    diags = [core.violation("law", (i,), f"case {i}") for i in range(5)]
+    lines = str(ValidationError(diags)).splitlines()
+    assert lines[1:] == [f"  law: case {i} witness=({i},)"
+                         for i in range(3)] + ["  ... and 2 more"]

@@ -116,6 +116,8 @@ def test_non_transitive_input_rejected(s3_conjugation, z6):
     x = build_coset_action(z6, (0, 3))
     with pytest.raises(ValueError):
         are_equivalent_transitive(s3_conjugation, x)
+    with pytest.raises(ValueError, match="^both G-sets must be transitive$"):
+        are_equivalent_transitive(x, disjoint_union([x, x]))
 
 
 def test_agreement_with_brute_force_search(z6, s3, t21):
@@ -352,4 +354,6 @@ def test_mappings_that_are_not_integers_are_no_gmaps(groups):
     assert not is_gmap(GMap(reg, reg, (0.5, 1.7, 2.2)))
     assert not is_equivalence(GMap(reg, reg, (False, True, 2)))
     assert not is_gmap(GMap(reg, reg, (0, 1, 3)))
+    assert not is_gmap(GMap(reg, reg, (0, 1)))
+    assert not is_gmap(GMap(reg, reg, (0, 1, 2, 0)))
     assert is_equivalence(GMap(reg, reg, tuple(np.arange(3))))

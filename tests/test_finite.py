@@ -95,6 +95,12 @@ def test_labels_the_text_format_cannot_hold_are_rejected(labels, bad):
         CayleyTable(2, cyclic(2), labels=labels)
 
 
+def test_label_count_must_match_the_order():
+    for labels in (("e",), ("e", "a", "b")):
+        with pytest.raises(ValueError, match="^label count != order$"):
+            CayleyTable(2, cyclic(2), labels=labels)
+
+
 # -- validation ---------------------------------------------------------
 
 def test_all_group_tables_validate_as_degenerate():
@@ -126,6 +132,15 @@ def test_frobenius_matches_pair_loop():
 def test_frobenius_rejects_bad_parameters(args):
     with pytest.raises(ValueError, match="r\\^q = 1"):
         frobenius(*args)
+
+
+@pytest.mark.parametrize("args, bad", [((7, 3, 2.0), "r 2.0"), ((7.0, 3, 2), "p 7.0"),
+                                       ((7, "3", 2), "q '3'"), ((7, 3, True), "r True")])
+def test_frobenius_parameters_must_be_integers(args, bad):
+    # pow raised a bare TypeError on a float or a string, and read True as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not an integer$"):
+        frobenius(*args)
+    assert np.array_equal(frobenius(*map(np.int64, (7, 3, 2))), frobenius21())
 
 
 def test_swapped_entries_rejected_with_witness():
@@ -236,6 +251,15 @@ def test_enumeration_cap_refuses():
     with pytest.raises(GyroError):
         enumerate_subgyrogroups(g, cap=8)
     assert enumerate_subgyrogroups(g, cap=12)
+
+
+@pytest.mark.parametrize("cap", ["x", 2.5, True, None])
+def test_enumeration_cap_must_be_an_integer(cap):
+    # "x" raised a bare TypeError, while 2.5 and True were compared as numbers
+    g = validate_gyrogroup(cyclic(2))
+    with pytest.raises(ValueError, match=f"^cap {re.escape(repr(cap))} is not an integer$"):
+        enumerate_subgyrogroups(g, cap=cap)
+    assert enumerate_subgyrogroups(g, cap=np.int64(2)) == [(0,), (0, 1)]
 
 
 def test_closure_generates_cyclic_subgroup(z6):
@@ -635,7 +659,8 @@ def test_square_root_twist_reads_its_argument_as_a_table():
     # float table bare numpy IndexErrors
     for table, message in ((np.arange(12).reshape(3, 4) % 3, "shape"),
                            (np.array([[0, 1, 2], [1, 2, 0], [2, 0, 5]]), "range"),
-                           (cyclic(3).astype(float), "not integers")):
+                           (cyclic(3).astype(float), "not integers"),
+                           (cyclic(4), "needs a group of odd order")):
         with pytest.raises(ValueError, match=message):
             square_root_twist(table)
 
