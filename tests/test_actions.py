@@ -502,6 +502,12 @@ def test_random_action_beyond_the_cap_asks_for_subgroups():
     assert random_action(g, seed=1, subgroups=[(0,)]).points == g.order
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_random_action_reads_its_seed_as_an_integer(t21, seed):
+    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not"):
+        random_action(t21, seed)
+
+
 def test_random_action_refuses_an_empty_subgroups_argument(t21):
     # the lattice above N always holds G, so only an empty argument is empty
     with pytest.raises(GyroError, match="^subgroups= is empty; "):

@@ -206,6 +206,13 @@ def test_gyration_matrix_rejects_zero_samples():
         ball_gyration_matrix(ball, [0.1, 0.2], [0.3, -0.1], samples=0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_gyration_matrix_reads_its_seed_as_an_integer(seed):
+    ball = BallGyrogroup(dim=2)
+    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not"):
+        ball_gyration_matrix(ball, [0.1, 0.2], [0.3, -0.1], samples=8, seed=seed)
+
+
 @pytest.mark.parametrize("samples", [2.5, True, "3"])
 def test_ball_checks_read_samples_as_integers(samples):
     # unchecked, a float count raised a numpy TypeError
@@ -370,16 +377,23 @@ def test_sample_batch_draw_is_frozen():
     assert p.r[[0, 999]].tolist() == [5, 0]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_sample_batch_draws_in_chunks_what_one_draw_gives(dim):
+# numpy sums a point's squares in sequence below 8 coordinates, as 8
+# interleaved partial sums up to 128, and by halves above
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 9, 16, 129])
+def test_sample_batch_draws_in_chunks_what_one_draw_gives(monkeypatch, dim):
+    from gyrokit import ball as ball_module
+
     def one_draw(rng, count):
         g = rng.standard_normal((count, dim))
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
         g *= 0.99 * rng.random((count, 1)) ** (1.0 / dim)
         return g
 
+    if dim > 16:  # 3 chunks of 2^16 points would take 200 MB a draw
+        monkeypatch.setattr(ball_module, "_DRAW_CHUNK", 2 ** 10)
+    chunk = ball_module._DRAW_CHUNK
     ball = BallGyrogroup(dim=dim)
-    for count in (1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5):
+    for count in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         mine, theirs = np.random.default_rng(count), np.random.default_rng(count)
         x = ball.sample_batch(mine, count)
         assert x.shape == (count, dim)

@@ -4,6 +4,7 @@ cancellation laws."""
 import argparse
 import ast
 import inspect
+import re
 import threading
 
 import numpy as np
@@ -182,6 +183,16 @@ def test_cancellation_laws_reject_empty_batches(t21):
             check_cancellation_laws(carrier, empty, empty)
 
 
+def test_axiom_residuals_reject_empty_batches(t21):
+    from gyrokit import PairGyrogroup
+    pairs = PairGyrogroup(m=6)
+    for carrier, empty in ((BallGyrogroup(dim=2), np.empty((0, 2))),
+                           (t21, np.empty(0, dtype=np.int64)),
+                           (pairs, pairs.sample_batch(np.random.default_rng(1), 0))):
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            check_axiom_residuals(carrier, empty, empty, empty)
+
+
 def _first_repeat_loop(row):
     seen = {}
     for c, v in enumerate(row):
@@ -232,6 +243,52 @@ def test_sampled_witness_is_the_wrong_triple_past_the_first_block():
         assert (wa.tolist(), wb.tolist(), wc.tolist()) == (
             a[k].tolist(), b[k].tolist(), c[k].tolist())
     assert residuals["left_inverse"] <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_sampled_suites_read_their_seed_as_an_integer(seed):
+    from gyrokit.core import sampled_law_residuals
+    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not"):
+        sampled_law_residuals(BallGyrogroup(dim=2), 10, seed)
+
+
+def test_block_plan_gives_two_threads_equal_shares(monkeypatch):
+    from gyrokit.core import _BLOCK_TRIPLES, _block_bounds
+    for cpus in (1, 2):
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        for samples in (1, 2, 20_000, _BLOCK_TRIPLES, _BLOCK_TRIPLES + 1,
+                        50_000, 100_003, 3 * _BLOCK_TRIPLES, 10 ** 6):
+            bounds = _block_bounds(samples)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == samples
+            assert sizes.max() - sizes.min() <= 1
+            assert sizes.max() <= _BLOCK_TRIPLES
+            fewest = -(-samples // _BLOCK_TRIPLES)
+            even = fewest + fewest % 2 if cpus == 2 and fewest > 1 else fewest
+            assert len(sizes) == even, (cpus, samples)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    assert _block_bounds(20_000) == [0, 20_000] and _block_bounds(1) == [0, 1]
+    assert _block_bounds(50_000) == [0, 25_000, 50_000]
+    assert np.diff(_block_bounds(10 ** 6)).tolist() == [31_250] * 32
+
+
+@pytest.mark.parametrize("samples, block", [(100_003, None), (1000, 7)])
+def test_sampled_suite_is_the_same_on_one_thread_and_two(monkeypatch,
+                                                         samples, block):
+    from gyrokit import PairGyrogroup
+    from gyrokit.cli import _plain
+    from gyrokit.core import sampled_law_residuals
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_TRIPLES", block)
+    for carrier in (BallGyrogroup(dim=3), PairGyrogroup(m=6, variant="einstein")):
+        found = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_cpus", lambda: cpus)
+            residuals, worst_at = sampled_law_residuals(carrier, samples, 5)
+            found.append((residuals, {
+                law: None if x is None else [x[0]] + [_plain(y) for y in x[1:]]
+                for law, x in worst_at.items()}))
+        assert found[0] == found[1]
 
 
 def test_sampled_witness_of_pair_carrier_is_a_pair():
