@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (MAX_WITNESSES, Check, GyroError, ValidationError,
-                   _read_index, _read_int, conjugate_set, violation)
+                   _read_index, _read_seed, conjugate_set, violation)
 from .finite import (SUBGROUP_ENUM_CAP, TableFormatError, _defect_closure,
                      _lattice, _read_table, is_subgyrogroup, left_cosets,
                      validate_gyrogroup)
@@ -493,11 +493,11 @@ def random_action(carrier, seed, subgroups=None):
     criterion.  They are the subgroups of the group G/N, so the search is
     refused when the index [G:N] exceeds ``SUBGROUP_ENUM_CAP`` (for a
     group, N = {0} and the index is the order).  Raises ValueError unless
-    ``seed`` is an integer."""
+    ``seed`` is a non-negative integer."""
     # coset_actions imports this module, so it is imported on first call
     from .coset_actions import build_coset_action
 
-    rng = np.random.default_rng(_read_int(seed, "seed"))
+    rng = np.random.default_rng(_read_seed(seed))
     if subgroups is None:
         n = _defect_closure(carrier)
         index = carrier.order // len(n)

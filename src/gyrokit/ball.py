@@ -43,6 +43,17 @@ results of earlier calls), and a point gives the same result alone as
 within a batch, bit for bit.
 Kernels written as plain expressions ran the 10^6-triple suite 5-22 % slower.
 
+A draw of ``sample_batch`` takes from its generator all the directions'
+normals, point by point, then all the radii, one 64-bit word each.
+``draw_plan`` gives the same draw by blocks without holding it: one pass
+draws and discards the normals, recording the generator state at each
+block's first normal (a normal takes a varying number of words), and
+reaches each block's first radius with the generator's ``advance``.  Each
+block is then drawn again from its states by the same ``_draw_directions``
+and ``_draw_radii`` that ``sample_batch`` runs, into a buffer reused from
+block to block, so the sampled law suites need memory for a block, not for
+the draw.
+
 Equality is tolerance-based (``BallGyrogroup.eps`` = 1e-9); the boundary
 margin (``BallGyrogroup.delta`` = 1e-6) is enforced when elements are
 admitted through ``element``.  Both are fixed constants.  Interior
@@ -117,6 +128,37 @@ def _pairwise_squares(u):
     for row in u[full:]:
         out += row * row
     return out
+
+
+def _draw_directions(rng, out):
+    """Fill the coordinate-major points ``out`` with uniform directions
+    drawn from ``rng``, ``_DRAW_CHUNK`` points at a time: Gaussian normals,
+    point by point, divided by their norms (Muller, 1959).  The norms are
+    summed along the coordinate rows by ``_pairwise_squares``, which gives
+    those of ``np.linalg.norm(axis=-1)`` bit for bit."""
+    for lo in range(0, out.shape[1], _DRAW_CHUNK):
+        g = out[:, lo:lo + _DRAW_CHUNK]
+        g[...] = rng.standard_normal((g.shape[1], len(g))).T
+        g /= np.sqrt(_pairwise_squares(g))
+
+
+def _draw_radii(rng, out, max_norm):
+    """Scale the directions ``out`` by radii drawn from ``rng``, one word
+    each, ``_DRAW_CHUNK`` at a time, so that the points are uniform in the
+    ball of radius ``max_norm``."""
+    for lo in range(0, out.shape[1], _DRAW_CHUNK):
+        g = out[:, lo:lo + _DRAW_CHUNK]
+        g *= max_norm * rng.random(g.shape[1]) ** (1.0 / len(g))
+
+
+def _advance(bit_generator, words):
+    """Skip ``words`` 64-bit words of ``bit_generator`` by ``advance``,
+    keeping the half word it holds for its next 32-bit draw, which
+    ``advance`` drops."""
+    state = bit_generator.state
+    bit_generator.advance(words)
+    state["state"] = bit_generator.state["state"]
+    bit_generator.state = state
 
 
 def _norm(u):
@@ -334,23 +376,54 @@ class BallGyrogroup(GyrogroupCarrier):
         """Uniform points of the ball scaled to norms <= max_norm.
 
         The point-major view of coordinate-major memory, as a kernel result
-        is.  Drawn ``_DRAW_CHUNK`` points at a time, all the directions
-        first and then all the radii: the stream and the values of one
-        draw of ``count`` points, without its full-size temporaries.  The
-        directions are Gaussian normals divided by their norms (Muller,
-        1959), stored coordinate-major and summed along the coordinate rows
-        by ``_pairwise_squares``, which gives the norms of
-        ``np.linalg.norm(axis=-1)`` bit for bit."""
+        is.  All the directions are drawn first (``_draw_directions``), then
+        all the radii (``_draw_radii``), each ``_DRAW_CHUNK`` points at a
+        time: the stream and the values of one draw of ``count`` points,
+        without its full-size temporaries.  ``draw_plan`` gives the same
+        points block by block without holding the draw."""
         out = np.empty((self.dim, count))
-        chunks = [slice(lo, min(lo + _DRAW_CHUNK, count))
-                  for lo in range(0, count, _DRAW_CHUNK)]
-        for s in chunks:
-            g = out[:, s]
-            g[...] = rng.standard_normal((s.stop - s.start, self.dim)).T
-            g /= np.sqrt(_pairwise_squares(g))
-        for s in chunks:
-            out[:, s] *= max_norm * rng.random(s.stop - s.start) ** (1.0 / self.dim)
+        _draw_directions(rng, out)
+        _draw_radii(rng, out, max_norm)
         return out.T
+
+    def draw_plan(self, rng, count, bounds):
+        """The draw ``sample_batch(rng, count)``, planned by blocks
+        (the carrier contract of ``core``).
+
+        One pass over the directions' normals records the generator state
+        at the first normal of each block ``bounds[k]:bounds[k + 1]``: a
+        normal takes a varying number of words, so those states are found
+        by drawing.  A radius takes one word, so the radii of block k start
+        ``bounds[k]`` words after the first radius, and ``advance`` reaches
+        them, as it skips all ``count`` radii here.  Returns a function that
+        makes redrawers, each with a generator and a buffer of its own; a
+        redrawer draws block k into its buffer by ``_draw_directions`` and
+        ``_draw_radii``, as ``sample_batch`` draws, and returns the buffer's
+        point-major view."""
+        bit_generator = rng.bit_generator
+        starts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            starts.append(bit_generator.state)
+            for s in range(lo, hi, _DRAW_CHUNK):
+                rng.standard_normal((min(hi - s, _DRAW_CHUNK), self.dim))
+        radii = bit_generator.state
+        _advance(bit_generator, count)
+        longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+        def redrawer():
+            gen = np.random.Generator(type(bit_generator)())
+            buf = np.empty((self.dim, longest))
+
+            def redraw(k):
+                out = buf[:, :bounds[k + 1] - bounds[k]]
+                gen.bit_generator.state = starts[k]
+                _draw_directions(gen, out)
+                gen.bit_generator.state = radii
+                gen.bit_generator.advance(bounds[k])
+                _draw_radii(gen, out, SAMPLE_MAX_NORM)
+                return out.T
+            return redraw
+        return redrawer
 
     def __repr__(self):
         return f"BallGyrogroup(dim={self.dim}, variant={self.variant!r})"
@@ -376,10 +449,10 @@ def ball_gyration_matrix(carrier, a, b, samples, seed):
     Column j is gyr(a, b, s e_j) / s for s = ``PROBE_SCALE``, which keeps
     probes inside the ball for any admissible a, b while avoiding
     cancellation.  Raises ValueError unless ``samples`` is an integer >= 1,
-    since no probe measures nothing, and unless ``seed`` is an integer.
+    since no probe measures nothing, and unless ``seed`` is a non-negative
+    integer.
     """
-    if core._read_int(samples, "samples") < 1:
-        raise ValueError("samples must be >= 1")
+    samples = core._read_samples(samples)
     a = carrier.element(a)
     b = carrier.element(b)
     dim = carrier.dim
@@ -389,7 +462,7 @@ def ball_gyration_matrix(carrier, a, b, samples, seed):
         e[j] = PROBE_SCALE
         cols.append(core.gyration(carrier, a, b, e) / PROBE_SCALE)
     m = np.column_stack(cols)
-    rng = np.random.default_rng(core._read_int(seed, "seed"))
+    rng = np.random.default_rng(core._read_seed(seed))
     probes = carrier.sample_batch(rng, samples)
     images = core.gyration(carrier, a, b, probes)
     lin = float(np.max(_norm(images - probes @ m.T)))
@@ -405,6 +478,7 @@ def check_ball_laws(carrier, samples, seed):
     inverses, automorphism property, closure) plus the four cancellation
     laws, all evaluated on ``samples`` random triples with norms <=
     ``SAMPLE_MAX_NORM`` drawn from the given seed.  Raises ValueError
-    unless ``samples`` is an integer >= 1.
+    unless ``samples`` is an integer >= 1 and ``seed`` a non-negative
+    integer.
     """
     return core.sampled_law_residuals(carrier, samples, seed)[0]

@@ -18,6 +18,7 @@ identity on every sample as ``gyration_closed_form``.
 """
 
 import contextvars
+import copy
 import os
 import threading
 from dataclasses import dataclass, field
@@ -110,7 +111,16 @@ class GyrogroupCarrier:
 
     A carrier that sampled checks run on also supplies
     ``sample_batch(rng, count)``, a batch of ``count`` elements drawn from
-    the generator ``rng``; every sampled check draws from it.
+    the generator ``rng``; every sampled check draws from it.  The sampled
+    law suites draw through ``draw_plan(rng, count, bounds)`` instead, which
+    keeps no draw: it passes over the words one ``sample_batch(rng, count)``
+    call would take, leaves ``rng`` where that call would, and records
+    generator states from which each block ``bounds[k]:bounds[k + 1]`` of
+    that draw can be drawn again.  It returns a function that makes
+    redrawers; a redrawer maps k to that block, bit for bit as a slice of
+    the ``sample_batch`` draw, written into a buffer of its own that its
+    next call overwrites.  Each thread makes its own, so a suite holds the
+    blocks being worked and a few recorded states per block, never a draw.
 
     Every operation broadcasts over batches, entry i of the result being
     the result on entry i; a batch of one stays a batch.  All operations
@@ -285,17 +295,36 @@ def check_cancellation_laws_exhaustive(carrier):
             for r in results]
 
 
-def _sample_triples(carrier, samples, seed):
-    """The draws every sampled check starts from: a generator seeded with
-    ``seed``, ``samples`` as a Python int, and three batches a, b, c of
-    ``carrier.sample_batch(rng, samples)`` drawn from it in that order.
-    Further draws continue from the returned generator.  Raises ValueError
-    unless ``samples`` is an integer >= 1, since no sample checks nothing,
-    and unless ``seed`` is an integer."""
+def _read_seed(seed):
+    """``seed`` as a Python int that ``np.random.default_rng`` takes.
+    Raises ValueError naming ``seed`` unless it is an integer (as
+    :func:`_read_int` reads one) and non-negative."""
+    seed = _read_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
+def _read_samples(samples):
+    """``samples`` as a Python int.  Raises ValueError unless it is an
+    integer >= 1, since no sample checks nothing."""
     samples = _read_int(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(_read_int(seed, "seed"))
+    return samples
+
+
+def _sample_triples(carrier, samples, seed):
+    """The draws the sampled coset checks start from: a generator seeded
+    with ``seed``, ``samples`` as a Python int, and three batches a, b, c of
+    ``carrier.sample_batch(rng, samples)`` drawn from it in that order, all
+    held at once.  Further draws continue from the returned generator.  The
+    law suites take the same triples block by block instead, through
+    ``carrier.draw_plan`` (see :func:`sampled_law_residuals`).  Raises
+    ValueError unless ``samples`` is an integer >= 1 and ``seed`` a
+    non-negative integer."""
+    samples = _read_samples(samples)
+    rng = np.random.default_rng(_read_seed(seed))
     return (rng, samples, *(carrier.sample_batch(rng, samples) for _ in range(3)))
 
 
@@ -323,45 +352,65 @@ def _block_bounds(samples):
 def _block_residuals(carrier, a, b, c, lo):
     """The laws of :func:`sampled_law_residuals` on one block of triples,
     the first of them triple ``lo`` of the draw.  Returns (worst, outside):
-    worst maps each law to its worst residual in the block and the draw
-    index of the first triple where it occurs; outside is the draw index of
-    the first triple with a sum outside the domain, or None."""
+    worst maps each law to its worst residual in the block and the witness
+    (i, a[i], b[i], c[i]) of the first triple where it occurs, i its draw
+    index; outside is the witness of the first triple with a sum outside
+    the domain, or None.  The witness points are copies, so a later block
+    drawn into the same buffers leaves them as they are."""
     ab, neg_a = carrier.oplus(a, b), carrier.oinv(a)
     defects, inside = _axiom_defects(carrier, a, b, c, ab, neg_a)
     defects.update(_cancellation_defects(carrier, a, b, ab, neg_a))
+    witnesses = {}
+
+    def witness(i):
+        if i not in witnesses:
+            witnesses[i] = (lo + i, *copy.deepcopy((a[i], b[i], c[i])))
+        return witnesses[i]
+
     worst = {}
     for law, d in defects.items():
         i = int(np.argmax(d))  # a NaN is found first, as np.max finds it
-        worst[law] = (float(d[i]), lo + i)
+        worst[law] = (float(d[i]), witness(i))
     outside = np.flatnonzero(np.logical_not(inside))
-    return worst, (lo + int(outside[0]) if outside.size else None)
+    return worst, (witness(int(outside[0])) if outside.size else None)
 
 
 def sampled_law_residuals(carrier, samples, seed):
     """The sampled law suite shared by the analytic carriers.
 
-    Draws ``samples`` triples a, b, c (in that order) from ``seed`` by
-    :func:`_sample_triples`, then evaluates the laws of
+    Takes ``samples`` triples a, b, c from ``seed``, the three draws of
+    :func:`_sample_triples`, and evaluates the laws of
     :func:`check_axiom_residuals` on the triples and those of
     :func:`check_cancellation_laws` on the pairs (a, b), one block of
-    :func:`_block_bounds` at a time.  Returns
+    :func:`_block_bounds` at a time.  No draw is held: one pass of
+    ``carrier.draw_plan`` over the three draws records where each block
+    starts in the generator's stream, and each block is drawn again from
+    there into buffers reused from block to block.  Of each block only the
+    copies of its witness points are kept, so the suite holds a few
+    kilobytes per block besides the blocks being worked, never a draw.
+    Returns
     (residuals, worst_at): residuals maps each law to its worst residual
     over all triples, plus ``closure``, ``samples`` and ``seed``; worst_at
     maps each law to (i, a[i], b[i], c[i]) for the first triple i at which
     that worst residual occurs, and ``closure`` to the first triple with a
-    sum outside the domain, or to None while closure holds.
+    sum outside the domain, or to None while closure holds.  Raises
+    ValueError unless ``samples`` is an integer >= 1 and ``seed`` a
+    non-negative integer.
 
     With two or more blocks and two or more CPUs, the blocks (then of an
     even count and equal sizes) are shared by stride between the calling
-    thread and one worker thread, so each does the same share; the worker is
-    always joined before this returns; carriers are pure, so they need no
-    lock.  The per-block results are folded in block order, so the
-    residuals and witnesses are those of one thread going through the
-    blocks in order, and an exception raised by a block is re-raised from
-    the earliest block that raised, as that thread would have met it.
+    thread and one worker thread, so each does the same share, each
+    drawing its blocks into buffers of its own; the worker is always
+    joined before this returns; carriers are pure, so they need no lock.
+    The per-block results are folded in block order, so the residuals and
+    witnesses are those of one thread going through the blocks in order,
+    and an exception raised by a block is re-raised from the earliest
+    block that raised, as that thread would have met it.
     """
-    _, samples, a, b, c = _sample_triples(carrier, samples, seed)
+    samples = _read_samples(samples)
+    rng = np.random.default_rng(_read_seed(seed))
     bounds = _block_bounds(samples)
+    plans = [carrier.draw_plan(rng, samples, bounds) for _ in range(3)]
     blocks = len(bounds) - 1
     found = [None] * blocks  # per block: _block_residuals
     # per thread: the first block that raised (blocks: none) and why
@@ -371,22 +420,26 @@ def sampled_law_residuals(carrier, samples, seed):
         for k in range(thread, blocks, stride):
             if k > min(failed_at):  # an earlier block has raised
                 return
-            s = slice(bounds[k], bounds[k + 1])
             try:
-                found[k] = _block_residuals(carrier, a[s], b[s], c[s], bounds[k])
+                a, b, c = (redraw(k) for redraw in redraws[thread])
+                found[k] = _block_residuals(carrier, a, b, c, bounds[k])
             except Exception as exc:
                 failed_at[thread], errors[thread] = k, exc
                 return
 
     # the caller works a share: a 2-worker pool peaked 10 MB higher, halves no faster
+    threads = 2 if blocks >= 2 and _cpus() >= 2 else 1
+    # per thread, its redrawers of a, b and c, made here so that a failure
+    # to make them is raised here
+    redraws = [[plan() for plan in plans] for _ in range(threads)]
     worker = None
-    if blocks >= 2 and _cpus() >= 2:
+    if threads == 2:
         # in the caller's context, so that np.errstate holds there too
         worker = threading.Thread(target=contextvars.copy_context().run,
                                   args=(run, 1, 2))
         worker.start()
     try:
-        run(0, 1 if worker is None else 2)
+        run(0, threads)
     except BaseException:
         failed_at[0] = -1  # the worker stops after its current block
         raise
@@ -396,17 +449,14 @@ def sampled_law_residuals(carrier, samples, seed):
     if min(failed_at) < blocks:
         raise errors[failed_at.index(min(failed_at))]
 
-    def triple(i):
-        return (i, a[i], b[i], c[i])
-
     residuals, worst_at = {}, {}
     for law in found[0][0]:
         per_block = [worst[law] for worst, _ in found]
-        residuals[law], i = per_block[int(np.argmax([v for v, _ in per_block]))]
-        worst_at[law] = triple(i)
-    outside = next((i for _, i in found if i is not None), None)
+        residuals[law], worst_at[law] = per_block[
+            int(np.argmax([v for v, _ in per_block]))]
+    outside = next((w for _, w in found if w is not None), None)
     residuals["closure"] = outside is None
-    worst_at["closure"] = None if outside is None else triple(outside)
+    worst_at["closure"] = outside
     residuals["samples"] = samples
     residuals["seed"] = seed
     return residuals, worst_at

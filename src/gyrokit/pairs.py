@@ -90,6 +90,29 @@ class PairGyrogroup(GyrogroupCarrier):
         return PairElement(self.ball.sample_batch(rng, count),
                            rng.integers(0, self.m, size=count))
 
+    def draw_plan(self, rng, count, bounds):
+        """The draw ``sample_batch(rng, count)``, planned by blocks (the
+        carrier contract of ``core``): the ball's plan, then one pass over
+        the rotation indices that records the generator state at the first
+        index of each block.  Each redrawer draws block k's ball points by
+        the ball's redrawer and its indices from that state."""
+        ball = self.ball.draw_plan(rng, count, bounds)
+        starts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            starts.append(rng.bit_generator.state)
+            rng.integers(0, self.m, size=hi - lo)
+
+        def redrawer():
+            redraw_ball = ball()
+            gen = np.random.Generator(type(rng.bit_generator)())
+
+            def redraw(k):
+                u = redraw_ball(k)
+                gen.bit_generator.state = starts[k]
+                return PairElement(u, gen.integers(0, self.m, size=len(u)))
+            return redraw
+        return redrawer
+
     # -- B_hat coset machinery -------------------------------------------
 
     def in_hat(self, x):
@@ -143,7 +166,8 @@ def check_pair_axioms(carrier, samples, seed):
     Rotation slots are compared exactly (a mismatch reports inf); ball slots
     contribute Euclidean residuals.  ``gyration_closed_form`` cross-checks
     the closed-form gyration against the gyrator identity.  Raises
-    ValueError unless ``samples`` is an integer >= 1.
+    ValueError unless ``samples`` is an integer >= 1 and ``seed`` a
+    non-negative integer.
     """
     return core.sampled_law_residuals(carrier, samples, seed)[0]
 

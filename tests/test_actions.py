@@ -508,6 +508,11 @@ def test_random_action_reads_its_seed_as_an_integer(t21, seed):
         random_action(t21, seed)
 
 
+def test_random_action_refuses_a_negative_seed(t21):
+    with pytest.raises(ValueError, match="^seed -1 is negative$"):
+        random_action(t21, -1)
+
+
 def test_random_action_refuses_an_empty_subgroups_argument(t21):
     # the lattice above N always holds G, so only an empty argument is empty
     with pytest.raises(GyroError, match="^subgroups= is empty; "):

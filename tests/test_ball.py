@@ -213,6 +213,12 @@ def test_gyration_matrix_reads_its_seed_as_an_integer(seed):
         ball_gyration_matrix(ball, [0.1, 0.2], [0.3, -0.1], samples=8, seed=seed)
 
 
+def test_gyration_matrix_refuses_a_negative_seed():
+    ball = BallGyrogroup(dim=2)
+    with pytest.raises(ValueError, match="^seed -1 is negative$"):
+        ball_gyration_matrix(ball, [0.1, 0.2], [0.3, -0.1], samples=8, seed=-1)
+
+
 @pytest.mark.parametrize("samples", [2.5, True, "3"])
 def test_ball_checks_read_samples_as_integers(samples):
     # unchecked, a float count raised a numpy TypeError

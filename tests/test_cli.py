@@ -369,6 +369,16 @@ def test_sampled_suites_reject_zero_samples(capsys, argv):
     assert "samples must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ball", "--dim", "2", "--seed", "-1", "--samples", "10"],
+    ["pairs", "--seed", "-1", "--samples", "10"]])
+def test_sampled_suites_refuse_a_negative_seed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "seed -1 is negative" in err
+
+
 def test_pairs_coset_count_is_exact(capsys):
     # three samples miss some rotation indices; the count does not sample
     code, out, _ = run(capsys, "--report", "json", "pairs", "--seed", "1",

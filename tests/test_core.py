@@ -6,6 +6,7 @@ import ast
 import inspect
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,124 @@ def test_sampled_suites_read_their_seed_as_an_integer(seed):
     from gyrokit.core import sampled_law_residuals
     with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not"):
         sampled_law_residuals(BallGyrogroup(dim=2), 10, seed)
+
+
+def _sampled_entry_points():
+    from gyrokit import PairGyrogroup, check_ball_laws, check_pair_axioms
+    from gyrokit.coset_actions import self_action_possible_sampled
+    from gyrokit.core import sampled_law_residuals
+    ball, pairs = BallGyrogroup(dim=2), PairGyrogroup(m=6)
+    return {
+        "sampled_law_residuals": lambda seed: sampled_law_residuals(ball, 10, seed),
+        "check_ball_laws": lambda seed: check_ball_laws(ball, 10, seed),
+        "check_pair_axioms": lambda seed: check_pair_axioms(pairs, 10, seed),
+        "verify_hat_criterion": lambda seed: pairs.verify_hat_criterion(10, seed),
+        "self_action_possible_sampled":
+            lambda seed: self_action_possible_sampled(ball, 10, seed)}
+
+
+@pytest.mark.parametrize("entry", sorted(_sampled_entry_points()))
+def test_sampled_suites_refuse_a_negative_seed(entry):
+    # numpy's own refusal, "expected non-negative integer", named no seed
+    with pytest.raises(ValueError, match="^seed -1 is negative$"):
+        _sampled_entry_points()[entry](-1)
+    with pytest.raises(ValueError, match="^seed -3 is negative$"):
+        _sampled_entry_points()[entry](np.int64(-3))
+    _sampled_entry_points()[entry](0)
+
+
+def _draw_plan_carriers():
+    from gyrokit import PairGyrogroup
+    out = {f"{variant}{dim}": BallGyrogroup(dim=dim, variant=variant)
+           for variant in ("mobius", "einstein") for dim in (1, 2, 3, 5, 9)}
+    out.update({f"pairs-{variant}": PairGyrogroup(m=6, variant=variant)
+                for variant in ("mobius", "einstein")})
+    return out
+
+
+def _bits(x):
+    """The bytes of a draw's values: a ball batch's, or a pair batch's
+    coordinates and rotation indices."""
+    if hasattr(x, "u"):
+        return _bits(x.u) + _bits(x.r)
+    return np.ascontiguousarray(x).tobytes() + repr(x.shape).encode()
+
+
+# (triples per block, points per draw chunk, triples): counts on both sides
+# of a draw chunk, blocks shorter and longer than a chunk, and the chunk of
+# the program with a count just past it
+@pytest.mark.parametrize("block, chunk, samples", [
+    (7, 64, 63), (7, 64, 130), (1000, 64, 2500), (7, None, 100),
+    (1000, None, 2 ** 16 + 1)])
+@pytest.mark.parametrize("name", sorted(_draw_plan_carriers()))
+def test_draw_plan_redraws_slices_of_three_sample_batch_draws(
+        monkeypatch, name, block, chunk, samples):
+    from gyrokit import ball as ball_module
+    from gyrokit.core import _block_bounds
+    carrier = _draw_plan_carriers()[name]
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", block)
+    if chunk is not None:
+        monkeypatch.setattr(ball_module, "_DRAW_CHUNK", chunk)
+    bounds = _block_bounds(samples)
+    drawn, planned = np.random.default_rng(21), np.random.default_rng(21)
+    draws = [carrier.sample_batch(drawn, samples) for _ in range(3)]
+    plans = [carrier.draw_plan(planned, samples, bounds) for _ in range(3)]
+    # the generator ends where the three draws leave it, its spare 32-bit
+    # half word included
+    assert planned.bit_generator.state == drawn.bit_generator.state
+    assert planned.integers(0, 7, size=5).tolist() == \
+        drawn.integers(0, 7, size=5).tolist()
+    assert planned.random() == drawn.random()
+    # two redrawers of each plan, taking the blocks last to first, the
+    # even blocks in one and the odd ones in the other
+    redraws = [[plan(), plan()] for plan in plans]
+    for k in reversed(range(len(bounds) - 1)):
+        s = slice(bounds[k], bounds[k + 1])
+        for draw, pair in zip(draws, redraws):
+            assert _bits(pair[k % 2](k)) == _bits(draw[s]), k
+
+
+def test_sampled_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    from gyrokit import PairGyrogroup
+    from gyrokit.core import sampled_law_residuals
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 2 ** 12)
+    # one thread, so that the peak does not hang on how two threads' blocks
+    # overlap in time
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
+    for carrier, point in ((BallGyrogroup(dim=2), 16), (PairGyrogroup(m=6), 24)):
+        # a first call, so that one-time allocations are not counted
+        sampled_law_residuals(carrier, 2 ** 14, 1)
+        peaks = []
+        for samples in (2 ** 14, 2 ** 16):
+            tracemalloc.start()
+            try:
+                sampled_law_residuals(carrier, samples, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # holding the draws would add three points per added triple
+        added = 3 * point * (2 ** 16 - 2 ** 14)
+        assert peaks[1] - peaks[0] < added / 8, (carrier, peaks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sampled_witnesses_own_their_points(monkeypatch, cpus):
+    from gyrokit import PairGyrogroup
+    from gyrokit.core import sampled_law_residuals
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 50)
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    for carrier in (BallGyrogroup(dim=3), PairGyrogroup(m=6)):
+        rng = np.random.default_rng(7)
+        draws = [carrier.sample_batch(rng, 1000) for _ in range(3)]
+        _, worst_at = sampled_law_residuals(carrier, 1000, 7)
+        for law, witness in worst_at.items():
+            if witness is None:
+                continue
+            i, *points = witness
+            for point, draw in zip(points, draws):
+                u = getattr(point, "u", point)
+                assert u.flags.owndata, law
+                assert _bits(point) == _bits(draw[i]), law
 
 
 def test_block_plan_gives_two_threads_equal_shares(monkeypatch):
