@@ -50,7 +50,8 @@ for members, label in [((0,), "H = {0}"), ((0, 1, 2), "a non-L subloop")]:
         print(f"  {label}: refused -> {str(exc)[:72]}...")
 
 # H passes the criterion exactly when it contains N, the closure of the
-# translate defects; random_action searches only the subgyrogroups above N
+# translate defects; random_action enumerates the subgroups of the group
+# G/N and pulls them back to G
 t93 = validate_gyrogroup(square_root_twist(frobenius(31, 3, 5)))
 gset = random_action(t93, seed=0)
 print(f"  order-93 carrier, no subgroups= given: random action on "

@@ -38,8 +38,8 @@ import numpy as np
 from .core import (MAX_WITNESSES, Check, GyroError, ValidationError,
                    _read_index, _read_seed, conjugate_set, violation)
 from .finite import (SUBGROUP_ENUM_CAP, TableFormatError, _defect_closure,
-                     _lattice, _read_table, is_subgyrogroup, left_cosets,
-                     validate_gyrogroup)
+                     _lattice, _quotient, _read_table, is_subgyrogroup,
+                     left_cosets)
 
 # random_action joins 1 to RANDOM_MAX_PARTS coset actions, and stops before
 # one that would take it past RANDOM_MAX_POINTS points
@@ -449,27 +449,14 @@ def relabel_points(gset, perm):
 def faithful_quotient_action(gset):
     """The faithful action of the carrier's quotient by the kernel.
 
-    Builds the coset space G/K for K = ker, certifies the quotient table as
-    a gyrogroup in its own right (well-definedness is checked exhaustively,
-    not assumed), and acts by (a + K).x = a.x.  The result is faithful.
+    G/K, for K = ker, is a group: K holds N, so G/K is a quotient of G/N.
+    ``_quotient`` certifies it (well-definedness is checked exhaustively,
+    not assumed), and it acts by (a + K).x = a.x.  The result is faithful.
     """
     carrier = gset.carrier
     kernel = build_representation(gset).kernel
     _require_defects(carrier, kernel, "the kernel")
-    part = left_cosets(carrier, kernel)
-    if not part.is_partition:
-        raise GyroError("kernel cosets do not partition the carrier")
-    coset_of = np.array(part.coset_of)
-    reps = np.array(part.representatives)
-    qt = coset_of[carrier.table[reps[:, None], reps[None, :]]]
-    bad = np.argwhere(coset_of[carrier.table]
-                      != qt[coset_of[:, None], coset_of[None, :]])
-    if len(bad):
-        a, b = map(int, bad[0])
-        raise ValidationError([violation(
-            "quotient_well_defined", (a, b),
-            "coset operation depends on the choice of representatives")])
-    qcarrier = validate_gyrogroup(qt)
+    qcarrier, coset_of, reps = _quotient(carrier, kernel)
     qa = gset.table[reps, :]
     bad = np.argwhere(gset.table != qa[coset_of, :])
     if len(bad):
@@ -490,10 +477,12 @@ def random_action(carrier, seed, subgroups=None):
 
     Without ``subgroups``, the candidates are the subgyrogroups above N,
     the closure of the translate defects: exactly those that pass the
-    criterion.  They are the subgroups of the group G/N, so the search is
-    refused when the index [G:N] exceeds ``SUBGROUP_ENUM_CAP`` (for a
-    group, N = {0} and the index is the order).  Raises ValueError unless
-    ``seed`` is a non-negative integer."""
+    criterion, the subgroups of the group G/N pulled back through a -> a + N.
+    The search is refused, before G/N is built, when the index [G:N]
+    exceeds ``SUBGROUP_ENUM_CAP`` (for a group, N = {0} and the index is the
+    order).  A 2-D integer array of ``subgroups`` gives its rows.  Raises
+    ValueError unless ``seed`` is a non-negative integer, and for an entry
+    of ``subgroups`` that is not a collection of members."""
     # coset_actions imports this module, so it is imported on first call
     from .coset_actions import build_coset_action
 
@@ -506,9 +495,20 @@ def random_action(carrier, seed, subgroups=None):
                 f"index {index} of N, the closure of the translate defects, "
                 f"exceeds enumeration cap {SUBGROUP_ENUM_CAP}; "
                 f"pass subgroups= to random_action")
-        subgroups = _lattice(carrier, n)
-    elif not subgroups:  # the lattice above N holds G, so it is never empty
-        raise GyroError("subgroups= is empty; pass at least one subgyrogroup")
+        q, coset_of, _ = _quotient(carrier, n)
+        # representatives are least in their cosets and increase, so the
+        # pull-back keeps the lattice order
+        subgroups = [tuple(np.flatnonzero(np.isin(coset_of, s)).tolist())
+                     for s in _lattice(q)]
+    else:
+        entries, subgroups = subgroups, []
+        for h in entries:
+            if not np.iterable(h):
+                raise ValueError(
+                    f"subgroups entry {h!r} is not a collection of members")
+            subgroups.append(tuple(h))
+        if not subgroups:  # the lattice above N holds G, so it is never empty
+            raise GyroError("subgroups= is empty; pass at least one subgyrogroup")
     parts = []
     for _ in range(int(rng.integers(1, RANDOM_MAX_PARTS + 1))):
         h = subgroups[int(rng.integers(len(subgroups)))]

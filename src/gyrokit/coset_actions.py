@@ -25,7 +25,7 @@ import numpy as np
 from .actions import build_representation, classify, validate_action
 from .core import (Check, CriterionError, GyroError, _read_members,
                    _sample_triples, conjugate)
-from .finite import is_subgyrogroup, left_cosets
+from .finite import _coset_table, is_subgyrogroup, left_cosets
 
 
 def self_action_possible_sampled(carrier, samples, seed):
@@ -118,8 +118,8 @@ def build_coset_action(g, members, criterion=None):
     """
     members = tuple(members)
     report = criterion or coset_criterion(g, members)
-    part = left_cosets(g, members)
     if not report.passed:
+        part = left_cosets(g, members)
         extra = "" if part.is_partition else \
             f"; cosets overlap, witnesses {part.overlaps[:3]}"
         raise CriterionError(
@@ -127,17 +127,9 @@ def build_coset_action(g, members, criterion=None):
             f"gyr-invariance={report.condition_gyr_preserves_subgroup}, "
             f"translate-defect={report.condition_translate_defect_in_subgroup}"
             f"{extra}")
-    if not part.is_partition:
-        raise GyroError("criterion passed but cosets do not partition")
+    part, coset_of, reps, act = _coset_table(g, members)
     if g.order != part.index * len(part.subgroup):
         raise GyroError("index formula |G| = [G:H] |H| failed")
-    coset_of = np.array(part.coset_of)
-    reps = np.array(part.representatives)
-    act = coset_of[g.table[:, reps]]
-    # representative independence: a.(x+H) may not depend on x within a coset
-    if not np.array_equal(coset_of[g.table], act[:, coset_of]):
-        a, x = map(int, np.argwhere(coset_of[g.table] != act[:, coset_of])[0])
-        raise GyroError(f"coset action ill-defined at a={a}, x={x}")
     gset = validate_action(g, act, point_labels=tuple(int(r) for r in reps))
     flags = classify(gset)
     if not flags.transitive:

@@ -2,7 +2,9 @@
 
 Ingests magma tables (text format below), certifies or refutes the gyrogroup
 axioms exhaustively, and computes subgyrogroups, L-subgyrogroups, left
-cosets and the index formula.
+cosets, coset tables (``_coset_table``, the one builder) and quotients.
+Every kernel holds N, the closure of the translate defects, so each finite
+action reduces through the group G/N, which ``_quotient`` certifies.
 
 Only this module knows how gyrations are stored.  A carrier keeps each
 distinct gyration once: ``gyr_perms[d, n]`` holds the d distinct maps and
@@ -42,8 +44,7 @@ permutations, misses H, and 2|H| <= n.  The closure contains the mask, so
 the exit is exact.  The lattice is enumerated by cyclic extension, joining
 the distinct one-generated closures <x> onto the subgyrogroups found so
 far; a closure depends only on the union s | <x> it starts from, so each
-union is closed once.  Started from a subgyrogroup in place of {0}, the
-same search lists only the subgyrogroups above it.
+union is closed once.
 
 Table file format (UTF-8 text)::
 
@@ -561,8 +562,7 @@ def subgyrogroup_closure(g, seed):
 
 
 def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
-    """All subgyrogroups, sorted by (size, members): the search
-    :func:`_lattice` from {0}.
+    """All subgyrogroups, sorted by (size, members), by :func:`_lattice`.
 
     Refuses orders beyond ``cap``, which bounds the lattice search: the
     number of subgyrogroups, and so the joins, can grow quickly with the
@@ -572,16 +572,16 @@ def enumerate_subgyrogroups(g, cap=SUBGROUP_ENUM_CAP):
     if g.order > cap:
         raise GyroError(
             f"order {g.order} exceeds enumeration cap {cap}; raise cap explicitly")
-    return _lattice(g, (0,))
+    return _lattice(g)
 
 
-def _lattice(g, start):
-    """All subgyrogroups containing the subgyrogroup ``start`` (a sorted
-    tuple), sorted by (size, members).
+def _lattice(g):
+    """All subgyrogroups, sorted by (size, members).  Run on G/N, it lists
+    the subgyrogroups of G that pass the coset criterion, pulled back.
 
     Cyclic extension (Neubuser's method): the closure of s + {x} is the
-    closure of s + <x>, so every subgyrogroup above ``start`` is reached
-    from it by joining one-generated closures <x> one at a time, and one x
+    closure of s + <x>, so every subgyrogroup is reached from {0} by
+    joining one-generated closures <x> one at a time, and one x
     per distinct <x> suffices.  Each found subgyrogroup s is joined with
     every distinct <x> not inside it.  A union s | <x> closed before is
     skipped, and a join stops as G once it holds more than n/2 members, the
@@ -593,9 +593,8 @@ def _lattice(g, start):
         cx = _close(g, one[0] | one[x])
         cyclic.setdefault(cx.tobytes(), cx)
     cyclic = np.array(list(cyclic.values()))
-    base = one[list(start)].any(axis=0)
-    found = {base.tobytes(): base}
-    frontier = [base]
+    found = {one[0].tobytes(): one[0]}
+    frontier = [one[0]]
     joined = set()  # the unions s | <x> closed so far, as bytes
     while frontier:
         s = frontier.pop()
@@ -677,3 +676,37 @@ def left_cosets(g, members):
                           is_partition=is_partition,
                           overlaps=overlaps,
                           coset_of=tuple(owner.tolist()) if is_partition else None)
+
+
+def _coset_table(g, members):
+    """(partition, coset_of, reps, act) for the left cosets of the
+    subgyrogroup ``members``, with act[a, i] = coset_of[a + reps[i]].
+    Raises GyroError unless the cosets partition G and act is well defined."""
+    part = left_cosets(g, members)
+    if not part.is_partition:
+        raise GyroError(f"cosets of {part.subgroup} do not partition the carrier")
+    coset_of = np.array(part.coset_of)
+    reps = np.array(part.representatives)
+    act = coset_of[g.table[:, reps]]
+    # representative independence: a.(x+H) may not depend on x within a coset
+    if not np.array_equal(coset_of[g.table], act[:, coset_of]):
+        a, x = map(int, np.argwhere(coset_of[g.table] != act[:, coset_of])[0])
+        raise GyroError(f"coset action ill-defined at a={a}, x={x}")
+    return part, coset_of, reps, act
+
+
+def _quotient(g, members):
+    """(G/H, coset_of, reps) for a subgyrogroup H = ``members`` that holds
+    every translate defect, coset i being reps[i] + H.  G/H is certified as
+    a group (Suksumran and Wiboonton, 2015), or GyroError is raised."""
+    part, coset_of, reps, act = _coset_table(g, members)
+    qt = act[reps]  # (x + H) + (y + H) = (x + y) + H at x, y in reps
+    # _coset_table checked the representative of y + H; this checks x + H's
+    if not np.array_equal(qt[coset_of], act):
+        a, i = map(int, np.argwhere(qt[coset_of] != act)[0])
+        raise GyroError(f"coset operation depends on the choice of "
+                        f"representatives at a={a}, b={reps[i]}")
+    q = validate_gyrogroup(qt)
+    if not q.is_degenerate():
+        raise GyroError(f"G/H for H={part.subgroup} is not a group")
+    return q, coset_of, reps

@@ -16,6 +16,7 @@ from gyrokit import (GyroError, OrbitDecomposition, ValidationError,
                      restrict_to_invariant, serialize_action_table,
                      stabilizer_of_translate, validate_action,
                      validate_gyrogroup)
+from gyrokit import finite
 from gyrokit.actions import diagnose_action
 from gyrokit.catalog import cyclic, dihedral
 from gyrokit.finite import MAX_WITNESSES, SUBGROUP_ENUM_CAP
@@ -494,10 +495,18 @@ def test_relabel_and_restrict_check_the_law_on_their_output_once(
     assert all(np.array_equal(t, out.table) for t, out in zip(seen, outs))
 
 
-def test_random_action_beyond_the_cap_asks_for_subgroups():
+def test_random_action_beyond_the_cap_asks_for_subgroups(monkeypatch):
     g = validate_gyrogroup(cyclic(SUBGROUP_ENUM_CAP + 1))
-    with pytest.raises(GyroError, match="pass subgroups= to random_action") as exc:
-        random_action(g, seed=1)
+
+    def refuse(t):
+        raise AssertionError("G/N was built before the cap was checked")
+
+    # the cap is checked before G/N is built and validated
+    with monkeypatch.context() as m:
+        m.setattr(finite, "validate_gyrogroup", refuse)
+        with pytest.raises(GyroError,
+                           match="pass subgroups= to random_action") as exc:
+            random_action(g, seed=1)
     assert "raise cap" not in str(exc.value)
     assert random_action(g, seed=1, subgroups=[(0,)]).points == g.order
 
@@ -517,6 +526,19 @@ def test_random_action_refuses_an_empty_subgroups_argument(t21):
     # the lattice above N always holds G, so only an empty argument is empty
     with pytest.raises(GyroError, match="^subgroups= is empty; "):
         random_action(t21, seed=1, subgroups=[])
+
+
+def test_random_action_reads_a_2d_array_of_subgroups_as_its_rows(z6):
+    given = random_action(z6, seed=3, subgroups=np.array([[0, 3]]))
+    listed = random_action(z6, seed=3, subgroups=[(0, 3)])
+    assert np.array_equal(given.table, listed.table)
+
+
+def test_random_action_names_a_subgroups_entry_that_is_no_collection(z6):
+    # a flat tuple of members, in place of a collection of subgroups
+    with pytest.raises(ValueError,
+                       match="^subgroups entry 0 is not a collection of members$"):
+        random_action(z6, seed=1, subgroups=(0, 3))
 
 
 # -- arguments outside the G-set --------------------------------------------

@@ -7,6 +7,7 @@ import inspect
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,6 +600,18 @@ def test_core_imports_nothing_from_the_package():
              or isinstance(node, ast.Import)
              and any(a.name.split(".")[0] == "gyrokit" for a in node.names)]
     assert found == []
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject.toml declares Python >= 3.10; the grammar of a newer
+    # release in any source, test, demo or benchmark file would break there
+    root = Path(__file__).resolve().parents[1]
+    files = [f for d in ("src", "tests", "demos", "perfbench")
+             for f in sorted((root / d).rglob("*.py"))]
+    assert files
+    for f in files:
+        ast.parse(f.read_text(encoding="utf-8"), filename=str(f),
+                  feature_version=(3, 10))
 
 
 def test_validation_errors_list_max_witnesses_diagnostics(monkeypatch):

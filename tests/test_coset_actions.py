@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gyrokit import (CriterionError, PairGyrogroup, ValidationError,
-                     build_coset_action, build_representation,
+from gyrokit import (CriterionError, GyroError, PairGyrogroup,
+                     ValidationError, build_coset_action, build_representation,
                      check_pair_axioms, classify,
                      coset_criterion, coset_criterion_sampled,
                      enumerate_subgyrogroups, gyration,
@@ -15,7 +15,7 @@ from gyrokit import (CriterionError, PairGyrogroup, ValidationError,
 from gyrokit.actions import diagnose_action
 from gyrokit.catalog import (dihedral, frobenius, quaternion,
                              square_root_twist, symmetric)
-from gyrokit.finite import _defect_closure, _lattice
+from gyrokit.finite import _defect_closure, _lattice, _quotient
 
 from conftest import (LADDER_GROUPS, classical_coset_table, defect_leak_loop,
                       gyration_leak_loop, trivial_action)
@@ -130,19 +130,49 @@ def criterion_lattices():
 
 def test_lattice_above_the_defect_closure_is_the_passing_lattice(
         criterion_lattices):
+    # the subgroups of G/N, pulled back through a -> a + N, in lattice order
     for name, (g, passing) in criterion_lattices.items():
-        assert _lattice(g, _defect_closure(g)) == passing, name
+        q, coset_of, _ = _quotient(g, _defect_closure(g))
+        pulled = [tuple(np.flatnonzero(np.isin(coset_of, s)).tolist())
+                  for s in _lattice(q)]
+        assert pulled == passing, name
 
 
 def test_random_action_draws_from_the_lattice_above_the_defect_closure(
         criterion_lattices):
-    for name in ("S4", "D16", "T21", "T57"):
-        g, passing = criterion_lattices[name]
+    for name, (g, passing) in criterion_lattices.items():
         for seed in range(10):
             found = random_action(g, seed)
             given = random_action(g, seed, subgroups=passing)
             assert np.array_equal(found.table, given.table), (name, seed)
             assert found.point_labels == given.point_labels, (name, seed)
+
+
+def test_quotient_by_the_defect_closure_is_a_group_and_refuses_the_rest(
+        s3, t21):
+    tables = {f"T{n}": square_root_twist(frobenius(*pqr))
+              for n, pqr in LADDER_GROUPS.items()}
+    tables.update(T203=square_root_twist(frobenius(29, 7, 7)), S4=symmetric(4),
+                  D16=dihedral(8), D32=dihedral(16), Q8=quaternion())
+    for name, t in tables.items():
+        g = validate_gyrogroup(t)
+        n = _defect_closure(g)
+        q, coset_of, reps = _quotient(g, n)
+        assert q.order == g.order // len(n) and q.is_degenerate(), name
+        assert np.array_equal(coset_of[reps], np.arange(q.order)), name
+        # every action factors through G/N: a acts as its representative
+        for seed in range(3):
+            acts = random_action(g, seed).table
+            assert np.array_equal(acts, acts[reps[coset_of]]), (name, seed)
+    # {0, 1} is a subgroup of S3 that is not normal: its cosets partition
+    # S3, but their sum depends on the representatives
+    with pytest.raises(GyroError, match="depends on the choice"):
+        _quotient(s3, (0, 1))
+    # a subgyrogroup of order 3 of T21 is not an L-subgyrogroup: its cosets
+    # overlap
+    h3 = next(h for h in enumerate_subgyrogroups(t21) if len(h) == 3)
+    with pytest.raises(GyroError, match="do not partition"):
+        _quotient(t21, h3)
 
 
 @pytest.mark.parametrize("p, q, r", [(31, 3, 5), (43, 3, 6), (29, 7, 7)],
