@@ -29,13 +29,12 @@ Action table file format (UTF-8 text)::
 Comments start with '#'.
 """
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .core import (MAX_WITNESSES, Check, GyroError, ValidationError,
+from .core import (MAX_WITNESSES, Check, GyroError, Record, ValidationError,
                    _read_index, _read_seed, conjugate_set, violation)
 from .finite import (SUBGROUP_ENUM_CAP, TableFormatError, _defect_closure,
                      _lattice, _quotient, _read_table, is_subgyrogroup,
@@ -47,8 +46,7 @@ RANDOM_MAX_PARTS = 3
 RANDOM_MAX_POINTS = 16
 
 
-@dataclass(frozen=True)
-class FiniteGSet:
+class FiniteGSet(Record):
     """A validated action table of a finite carrier on points 0..k-1."""
 
     carrier: object
@@ -70,8 +68,7 @@ class FiniteGSet:
         return _decompose(self)
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Permutations afforded by an action, with the kernel."""
 
     gset: FiniteGSet
@@ -79,8 +76,10 @@ class Representation:
     kernel: tuple
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(Record):
+    """Orbits, stabilizers and fixed sets of a G-set, as ``_decompose``
+    verified them."""
+
     orbits: tuple
     representatives: tuple
     orbit_of: tuple
@@ -89,8 +88,9 @@ class OrbitDecomposition:
     fixed_by: tuple             # fix(a), one per carrier element
 
 
-@dataclass(frozen=True)
-class ActionClassification:
+class ActionClassification(Record):
+    """The five flags ``classify`` decides for a G-set."""
+
     faithful: bool
     transitive: bool
     free: bool
@@ -98,7 +98,8 @@ class ActionClassification:
     sharply_transitive: bool
 
     def as_dict(self):
-        return asdict(self)
+        """The flags by name, in field order."""
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _sizes(args, lineno):

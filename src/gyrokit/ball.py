@@ -62,12 +62,11 @@ chains of additions of admissible points can approach the boundary beyond
 any fixed margin.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core
-from .core import GyrogroupCarrier, InvalidElementError, NumericalError
+from .core import (GyrogroupCarrier, InvalidElementError, NumericalError,
+                   Record)
 
 DENOM_GUARD = 1e-15
 PROBE_SCALE = 1e-3
@@ -429,8 +428,7 @@ class BallGyrogroup(GyrogroupCarrier):
         return f"BallGyrogroup(dim={self.dim}, variant={self.variant!r})"
 
 
-@dataclass(frozen=True)
-class GyrationMatrix:
+class GyrationMatrix(Record):
     """Gyration extracted as a matrix, with empirical residuals.
 
     Linearity and orthogonality of ball gyrations are measured, never

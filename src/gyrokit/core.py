@@ -21,7 +21,6 @@ import contextvars
 import copy
 import os
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,8 +50,122 @@ class CriterionError(GyroError):
     """A construction was requested whose precondition check failed."""
 
 
-@dataclass(frozen=True)
-class Check:
+class _Fresh:
+    """The default of a Record field that is ``factory()``, made anew for
+    each record."""
+
+    def __init__(self, factory):
+        self.factory = factory
+
+
+class Record:
+    """A frozen record whose fields are the annotated names of its class, in
+    order (a subclass's new ones after its base's).
+
+    The result records derive from it, not from ``@dataclass(frozen=True)``,
+    which writes and compiles the source of every record's methods each time
+    the package is imported.  These methods are written once, here, and read
+    the field names from ``_fields``; no code is made at run time.
+
+    A record is built from positional or keyword arguments.  A field's class
+    attribute is its default; a ``_Fresh(factory)`` default is
+    ``factory()``, called for each record.  ``__post_init__``, if the class
+    has one, runs after the fields are set, and may set a field with
+    ``object.__setattr__``.  Equality, hashing and ``repr`` are those of a
+    frozen dataclass: records of one class are equal when their field
+    tuples are, and assignment or deletion raises AttributeError.  Fields
+    live in the instance ``__dict__``, so ``functools.cached_property``
+    works.  ``dataclasses.asdict``, ``replace`` and ``fields`` do not apply.
+    """
+
+    _fields = ()
+    _defaults = {}
+    _post_init = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__  # this class's own, in order
+        cls._fields = (*cls._fields, *(n for n in own if n not in cls._fields))
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own
+                                             if n in cls.__dict__}}
+        cls._post_init = getattr(cls, "__post_init__", None)
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        fields = self.__dict__
+        if not kwargs and len(args) == len(names):
+            fields.update(zip(names, args))
+        elif len(kwargs) == len(names) and tuple(kwargs) == names:
+            fields.update(kwargs)  # every field by keyword, in order
+        else:
+            self._bind(fields, args, kwargs)
+        if self._post_init is not None:
+            self._post_init()
+
+    def _bind(self, fields, args, kwargs):
+        """Set ``fields`` in order from any other arguments, a field not
+        given taking its default."""
+        names = self._fields
+        used = len(args)
+        if used > len(names):
+            self._refuse(args, kwargs)
+        fields.update(zip(names, args))
+        for key in names[len(args):]:
+            if key in kwargs:
+                fields[key] = kwargs[key]
+                used += 1
+            elif key in self._defaults:
+                default = self._defaults[key]
+                fields[key] = (default.factory() if isinstance(default, _Fresh)
+                               else default)
+            else:
+                self._refuse(args, kwargs)
+        if used != len(args) + len(kwargs):
+            self._refuse(args, kwargs)
+
+    def _refuse(self, args, kwargs):
+        """Raise the TypeError that a function with the fields as parameters
+        would raise for these arguments: too many, an unknown or repeated
+        keyword, or a field with no default missing."""
+        names = self._fields
+        unknown = [k for k in kwargs if k not in names]
+        repeated = [k for k in kwargs if k in names[:len(args)]]
+        missing = [k for k in names[len(args):]
+                   if k not in kwargs and k not in self._defaults]
+        if len(args) > len(names):
+            why = f"takes at most {len(names)} arguments ({len(args)} given)"
+        elif unknown:
+            why = f"got an unexpected keyword argument {unknown[0]!r}"
+        elif repeated:
+            why = f"got multiple values for argument {repeated[0]!r}"
+        else:
+            why = f"missing required argument {missing[0]!r}"
+        raise TypeError(f"{type(self).__qualname__}() {why}")
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return self.__class__.__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Check(Record):
     """One verdict, the record every report is written from.
 
     ``check`` names the law or property and ``passed`` gives the verdict;
@@ -67,7 +180,7 @@ class Check:
     seed: int | None = None
     samples: int | None = None
     tolerance: float | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = _Fresh(dict)
 
     def as_dict(self):
         """The six stable report keys, then the ``detail`` items."""

@@ -18,12 +18,10 @@ stab(x+H) = conjugate of H by x, non-semiregularity for H != {0}, and the
 index formula.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .actions import build_representation, classify, validate_action
-from .core import (Check, CriterionError, GyroError, _read_members,
+from .core import (Check, CriterionError, GyroError, Record, _read_members,
                    _sample_triples, conjugate)
 from .finite import _coset_table, is_subgyrogroup, left_cosets
 
@@ -42,8 +40,7 @@ def self_action_possible_sampled(carrier, samples, seed):
     return False, (a[worst], b[worst], c[worst])
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Outcome of the two-condition coset criterion."""
 
     passed: bool

@@ -16,17 +16,14 @@ S, so b.y = b.((-b + a).y) = a.y, and bijective because both orbits are
 transitive of one size.  The test reads only the two action tables.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .actions import restrict_to_invariant
-from .core import GyroError, _read_index, conjugate
+from .core import GyroError, Record, _read_index, conjugate
 from .coset_actions import induced_action_over_subgyrogroup
 
 
-@dataclass(frozen=True)
-class GMap:
+class GMap(Record):
     """A point map between two G-sets over the same carrier."""
 
     source: object
@@ -121,8 +118,7 @@ def are_equivalent_transitive(x, y):
     return m.equivalent, m.mapping
 
 
-@dataclass(frozen=True)
-class ComponentMatch:
+class ComponentMatch(Record):
     """Outcome of matching the orbits of two G-sets."""
 
     equivalent: bool

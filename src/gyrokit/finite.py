@@ -56,11 +56,10 @@ Comments start with '#'.  Element 0 is always the candidate identity.
 """
 
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MAX_WITNESSES, GyroError, GyrogroupCarrier,
+from .core import (MAX_WITNESSES, GyroError, GyrogroupCarrier, Record,
                    ValidationError, _first_repeats, _read_int, _read_members,
                    _scalar, violation)
 
@@ -77,8 +76,7 @@ class TableFormatError(GyroError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(Record):
     """An n x n operation table over elements 0..n-1."""
 
     order: int
@@ -630,8 +628,7 @@ def is_l_subgyrogroup(g, members):
     return g.gyration_leak(members, over=members) is None
 
 
-@dataclass(frozen=True)
-class CosetPartition:
+class CosetPartition(Record):
     """Left cosets a+H of a subgyrogroup, with partition bookkeeping.
 
     For an L-subgyrogroup the cosets are pairwise disjoint, cover G and all
@@ -644,7 +641,7 @@ class CosetPartition:
     representatives: tuple
     index: int
     is_partition: bool
-    overlaps: tuple = field(default=())
+    overlaps: tuple = ()
     coset_of: tuple | None = None
 
     def index_formula_holds(self, order):

@@ -23,21 +23,18 @@ The translation part B_hat = {(a, id)} has exactly m left cosets, one per
 rotation index, on which left gyroaddition acts transitively.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core
 from .actions import validate_action
 from .ball import BallGyrogroup
 from .catalog import cyclic
-from .core import GyrogroupCarrier
+from .core import GyrogroupCarrier, Record
 from .coset_actions import coset_criterion_sampled
 from .finite import validate_gyrogroup
 
 
-@dataclass(frozen=True)
-class PairElement:
+class PairElement(Record):
     """A (ball vector, rotation index) pair; fields may be batched."""
 
     u: np.ndarray

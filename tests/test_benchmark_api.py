@@ -5,8 +5,9 @@ its calls into gyrokit still bind to their signatures.
 (``--trace 1``) stops with "per-layer metric ... is not measured" when a
 function behind one of ``BENCHMARK.json``'s ``.calls`` or ``.self_s``
 metrics, ``<layer>.<name>[.<method>]``, is gone.  A call whose arguments
-no longer bind fails only when the benchmark runs.  This test only reads
-those files.
+no longer bind fails only when the benchmark runs.  These tests read
+those files; the last also runs the benchmark's tracer over gyrokit in a
+child interpreter.
 """
 
 import ast
@@ -15,6 +16,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -99,3 +102,24 @@ def test_benchmark_names_are_found():
     bound = {name for _, name, _, _ in _bench_calls()}
     assert {"ball.check_ball_laws", "ball.BallGyrogroup",
             "actions.validate_action"} <= bound
+
+
+def test_traced_run_wraps_every_traced_metric():
+    # a traced run imports gyrokit as its set-ups do, drops and imports it
+    # again, then wraps functions with tracing.install; a name that install
+    # does not wrap stops the run, so each must be among the wrapped ones
+    script = ("import json, child, tracing\n"
+              "child.import_gyrokit()\n"
+              "child.import_gyrokit()\n"
+              "tracer = tracing.Tracer()\n"
+              "tracing.install(tracer)\n"
+              "print(json.dumps(sorted(tracer.names)))\n")
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=BENCH, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert _traced() <= names, sorted(_traced() - names)

@@ -7,6 +7,7 @@ import inspect
 import re
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -460,14 +461,20 @@ class FailingBall(BallGyrogroup):
 class InterruptedBall(BallGyrogroup):
     """A ball whose ``oplus`` raises KeyboardInterrupt when its first
     argument holds the point ``stop``, and notes whether it was ever given
-    the point ``last``."""
+    the point ``last``.  A thread other than the one that made it waits in
+    ``oplus`` until ``released`` is set (for 60 s at most, so that a worker
+    never released cannot outlive the test run)."""
 
     def __init__(self, stop, last, **kwargs):
         super().__init__(**kwargs)
         self.stop, self.last = stop, last
         self.reached_last = False
+        self.maker = threading.get_ident()
+        self.released = threading.Event()
 
     def oplus(self, u, v):
+        if threading.get_ident() != self.maker:
+            self.released.wait(60)
         if np.any(_hits(u, [self.stop])):
             raise KeyboardInterrupt
         self.reached_last |= bool(np.any(_hits(u, [self.last])))
@@ -548,6 +555,16 @@ def test_an_interrupted_sampled_suite_stops_and_joins_its_worker(monkeypatch):
     threads = threading.active_count()
     # the caller's first block is interrupted; the worker's last is block 39
     carrier = InterruptedBall(a[3], a[1990], dim=2)
+
+    class ReleasedAtJoin(threading.Thread):
+        # the caller joins the worker only once it has noted its interrupt,
+        # so the worker, held in its first block until then, cannot run ahead
+        def join(self, timeout=None):
+            carrier.released.set()
+            super().join(timeout)
+
+    monkeypatch.setattr(core, "threading",
+                        types.SimpleNamespace(Thread=ReleasedAtJoin))
     with pytest.raises(KeyboardInterrupt):
         sampled_law_residuals(carrier, 2000, 10)
     assert threading.active_count() == threads

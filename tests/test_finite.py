@@ -179,7 +179,8 @@ def test_missing_inverse_detected():
 def test_order_zero_table_is_rejected():
     empty = np.zeros((0, 0), dtype=np.int64)
     for check in (diagnose_gyrogroup, validate_gyrogroup,
-                  lambda t: CayleyTable(0, t)):
+                  lambda t: CayleyTable(0, t),
+                  lambda t: CayleyTable(order=0, table=t)):
         with pytest.raises(ValueError, match="order must be >= 1"):
             check(empty)
 
@@ -191,7 +192,8 @@ def test_tables_that_are_not_integers_are_rejected():
     rounded[1, 1] = 2.7
     for table in (rounded, cyclic(3).astype(float), cyclic(2).astype(bool)):
         for check in (diagnose_gyrogroup, validate_gyrogroup,
-                      lambda t: CayleyTable(len(t), t)):
+                      lambda t: CayleyTable(len(t), t),
+                      lambda t: CayleyTable(table=t, order=len(t))):
             with pytest.raises(ValueError, match="are not integers"):
                 check(table)
     for dtype in (np.int8, np.uint16, np.int64):
@@ -498,8 +500,10 @@ def test_nontrivial_gyration_matches_loop(fixture_carriers):
 def test_validation_leaves_callers_array_writable():
     t = cyclic(4)
     g = validate_gyrogroup(t)
+    ct = CayleyTable(order=4, table=t)
+    assert ct.table is not t and not ct.table.flags.writeable
     t[0, 0] = 1
-    assert g.oplus(0, 0) == 0
+    assert g.oplus(0, 0) == 0 and ct.table[0, 0] == 0
 
 
 def test_gyr_perm_matches_gyrator_identity(t21):
