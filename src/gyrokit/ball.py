@@ -28,20 +28,23 @@ All functions broadcast over leading axes, so a "point" may be a single
 vector of shape (dim,) or a batch of shape (N, dim).  Results are never
 clamped: a sum with norm >= 1 signals a numerical error.
 
-The kernels are evaluated coordinate-major: each public function reads
-its arguments as arrays whose axis 0 indexes the coordinates, each
-coordinate one contiguous row, so that per-point scalars such as |u|^2
-broadcast along whole rows and dot products sum over rows.  ``_coords``
-copies an argument only when one of its coordinate rows is not
-contiguous.  Results are point-major views (a transpose) of
-coordinate-major memory, and so are the draws of ``sample_batch``, so a
-result or a slice of a draw passed back in is read without a copy.  The
-kernels write only into temporaries they allocate themselves, never into
-an argument.  Every operation runs elementwise in the same order whatever
-the memory layout of its inputs (C or Fortran order, strided slices,
-results of earlier calls), and a point gives the same result alone as
-within a batch, bit for bit.
-Kernels written as plain expressions ran the 10^6-triple suite 5-22 % slower.
+The kernels are evaluated coordinate-major: each public function reads its
+arguments as arrays whose axis 0 indexes the coordinates, each coordinate
+one contiguous row, so that per-point scalars such as |u|^2 broadcast along
+whole rows and dot products sum over rows.  Results are point-major views (a
+transpose) of coordinate-major memory, and so are the draws of
+``sample_batch``, so a result or a slice of a draw passed back in is read
+without a copy.  The kernels write only into their own temporaries, never
+into an argument.  Every operation runs elementwise in the same order
+whatever the memory layout of its inputs (C or Fortran order, strided
+slices, results of earlier calls), and a point gives the same result alone
+as within a batch, bit for bit.  Kernels make few numpy calls, with little
+interpreter work: the two threads of ``core.sampled_law_residuals`` wait on
+each other for the interpreter lock, which a thread takes back after each
+numpy call (two threads each running the same triples in 2^15-, 2^14- and
+2^12-triple blocks took 1.11, 1.47 and 3.0 times one thread's time, two
+processes 1.00).  Plain ``out += u[i] * v[i]`` ran the 10^6-triple suite as
+fast as kept temporaries, and a one-triple block 5 % faster.
 
 A draw of ``sample_batch`` takes from its generator all the directions'
 normals, point by point, then all the radii, one 64-bit word each.
@@ -75,19 +78,23 @@ SAMPLE_MAX_NORM = 0.99
 _DRAW_CHUNK = 2 ** 16
 
 
-def _coords(*points):
-    """The points as coordinate-major float arrays, padded to a common rank:
-    axis 0 indexes the coordinates, and each coordinate is one contiguous
-    row, so a single point (dim, 1) broadcasts against a batch (dim, N).  A
-    point-major view of coordinate-major memory (a kernel result, a draw of
-    ``sample_batch`` or a slice of either) is taken back without a copy."""
+def _coords(dim, *points):
+    """The points, each of ``dim`` coordinates (InvalidElementError
+    otherwise), as coordinate-major float arrays padded to a common rank:
+    axis 0 indexes the coordinates, each one contiguous row, so a single
+    point (dim, 1) broadcasts against a batch (dim, N).  A point-major view
+    of coordinate-major memory is taken back without a copy."""
+    if not all(map(np.ndim, points)):
+        raise InvalidElementError(f"expected dimension {dim}, got a scalar")
     arrays = [np.asarray(p, dtype=float) for p in points]
-    rank = max(x.ndim for x in arrays)
+    rank = max([x.ndim for x in arrays])
     out = []
     for x in arrays:
-        x = x.reshape((1,) * (rank - x.ndim) + x.shape)
-        x = x.transpose((rank - 1,) + tuple(range(rank - 1)))
-        if not (len(x) and x[0].flags.c_contiguous):
+        x = x if x.ndim == rank else x.reshape((1,) * (rank - x.ndim) + x.shape)
+        x = x.T if rank < 3 else x.transpose((rank - 1, *range(rank - 1)))
+        if len(x) != dim:
+            raise InvalidElementError(f"expected dimension {dim}, got {len(x)}")
+        if not x[0].flags.c_contiguous:
             x = np.ascontiguousarray(x)
         out.append(x)
     return out
@@ -95,16 +102,15 @@ def _coords(*points):
 
 def _points(x):
     """The point-major view (coordinates last) of a coordinate-major array."""
-    return x.transpose(tuple(range(1, x.ndim)) + (0,))
+    return x.T if x.ndim < 3 else x.transpose((*range(1, x.ndim), 0))
 
 
 def _dot(u, v):
     """<u, v> of coordinate-major points, summed row by row in coordinate
     order: a point gets the same sum alone as within a batch."""
     out = u[0] * v[0]
-    term = np.empty_like(out)  # an array even where out is a numpy scalar
     for i in range(1, len(u)):
-        out += np.multiply(u[i], v[i], out=term)
+        out += u[i] * v[i]
     return out
 
 
@@ -168,7 +174,7 @@ def _squared_norm_in_ball(u):
     """|u|^2 of a coordinate-major point or batch; raises unless every
     |u| < 1."""
     nu2 = _dot(u, u)
-    if np.any(nu2 >= 1.0):
+    if np.count_nonzero(nu2 >= 1.0):
         raise InvalidElementError("argument outside the open unit ball")
     return nu2
 
@@ -187,12 +193,15 @@ def lorentz_gamma(u):
 def _gram_defect(u, v):
     """|u|^2 |v|^2 - <u,v>^2 without cancellation: by the Lagrange identity,
     the sum of the squared 2 x 2 minors u_i v_j - u_j v_i over i < j."""
-    shape = np.broadcast_shapes(u.shape[1:], v.shape[1:])
-    out, minor, term = np.zeros(shape), np.empty(shape), np.empty(shape)
+    if len(u) == 1:
+        return np.zeros_like(u[0] * v[0])
+    out = u[0] * v[1]
+    out -= u[1] * v[0]
+    out *= out
     for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            np.multiply(u[i], v[j], out=minor)
-            minor -= np.multiply(u[j], v[i], out=term)
+        for j in range(max(i + 1, 2), len(u)):  # minor (0, 1) began out
+            minor = u[i] * v[j]
+            minor -= u[j] * v[i]
             minor *= minor
             out += minor
     return out
@@ -203,10 +212,10 @@ def _mobius_den(u, v, uv):
     which keeps its significant digits when u ~ -v near the boundary;
     ``uv`` is <u,v>.  The square is a product, as numpy squares an array:
     a numpy scalar's ``** 2`` rounds differently in the last bit."""
-    den = 1.0 + uv
+    den = 1 + uv
     den *= den
     den += _gram_defect(u, v)
-    if np.any(np.abs(den) < DENOM_GUARD):
+    if np.count_nonzero(den < DENOM_GUARD):  # a sum of squares: never negative
         raise NumericalError("mobius denominator underflow")
     return den
 
@@ -233,7 +242,7 @@ def _mobius_add(u, v, nu2):
     s = u + v
     den = _mobius_den(u, v, _dot(u, v))
     out = u * _dot(s, s)
-    s *= 1.0 - nu2
+    s *= 1 - nu2
     out += s
     out /= den
     return out
@@ -259,7 +268,7 @@ def _einstein_add(u, v, nu2):
     g2 = 1.0 / (1.0 - nu2)
     gu = np.sqrt(g2)
     den = 1.0 + _dot(u, v)
-    if np.any(np.abs(den) < DENOM_GUARD):
+    if np.count_nonzero(abs(den) < DENOM_GUARD):
         raise NumericalError("einstein denominator underflow")
     c = (g2 * den - 1.0) / (gu * (1.0 + gu))
     out = u + v
@@ -274,12 +283,12 @@ def _mobius_gyration(u, v, w, nu2, nv2):
     uv = _dot(u, v)
     uw = _dot(u, w)
     vw = _dot(v, w)
-    a = vw * (1.0 + 2.0 * uv) - uw * nv2
+    a = vw * (1 + 2 * uv) - uw * nv2
     b = -(vw * nu2 + uw)
     den = _mobius_den(u, v, uv)
     out = u * a
     out += v * b
-    out *= 2.0
+    out *= 2
     out /= den
     out += w
     return out
@@ -326,34 +335,23 @@ class BallGyrogroup(GyrogroupCarrier):
                 f"norm {float(np.max(_norm(u)))} >= 1 - delta ({1.0 - self.delta})")
         return u
 
-    def _checked_coords(self, *points):
-        """``_coords`` of points that each have ``dim`` coordinates."""
-        if any(np.ndim(p) == 0 for p in points):
-            raise InvalidElementError(f"expected dimension {self.dim}, got a scalar")
-        out = _coords(*points)
-        for x in out:
-            if len(x) != self.dim:
-                raise InvalidElementError(
-                    f"expected dimension {self.dim}, got {len(x)}")
-        return out
-
     def oplus(self, u, v):
-        u, v = self._checked_coords(u, v)
+        u, v = _coords(self.dim, u, v)
         nu2 = _squared_norm_in_ball(u)
         _squared_norm_in_ball(v)
         out = self._add(u, v, nu2)
-        if np.any(_dot(out, out) >= 1.0):
+        if np.count_nonzero(_dot(out, out) >= 1.0):
             raise NumericalError(f"{self.variant} sum left the ball")
         return _points(out)
 
     def oinv(self, u):
-        (u,) = self._checked_coords(u)
+        (u,) = _coords(self.dim, u)
         _squared_norm_in_ball(u)
         return _points(-u)
 
     def gyration(self, a, b, c):
         """gyr[a, b]c in closed form (see the module docstring)."""
-        a, b, c = self._checked_coords(a, b, c)
+        a, b, c = _coords(self.dim, a, b, c)
         na2 = _squared_norm_in_ball(a)
         nb2 = _squared_norm_in_ball(b)
         _squared_norm_in_ball(c)
@@ -363,12 +361,12 @@ class BallGyrogroup(GyrogroupCarrier):
         return _points(_mobius_gyration(a, b, c, na2, nb2))
 
     def distance(self, u, v):
-        u, v = self._checked_coords(u, v)
+        u, v = _coords(self.dim, u, v)
         d = u - v
         return np.sqrt(_dot(d, d))
 
     def contains(self, u):
-        (u,) = self._checked_coords(u)
+        (u,) = _coords(self.dim, u)
         return _dot(u, u) < 1.0
 
     def sample_batch(self, rng, count, max_norm=SAMPLE_MAX_NORM):

@@ -333,6 +333,55 @@ def test_closed_form_gyration_exact_near_boundary():
         assert np.linalg.norm(got[i] - [float(x) for x in exact]) <= 1e-15
 
 
+def test_mobius_denominator_underflow_and_einstein_denominator_underflow():
+    """Opposite points by the boundary trip each denominator guard, alone
+    and inside a batch; a little further in, the sum is 0."""
+    w = np.array([0.1, 0.2])
+    u = np.array([1 - 1e-9, 0.0])
+    mobius = BallGyrogroup(dim=2, variant="mobius")
+    batch = np.array([[0.3, -0.1], u])
+    for x in (u, batch):
+        with pytest.raises(NumericalError, match="mobius denominator underflow"):
+            mobius.oplus(x, -x)
+        with pytest.raises(NumericalError, match="mobius denominator underflow"):
+            mobius.gyration(x, -x, w)
+    e = np.array([np.nextafter(1.0, 0.0), 0.0])
+    einstein = BallGyrogroup(dim=2, variant="einstein")
+    for x in (e, np.array([[0.3, -0.1], e])):
+        with pytest.raises(NumericalError, match="einstein denominator underflow"):
+            einstein.oplus(x, -x)
+    inner = np.array([1 - 1e-6, 0.0])
+    for ball in (mobius, einstein):
+        assert np.array_equal(ball.oplus(inner, -inner), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mobius_kernels_run_on_fractions_exactly(dim):
+    """The Mobius kernels take exact numbers: on Fraction object arrays
+    (coordinate-major) gyroassociativity and the left loop law hold with
+    defect exactly 0, and every entry stays a Fraction."""
+    from gyrokit.ball import _dot, _mobius_add, _mobius_gyration
+
+    def add(u, v):
+        return _mobius_add(u, v, _dot(u, u))
+
+    def gyr(u, v, w):
+        return _mobius_gyration(u, v, w, _dot(u, u), _dot(v, v))
+
+    rng = np.random.default_rng(dim)
+    a, b, c = (np.array([[F(int(n), 1000) for n in row] for row in
+                         rng.integers(-550, 550, (dim, 6))], dtype=object)
+               for _ in range(3))
+    ab, gyr_c = add(a, b), gyr(a, b, c)
+    gyroassociativity = add(a, add(b, c)) - add(ab, gyr_c)
+    left_loop = gyr(ab, b, c) - gyr_c
+    for x in (ab, gyr_c, gyroassociativity, left_loop):
+        assert x.shape == (dim, 6)
+        assert all(type(t) is Fraction for t in x.flat)
+    assert not any(gyroassociativity.flat) and not any(left_loop.flat)
+    assert (gyr_c != c).any() == (dim > 1)  # gyrations are trivial on a line
+
+
 def test_closed_form_gyration_single_points_and_domain():
     ball = BallGyrogroup(dim=2, variant="mobius")
     got = ball.gyration([0.3, 0.0], [0.0, 0.4], [0.1, 0.0])
@@ -479,7 +528,7 @@ def test_kernels_read_draws_in_place_and_never_write_them(variant):
     xs = [ball.sample_batch(rng, 40) for _ in range(3)]
     kept = [x.copy() for x in xs]
     blocks = [x[8:24] for x in xs]
-    assert all(np.shares_memory(_coords(b)[0], x) for b, x in zip(blocks, xs))
+    assert all(np.shares_memory(_coords(3, b)[0], x) for b, x in zip(blocks, xs))
     for op, arity in _operations(ball).values():
         for args in (xs, blocks, [xs[0][3]] + blocks[1:]):
             op(*args[:arity])
