@@ -2,8 +2,9 @@
 
 A gyrogroup rarely acts on itself by plain left addition; the right home
 for left gyroaddition is a coset space G/H, and exactly for those H whose
-cosets every gyration preserves.  The pair carrier (ball vector, rotation)
-shows the same story on an uncountable carrier with finitely many cosets.
+cosets every gyration preserves.  The pair carrier B² × Z_m, the direct
+product of the 2-ball and Z_m, shows the same story on an uncountable
+carrier with finitely many cosets.
 """
 
 from gyrokit import (CriterionError, build_coset_action, classify,
@@ -60,7 +61,7 @@ print(f"  order-93 carrier, no subgroups= given: random action on "
 print()
 
 print("=" * 70)
-print("3. The pair carrier: ball points tagged with rotations")
+print("3. The pair carrier B² × Z_m: the 2-ball times a finite group")
 print("=" * 70)
 
 carrier = PairGyrogroup(m=6, variant="mobius")
@@ -71,7 +72,7 @@ for law in ("gyroassociativity", "left_loop", "gyration_closed_form"):
 
 crit = coset_criterion_sampled(carrier, carrier.in_hat, carrier.sample_hat,
                                10000, seed=42)
-print("\n  the coset criterion for the translation part B^ = {(w, id)},"
+print("\n  the coset criterion for the translation part B^ = B² × {0},"
       " on 10^4 samples:")
 print(f"    gyrations map B^ into B^:    "
       f"{crit.condition_gyr_preserves_subgroup}")
@@ -87,5 +88,5 @@ for _ in range(6):
 print(f"  acting repeatedly with a rotation-1 element: {walk}")
 print("  one element already walks through all 6 cosets (transitive),")
 w = carrier.element([0.5, 0.0], 0)
-print(f"  yet stab(coset 0) contains every (w, id), e.g. w = {w.u}:"
+print(f"  yet stab(coset 0) contains every (w, 0), e.g. w = {w.u}:"
       f" not semiregular")

@@ -3,9 +3,9 @@
 Every concrete carrier (finite table, ball, ball-rotation pairs) implements
 the small ``GyrogroupCarrier`` interface, gyrations included: the finite
 carrier reads them from its validated store, the ball carriers evaluate
-Ungar's closed forms, and the pair carrier takes the ball's.  Every
-carrier's operations broadcast over batches, so everything else here is
-derived from it as one batch expression: coaddition, conjugation, and the
+Ungar's closed forms, and the pair carrier B² × Z_m takes its factors'.
+Every carrier draws and broadcasts over batches, so the rest is derived
+from it as one batch expression: coaddition, conjugation, and the
 cancellation-law and axiom-residual check suites shared by all carriers.
 
 :func:`gyration` is the independent path, the gyrator identity
@@ -222,18 +222,18 @@ class GyrogroupCarrier:
     ``eps``       -- the largest ``distance`` read as equal: 0.0 for exact
                      carriers, positive for floating-point ones
 
-    A carrier that sampled checks run on also supplies
-    ``sample_batch(rng, count)``, a batch of ``count`` elements drawn from
-    the generator ``rng``; every sampled check draws from it.  The sampled
-    law suites draw through ``draw_plan(rng, count, bounds)`` instead, which
-    keeps no draw: it passes over the words one ``sample_batch(rng, count)``
-    call would take, leaves ``rng`` where that call would, and records
-    generator states from which each block ``bounds[k]:bounds[k + 1]`` of
-    that draw can be drawn again.  It returns a function that makes
-    redrawers; a redrawer maps k to that block, bit for bit as a slice of
-    the ``sample_batch`` draw, written into a buffer of its own that its
-    next call overwrites.  Each thread makes its own, so a suite holds the
-    blocks being worked and a few recorded states per block, never a draw.
+    Every carrier also draws: ``sample_batch(rng, count)`` is a batch of
+    ``count`` elements drawn from the generator ``rng``, which every sampled
+    check draws from.  The sampled law suites draw through ``draw_plan(rng,
+    count, bounds)`` instead, which keeps no draw: it passes over the words
+    one ``sample_batch(rng, count)`` call would take, leaves ``rng`` where
+    that call would, and records generator states from which each block
+    ``bounds[k]:bounds[k + 1]`` of that draw can be drawn again.  It returns
+    a function that makes redrawers; a redrawer maps k to that block, bit
+    for bit as a slice of the ``sample_batch`` draw, written into a buffer
+    of its own that its next call may overwrite.  Each thread makes its
+    own, so a suite holds the blocks being worked and a few recorded states
+    per block, never a draw.
 
     Every operation broadcasts over batches, entry i of the result being
     the result on entry i; a batch of one stays a batch.  All operations

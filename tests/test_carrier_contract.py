@@ -22,12 +22,6 @@ FINITE_TYPE = {"distance": float, "contains": bool}
 COUNT = 9
 
 
-def _batch(carrier, rng):
-    if isinstance(carrier, FiniteGyrogroup):
-        return rng.integers(0, carrier.order, size=COUNT)
-    return carrier.sample_batch(rng, COUNT)
-
-
 def _entry(batch, i):
     x = batch[i]
     return x.item() if isinstance(x, np.generic) else x
@@ -45,7 +39,7 @@ def _same(x, y):
 def test_operations_broadcast_over_batches(name, op):
     carrier = CARRIERS[name]()
     rng = np.random.default_rng(6)
-    xs = [_batch(carrier, rng) for _ in range(ARITY[op])]
+    xs = [carrier.sample_batch(rng, COUNT) for _ in range(ARITY[op])]
     f = getattr(carrier, op)
     got = f(*xs)
     for i in range(COUNT):

@@ -392,7 +392,9 @@ def test_pairs_coset_count_is_exact(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["pairs", "--m", "0", "--seed", "1"], "m must be >= 1"),
     (["ball", "--dim", "0", "--seed", "1"], "dim must be >= 1"),
-    (["ball", "--u", "a b", "--v", "0.1 0.2"], "parse_vector")])
+    (["ball", "--u", "a b", "--v", "0.1 0.2"], "parse_vector"),
+    (["pairs", "--m", "1000000", "--seed", "1"],
+     "m 1000000 is above the bound 256")])
 def test_invalid_carrier_size_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

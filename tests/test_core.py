@@ -18,7 +18,8 @@ from gyrokit import (BallGyrogroup, NumericalError, ValidationError,
                      check_cancellation_laws_exhaustive, coaddition, cominus,
                      conjugate, conjugate_set, core, diagnose_gyrogroup,
                      gyration, validate_gyrogroup)
-from gyrokit.catalog import cyclic
+from gyrokit.catalog import (cyclic, dihedral, frobenius, square_root_twist,
+                             symmetric, twisted21)
 
 # Frozen from exact rational evaluation of the written formulas (the map is
 # rational, so these digits are exact): gyr[(0.3,0),(0,0.4)](0.1,0)
@@ -248,6 +249,42 @@ def test_sampled_witness_is_the_wrong_triple_past_the_first_block():
     assert residuals["left_inverse"] <= 1e-9
 
 
+FINITE_TABLES = {"Z6": lambda: cyclic(6), "S3": lambda: symmetric(3),
+                 "D16": lambda: dihedral(8), "twisted21": twisted21,
+                 "T57": lambda: square_root_twist(frobenius(19, 3, 7))}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TABLES))
+def test_sampled_checks_hold_exactly_on_finite_carriers(monkeypatch, name):
+    from gyrokit.core import sampled_law_residuals
+    from gyrokit.coset_actions import self_action_possible_sampled
+    g = validate_gyrogroup(FINITE_TABLES[name]())
+    monkeypatch.setattr(core, "_BLOCK_TRIPLES", 256)  # several blocks
+    residuals, worst_at = sampled_law_residuals(g, 1000, 3)
+    assert residuals.pop("closure") is True and worst_at["closure"] is None
+    assert (residuals.pop("samples"), residuals.pop("seed")) == (1000, 3)
+    assert len(residuals) == 12
+    assert all(v == 0.0 for v in residuals.values()), residuals
+    possible, witness = self_action_possible_sampled(g, 1000, 3)
+    assert possible == g.is_degenerate()
+    assert (witness is None) == possible
+
+
+def test_sampled_suite_finds_a_finite_carriers_wrong_gyration(t21):
+    from gyrokit import FiniteGyrogroup
+    from gyrokit.core import sampled_law_residuals
+    identity = np.arange(t21.order)
+    k = next(k for k, p in enumerate(t21.gyr_perms) if (p != identity).any())
+    perms = t21.gyr_perms.copy()
+    perms[k] = identity
+    # the trusting constructor: this store is no gyrogroup's
+    g = FiniteGyrogroup(t21.table, t21.inv, t21.gyr_index, perms)
+    residuals, worst_at = sampled_law_residuals(g, 2000, 5)
+    assert residuals["gyration_closed_form"] == 1.0
+    _, a, b, c = worst_at["gyration_closed_form"]
+    assert g.gyration(a, b, c) != gyration(g, a, b, c)
+
+
 @pytest.mark.parametrize("seed", [True, 1.5, "3"])
 def test_sampled_suites_read_their_seed_as_an_integer(seed):
     from gyrokit.core import sampled_law_residuals
@@ -285,6 +322,8 @@ def _draw_plan_carriers():
            for variant in ("mobius", "einstein") for dim in (1, 2, 3, 5, 9)}
     out.update({f"pairs-{variant}": PairGyrogroup(m=6, variant=variant)
                 for variant in ("mobius", "einstein")})
+    out.update(Z6=validate_gyrogroup(cyclic(6)),
+               twisted21=validate_gyrogroup(twisted21()))
     return out
 
 

@@ -59,6 +59,29 @@ def test_pair_gyration_collinear_ball_parts(carrier):
     assert carrier.distance(g, z) <= carrier.eps
 
 
+def test_pair_distance_is_the_larger_of_the_slots(carrier):
+    x = carrier.element([0.3, -0.1], 2)
+    assert carrier.distance(x, carrier.element([0.3, -0.1], 5)) == 1.0
+    rng = np.random.default_rng(4)
+    x, y = carrier.sample_batch(rng, 1000), carrier.sample_batch(rng, 1000)
+    d, ball = carrier.distance(x, y), carrier.ball.distance(x.u, y.u)
+    same = x.r == y.r
+    assert same.any() and not same.all()
+    # equal rotations: the ball's distance, bit for bit
+    assert d[same].tobytes() == ball[same].tobytes()
+    assert (d[~same] == np.maximum(ball[~same], 1.0)).all()
+
+
+def test_m_above_the_bound_is_refused_before_z_m_is_built(monkeypatch):
+    from gyrokit import pairs
+    assert PairGyrogroup(m=pairs.MAX_M).rotations.order == pairs.MAX_M
+    monkeypatch.setattr(pairs, "cyclic", lambda m: pytest.fail(f"built Z_{m}"))
+    for m in (pairs.MAX_M + 1, 10 ** 6):
+        with pytest.raises(ValueError,
+                           match=f"^m {m} is above the bound {pairs.MAX_M}$"):
+            PairGyrogroup(m=m)
+
+
 def test_closed_form_matches_gyrator_identity(carrier):
     rng = np.random.default_rng(9)
     x = carrier.sample_batch(rng, 2000)
@@ -170,5 +193,7 @@ def test_sampled_criterion_for_hat(carrier):
 
 
 def test_rotation_quotient_is_regular(carrier):
-    flags = classify(rotation_quotient_gset(carrier))
+    gset = rotation_quotient_gset(carrier)
+    assert gset.carrier is carrier.rotations  # Z_m is certified once
+    flags = classify(gset)
     assert flags.transitive and flags.sharply_transitive and flags.free
