@@ -119,8 +119,7 @@ def parse_action_table(text):
 
 def serialize_action_table(gset):
     lines = [f"action {gset.carrier.order} {gset.points}"]
-    for row in gset.table:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines += [" ".join(map(str, row)) for row in gset.table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -53,6 +53,9 @@ Table file format (UTF-8 text)::
     <n rows of n whitespace-separated integers, row a = a+0 .. a+(n-1)>
 
 Comments start with '#'.  Element 0 is always the candidate identity.
+Rows holding only ASCII digits, signs and blanks are converted by one
+``np.loadtxt``; any other table, or one it or the range test refuses, is
+read entry by entry with ``int()``, which names the first bad line and column.
 """
 
 import random
@@ -64,6 +67,8 @@ from .core import (MAX_WITNESSES, GyroError, GyrogroupCarrier, Record,
                    _scalar, violation)
 
 SUBGROUP_ENUM_CAP = 64
+# the characters of the rows loadtxt reads: numpy < 2 would read '1.0' as 1
+_PLAIN = str.maketrans("", "", "0123456789+- \t")
 
 
 class TableFormatError(GyroError):
@@ -116,31 +121,45 @@ def _read_table(text, header, sizes, labels=False):
     (n, k, table, labels), or raises TableFormatError with the position."""
     keyword, words = header.split()[0], len(header.split())
     n = k = names = None
-    rows = []
+    rows = {}  # line number -> row text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
         if n is None:
+            parts = line.split()
             if parts[0] != keyword or len(parts) != words:
                 raise TableFormatError(f"expected header '{header}'", lineno)
             n, k = sizes(parts[1:], lineno)
-            continue
-        if labels and parts[0] == "labels" and names is None and not rows:
-            if len(parts) != n + 1:
+        elif labels and names is None and not rows \
+                and line.split()[0] == "labels":
+            names = tuple(line.split()[1:])
+            if len(names) != n:
                 raise TableFormatError(
-                    f"expected {n} labels, got {len(parts) - 1}", lineno)
-            names = tuple(parts[1:])
+                    f"expected {n} labels, got {len(names)}", lineno)
             for i, name in enumerate(names):
                 if name in names[:i]:
                     raise TableFormatError(f"label {name!r} is repeated", lineno)
-            continue
-        if len(rows) == n:
+        else:
+            rows[lineno] = line
+    if n is None:
+        raise TableFormatError(f"missing '{header}' header", 1)
+    if len(rows) == n and not "".join(rows.values()).translate(_PLAIN):
+        try:  # all rows in one call; the loop below reads what this refuses
+            table = np.loadtxt(list(rows.values()), dtype=np.int64,
+                               comments=None, ndmin=2)
+            if table.shape == (n, k) and 0 <= table.min() and table.max() < k:
+                return n, k, table, names
+        except ValueError:
+            pass
+    table = []
+    for lineno, line in rows.items():
+        if len(table) == n:
             raise TableFormatError(f"extra row; table already has {n} rows", lineno)
+        parts = line.split()
         if len(parts) != k:
             raise TableFormatError(
-                f"row {len(rows)} has {len(parts)} entries, expected {k}", lineno)
+                f"row {len(table)} has {len(parts)} entries, expected {k}", lineno)
         row = []
         for col, p in enumerate(parts):
             try:
@@ -152,13 +171,11 @@ def _read_table(text, header, sizes, labels=False):
                 raise TableFormatError(
                     f"entry {v} out of range 0..{k - 1}", lineno, col)
             row.append(v)
-        rows.append(row)
-    if n is None:
-        raise TableFormatError(f"missing '{header}' header", 1)
-    if len(rows) != n:
-        raise TableFormatError(f"expected {n} rows, found {len(rows)}",
+        table.append(row)
+    if len(table) != n:
+        raise TableFormatError(f"expected {n} rows, found {len(table)}",
                                len(text.splitlines()) or 1)
-    return n, k, np.array(rows, dtype=np.int64), names
+    return n, k, np.array(table, dtype=np.int64), names
 
 
 def _order(args, lineno):
@@ -182,8 +199,7 @@ def serialize_cayley_table(t):
     lines = [f"gyro {t.order}"]
     if t.labels is not None:
         lines.append("labels " + " ".join(t.labels))
-    for row in t.table:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines += [" ".join(map(str, row)) for row in t.table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -50,6 +50,8 @@ CASES = {
     "usage_error": (["ball", "--u", "0.1 0.2"], 2, "err"),
     "cosets_bad_subset": (["cosets", "{d}/z6.gyro", "--subset", "x"], 2,
                           "err"),
+    # a bad entry on an earlier row is reported before a later short row
+    "parse_error": (["validate", "{d}/parse_error.gyro"], 2, "err"),
     # a relative path, so that the message names no directory
     "validate_missing": (["validate", "missing.gyro"], 2, "err"),
 }
