@@ -39,9 +39,9 @@ into an argument.  Every operation runs elementwise in the same order
 whatever the memory layout of its inputs (C or Fortran order, strided
 slices, results of earlier calls), and a point gives the same result alone
 as within a batch, bit for bit.  Kernels make few numpy calls, with little
-interpreter work: the two threads of ``core.sampled_law_residuals`` wait on
-each other for the interpreter lock, which a thread takes back after each
-numpy call (two threads each running the same triples in 2^15-, 2^14- and
+interpreter work: the two threads of ``core._run_blocks`` wait on each
+other for the interpreter lock, which a thread takes back after each numpy
+call (two threads each running the same triples in 2^15-, 2^14- and
 2^12-triple blocks took 1.11, 1.47 and 3.0 times one thread's time, two
 processes 1.00).  Plain ``out += u[i] * v[i]`` ran the 10^6-triple suite as
 fast as kept temporaries, and a one-triple block 5 % faster.
@@ -53,9 +53,9 @@ draws and discards the normals, recording the generator state at each
 block's first normal (a normal takes a varying number of words), and
 reaches each block's first radius with the generator's ``advance``.  Each
 block is then drawn again from its states by the same ``_draw_directions``
-and ``_draw_radii`` that ``sample_batch`` runs, into a buffer reused from
-block to block, so the sampled law suites need memory for a block, not for
-the draw.
+and ``_draw_radii`` that ``sample_batch`` runs, into a fresh array that
+lives as long as the check's work on that block, so the sampled checks
+need memory for a block, not for the draw.
 
 Equality is tolerance-based (``BallGyrogroup.eps`` = 1e-9); the boundary
 margin (``BallGyrogroup.delta`` = 1e-6) is enforced when elements are
@@ -392,11 +392,10 @@ class BallGyrogroup(GyrogroupCarrier):
         normal takes a varying number of words, so those states are found
         by drawing.  A radius takes one word, so the radii of block k start
         ``bounds[k]`` words after the first radius, and ``advance`` reaches
-        them, as it skips all ``count`` radii here.  Returns a function that
-        makes redrawers, each with a generator and a buffer of its own; a
-        redrawer draws block k into its buffer by ``_draw_directions`` and
-        ``_draw_radii``, as ``sample_batch`` draws, and returns the buffer's
-        point-major view."""
+        them, as it skips all ``count`` radii here.  Returns the redraw
+        function: it draws block k by ``_draw_directions`` and
+        ``_draw_radii``, as ``sample_batch`` draws, into a fresh array from
+        a generator of its own, and returns the array's point-major view."""
         bit_generator = rng.bit_generator
         starts = []
         for lo, hi in zip(bounds, bounds[1:]):
@@ -405,22 +404,17 @@ class BallGyrogroup(GyrogroupCarrier):
                 rng.standard_normal((min(hi - s, _DRAW_CHUNK), self.dim))
         radii = bit_generator.state
         _advance(bit_generator, count)
-        longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
-        def redrawer():
+        def redraw(k):
+            out = np.empty((self.dim, bounds[k + 1] - bounds[k]))
             gen = np.random.Generator(type(bit_generator)())
-            buf = np.empty((self.dim, longest))
-
-            def redraw(k):
-                out = buf[:, :bounds[k + 1] - bounds[k]]
-                gen.bit_generator.state = starts[k]
-                _draw_directions(gen, out)
-                gen.bit_generator.state = radii
-                gen.bit_generator.advance(bounds[k])
-                _draw_radii(gen, out, SAMPLE_MAX_NORM)
-                return out.T
-            return redraw
-        return redrawer
+            gen.bit_generator.state = starts[k]
+            _draw_directions(gen, out)
+            gen.bit_generator.state = radii
+            gen.bit_generator.advance(bounds[k])
+            _draw_radii(gen, out, SAMPLE_MAX_NORM)
+            return out.T
+        return redraw
 
     def __repr__(self):
         return f"BallGyrogroup(dim={self.dim}, variant={self.variant!r})"

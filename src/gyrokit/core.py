@@ -7,6 +7,8 @@ Ungar's closed forms, and the pair carrier B² × Z_m takes its factors'.
 Every carrier draws and broadcasts over batches, so the rest is derived
 from it as one batch expression: coaddition, conjugation, and the
 cancellation-law and axiom-residual check suites shared by all carriers.
+Every sampled check of triples draws them block by block through one
+driver, :func:`_plan_triples` and :func:`_run_blocks`, holding no draw.
 
 :func:`gyration` is the independent path, the gyrator identity
 
@@ -25,7 +27,7 @@ import threading
 import numpy as np
 
 
-# the most triples per block of the sampled law suites; the blocks are of
+# the most triples per block of the sampled checks; the blocks are of
 # equal size, and of an even count when two threads share them
 _BLOCK_TRIPLES = 2 ** 15
 
@@ -223,17 +225,16 @@ class GyrogroupCarrier:
                      carriers, positive for floating-point ones
 
     Every carrier also draws: ``sample_batch(rng, count)`` is a batch of
-    ``count`` elements drawn from the generator ``rng``, which every sampled
-    check draws from.  The sampled law suites draw through ``draw_plan(rng,
-    count, bounds)`` instead, which keeps no draw: it passes over the words
-    one ``sample_batch(rng, count)`` call would take, leaves ``rng`` where
-    that call would, and records generator states from which each block
+    ``count`` elements drawn from the generator ``rng``.  The sampled
+    checks take their triples through ``draw_plan(rng, count, bounds)``
+    instead, which keeps no draw: it passes over the words one
+    ``sample_batch(rng, count)`` call would take, leaves ``rng`` where that
+    call would, and records generator states from which each block
     ``bounds[k]:bounds[k + 1]`` of that draw can be drawn again.  It returns
-    a function that makes redrawers; a redrawer maps k to that block, bit
-    for bit as a slice of the ``sample_batch`` draw, written into a buffer
-    of its own that its next call may overwrite.  Each thread makes its
-    own, so a suite holds the blocks being worked and a few recorded states
-    per block, never a draw.
+    the redraw function k -> that block, bit for bit as a slice of the
+    ``sample_batch`` draw.  Each call draws into a fresh array from a
+    generator of its own, so any thread may call it, and a check holds the
+    blocks being worked and a few recorded states per block, never a draw.
 
     Every operation broadcasts over batches, entry i of the result being
     the result on entry i; a batch of one stays a batch.  All operations
@@ -427,20 +428,6 @@ def _read_samples(samples):
     return samples
 
 
-def _sample_triples(carrier, samples, seed):
-    """The draws the sampled coset checks start from: a generator seeded
-    with ``seed``, ``samples`` as a Python int, and three batches a, b, c of
-    ``carrier.sample_batch(rng, samples)`` drawn from it in that order, all
-    held at once.  Further draws continue from the returned generator.  The
-    law suites take the same triples block by block instead, through
-    ``carrier.draw_plan`` (see :func:`sampled_law_residuals`).  Raises
-    ValueError unless ``samples`` is an integer >= 1 and ``seed`` a
-    non-negative integer."""
-    samples = _read_samples(samples)
-    rng = np.random.default_rng(_read_seed(seed))
-    return (rng, samples, *(carrier.sample_batch(rng, samples) for _ in range(3)))
-
-
 def _cpus():
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -449,8 +436,8 @@ def _cpus():
 
 
 def _block_bounds(samples):
-    """The bounds of the blocks :func:`sampled_law_residuals` splits
-    ``samples`` triples into: block k is triples bounds[k] to
+    """The bounds of the blocks the sampled checks split ``samples``
+    triples into (:func:`_plan_triples`): block k is triples bounds[k] to
     bounds[k + 1].  The blocks are the fewest of at most ``_BLOCK_TRIPLES``
     triples, their count rounded up to an even one when there are two or
     more and two CPUs to share them, and their sizes differ by at most one
@@ -463,14 +450,73 @@ def _block_bounds(samples):
     return [k * samples // count for k in range(count + 1)]
 
 
+def _plan_triples(carrier, samples, seed):
+    """(rng, samples, bounds, plans): a generator seeded with ``seed``, left
+    after the three draws a, b, c of ``carrier.sample_batch(rng,
+    samples)``, ``samples`` as an int, :func:`_block_bounds`, and the
+    ``draw_plan`` of each draw.  Raises ValueError unless ``samples`` is an
+    integer >= 1 and ``seed`` a non-negative integer."""
+    samples = _read_samples(samples)
+    rng = np.random.default_rng(_read_seed(seed))
+    bounds = _block_bounds(samples)
+    plans = [carrier.draw_plan(rng, samples, bounds) for _ in range(3)]
+    return rng, samples, bounds, plans
+
+
+def _run_blocks(plans, bounds, work):
+    """[work(a, b, c, lo, hi) for each block], in block order, a, b and c
+    the triples lo to hi redrawn by the ``plans`` of :func:`_plan_triples`
+    and passed straight in, so that no block outlives its call.  With two
+    or more blocks and CPUs, the blocks (then of an even count and equal
+    sizes) are shared by stride between the calling thread and one worker
+    thread, always joined before this returns; carriers are pure, so they
+    need no lock.  An exception is re-raised from the earliest block that
+    raised, as one thread going through the blocks in order would meet it.
+    """
+    blocks = len(bounds) - 1
+    found = [None] * blocks
+    # per thread: the first block that raised (blocks: none) and why
+    failed_at, errors = [blocks] * 2, [None] * 2
+
+    def run(thread, stride):
+        for k in range(thread, blocks, stride):
+            if k > min(failed_at):  # an earlier block has raised
+                return
+            try:
+                found[k] = work(*[plan(k) for plan in plans],
+                                bounds[k], bounds[k + 1])
+            except Exception as exc:
+                failed_at[thread], errors[thread] = k, exc
+                return
+
+    worker = None
+    # the caller works a share: a 2-worker pool peaked 10 MB higher, halves no faster
+    if blocks >= 2 and _cpus() >= 2:
+        # in the caller's context, so that np.errstate holds there too
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(run, 1, 2))
+        worker.start()
+    try:
+        run(0, 1 if worker is None else 2)
+    except BaseException:
+        failed_at[0] = -1  # the worker stops after its current block
+        raise
+    finally:
+        if worker is not None:
+            worker.join()
+    if min(failed_at) < blocks:
+        raise errors[failed_at.index(min(failed_at))]
+    return found
+
+
 def _block_residuals(carrier, a, b, c, lo):
     """The laws of :func:`sampled_law_residuals` on one block of triples,
     the first of them triple ``lo`` of the draw.  Returns (worst, outside):
     worst maps each law to its worst residual in the block and the witness
     (i, a[i], b[i], c[i]) of the first triple where it occurs, i its draw
     index; outside is the witness of the first triple with a sum outside
-    the domain, or None.  The witness points are copies, so a later block
-    drawn into the same buffers leaves them as they are."""
+    the domain, or None.  The witness points are copies, so they keep
+    nothing of the block alive."""
     ab, neg_a = carrier.oplus(a, b), carrier.oinv(a)
     defects, inside = _axiom_defects(carrier, a, b, c, ab, neg_a)
     defects.update(_cancellation_defects(carrier, a, b, ab, neg_a))
@@ -489,85 +535,34 @@ def _block_residuals(carrier, a, b, c, lo):
     return worst, (witness(int(outside[0])) if outside.size else None)
 
 
+def _first_worst(found):
+    """The first of the (value, witness) pairs ``found`` with the greatest
+    value, a NaN counting as the greatest, as ``np.argmax`` counts it."""
+    return found[int(np.argmax([value for value, _ in found]))]
+
+
 def sampled_law_residuals(carrier, samples, seed):
     """The sampled law suite shared by the analytic carriers.
 
-    Takes ``samples`` triples a, b, c from ``seed``, the three draws of
-    :func:`_sample_triples`, and evaluates the laws of
-    :func:`check_axiom_residuals` on the triples and those of
-    :func:`check_cancellation_laws` on the pairs (a, b), one block of
-    :func:`_block_bounds` at a time.  No draw is held: one pass of
-    ``carrier.draw_plan`` over the three draws records where each block
-    starts in the generator's stream, and each block is drawn again from
-    there into buffers reused from block to block.  Of each block only the
-    copies of its witness points are kept, so the suite holds a few
-    kilobytes per block besides the blocks being worked, never a draw.
-    Returns
-    (residuals, worst_at): residuals maps each law to its worst residual
-    over all triples, plus ``closure``, ``samples`` and ``seed``; worst_at
-    maps each law to (i, a[i], b[i], c[i]) for the first triple i at which
-    that worst residual occurs, and ``closure`` to the first triple with a
-    sum outside the domain, or to None while closure holds.  Raises
-    ValueError unless ``samples`` is an integer >= 1 and ``seed`` a
-    non-negative integer.
-
-    With two or more blocks and two or more CPUs, the blocks (then of an
-    even count and equal sizes) are shared by stride between the calling
-    thread and one worker thread, so each does the same share, each
-    drawing its blocks into buffers of its own; the worker is always
-    joined before this returns; carriers are pure, so they need no lock.
-    The per-block results are folded in block order, so the residuals and
-    witnesses are those of one thread going through the blocks in order,
-    and an exception raised by a block is re-raised from the earliest
-    block that raised, as that thread would have met it.
+    Evaluates the laws of :func:`check_axiom_residuals` on the ``samples``
+    triples of :func:`_plan_triples` and those of
+    :func:`check_cancellation_laws` on the pairs (a, b), block by block
+    (:func:`_run_blocks`), keeping of each block only copies of its witness
+    points.  Returns (residuals, worst_at): residuals maps each law to its
+    worst residual over all triples, plus ``closure``, ``samples`` and
+    ``seed``; worst_at maps each law to (i, a[i], b[i], c[i]) for the first
+    triple i at which that worst residual occurs, and ``closure`` to the
+    first triple with a sum outside the domain, or to None while closure
+    holds.  Raises ValueError unless ``samples`` is an integer >= 1 and
+    ``seed`` a non-negative integer.
     """
-    samples = _read_samples(samples)
-    rng = np.random.default_rng(_read_seed(seed))
-    bounds = _block_bounds(samples)
-    plans = [carrier.draw_plan(rng, samples, bounds) for _ in range(3)]
-    blocks = len(bounds) - 1
-    found = [None] * blocks  # per block: _block_residuals
-    # per thread: the first block that raised (blocks: none) and why
-    failed_at, errors = [blocks] * 2, [None] * 2
-
-    def run(thread, stride):
-        for k in range(thread, blocks, stride):
-            if k > min(failed_at):  # an earlier block has raised
-                return
-            try:
-                a, b, c = (redraw(k) for redraw in redraws[thread])
-                found[k] = _block_residuals(carrier, a, b, c, bounds[k])
-            except Exception as exc:
-                failed_at[thread], errors[thread] = k, exc
-                return
-
-    # the caller works a share: a 2-worker pool peaked 10 MB higher, halves no faster
-    threads = 2 if blocks >= 2 and _cpus() >= 2 else 1
-    # per thread, its redrawers of a, b and c, made here so that a failure
-    # to make them is raised here
-    redraws = [[plan() for plan in plans] for _ in range(threads)]
-    worker = None
-    if threads == 2:
-        # in the caller's context, so that np.errstate holds there too
-        worker = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(run, 1, 2))
-        worker.start()
-    try:
-        run(0, threads)
-    except BaseException:
-        failed_at[0] = -1  # the worker stops after its current block
-        raise
-    finally:
-        if worker is not None:
-            worker.join()
-    if min(failed_at) < blocks:
-        raise errors[failed_at.index(min(failed_at))]
-
+    _, samples, bounds, plans = _plan_triples(carrier, samples, seed)
+    found = _run_blocks(plans, bounds, lambda a, b, c, lo, _:
+                        _block_residuals(carrier, a, b, c, lo))
     residuals, worst_at = {}, {}
     for law in found[0][0]:
-        per_block = [worst[law] for worst, _ in found]
-        residuals[law], worst_at[law] = per_block[
-            int(np.argmax([v for v, _ in per_block]))]
+        residuals[law], worst_at[law] = _first_worst(
+            [worst[law] for worst, _ in found])
     outside = next((w for _, w in found if w is not None), None)
     residuals["closure"] = outside is None
     worst_at["closure"] = outside

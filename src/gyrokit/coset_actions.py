@@ -11,33 +11,44 @@ gyr[a, b]h = h + (-h + gyr[a, b]h), a sum of two members of H.
 
 ``coset_criterion`` decides (2) exhaustively for finite carriers and
 computes (1) only to name a witness when (2) fails;
-``coset_criterion_sampled`` covers sampleable carriers.  When the criterion
-holds, ``build_coset_action`` constructs the action and re-verifies the
-whole theorem package: well-definedness, the action axioms, transitivity,
-stab(x+H) = conjugate of H by x, non-semiregularity for H != {0}, and the
-index formula.
+``coset_criterion_sampled`` covers sampleable carriers.  It and
+``self_action_possible_sampled`` take their triples block by block, as the
+law suites do (``core._run_blocks``), holding no draw of them; the
+criterion's subgroup sample h is still one draw, held whole.  When the
+criterion holds, ``build_coset_action`` constructs the action and
+re-verifies the whole theorem package: well-definedness, the action
+axioms, transitivity, stab(x+H) = conjugate of H by x, non-semiregularity
+for H != {0}, and the index formula.
 """
+
+import copy
 
 import numpy as np
 
 from .actions import build_representation, classify, validate_action
-from .core import (Check, CriterionError, GyroError, Record, _read_members,
-                   _sample_triples, conjugate)
+from .core import (Check, CriterionError, GyroError, Record, _first_worst,
+                   _plan_triples, _read_members, _run_blocks, conjugate)
 from .finite import _coset_table, is_subgyrogroup, left_cosets
 
 
 def self_action_possible_sampled(carrier, samples, seed):
     """Sampled version for analytic carriers: searches for a nonidentity
     gyration among the carrier's own gyrations, one that moves some c by
-    more than ``carrier.eps``.  Returns (possible, witness_or_None); the
-    witness is the triple (a, b, c) whose gyration moves c the most.
-    Raises ValueError unless ``samples`` is an integer >= 1."""
-    _, _, a, b, c = _sample_triples(carrier, samples, seed)
-    d = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
-    worst = int(np.argmax(d))
-    if float(d[worst]) <= carrier.eps:
+    more than ``carrier.eps``, on the law suites' triples.  Returns
+    (possible, witness_or_None); the witness is the first triple (a, b, c)
+    whose gyration moves c the most, its points copies.  Raises ValueError
+    unless ``samples`` is an integer >= 1."""
+    _, _, bounds, plans = _plan_triples(carrier, samples, seed)
+
+    def worst(a, b, c, lo, hi):
+        d = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
+        i = int(np.argmax(d))
+        return float(d[i]), copy.deepcopy((a[i], b[i], c[i]))
+
+    moved, witness = _first_worst(_run_blocks(plans, bounds, worst))
+    if moved <= carrier.eps:
         return True, None
-    return False, (a[worst], b[worst], c[worst])
+    return False, witness
 
 
 class CriterionReport(Record):
@@ -91,15 +102,20 @@ def coset_criterion_sampled(carrier, in_subgroup, sample_subgroup,
     ``in_subgroup``     -- vectorised membership predicate
     ``sample_subgroup`` -- (rng, count) -> batch of subgroup elements
 
+    The triples (a, b, x) are the law suites'; h is one whole draw after
+    them, held, and each block of triples is paired with its slice of h.
     Raises ValueError unless ``samples`` is an integer >= 1.
     """
-    rng, samples, a, b, x = _sample_triples(carrier, samples, seed)
+    rng, samples, bounds, plans = _plan_triples(carrier, samples, seed)
     h = sample_subgroup(rng, samples)
-    img = carrier.gyration(a, b, h)
-    ok1 = bool(np.all(in_subgroup(img))) and bool(np.all(carrier.contains(img)))
-    defect = carrier.oplus(carrier.oinv(x), carrier.gyration(a, b, x))
-    ok2 = bool(np.all(in_subgroup(defect))) \
-        and bool(np.all(carrier.contains(defect)))
+
+    def conditions(a, b, x, lo, hi):
+        img = carrier.gyration(a, b, h[lo:hi])
+        defect = carrier.oplus(carrier.oinv(x), carrier.gyration(a, b, x))
+        return [bool(np.all(in_subgroup(y)) and np.all(carrier.contains(y)))
+                for y in (img, defect)]
+
+    ok1, ok2 = map(all, zip(*_run_blocks(plans, bounds, conditions)))
     return CriterionReport(passed=ok1 and ok2, mode="sampled",
                            condition_gyr_preserves_subgroup=ok1,
                            condition_translate_defect_in_subgroup=ok2,

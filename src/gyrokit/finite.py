@@ -253,21 +253,19 @@ class FiniteGyrogroup(GyrogroupCarrier):
 
     def draw_plan(self, rng, count, bounds):
         """The draw ``sample_batch(rng, count)`` planned by blocks (the
-        carrier contract of ``core``): a redrawer draws block k from the
-        generator state recorded at its first element."""
+        carrier contract of ``core``): the redraw function draws block k
+        from the generator state recorded at its first element, with a
+        generator of its own."""
         starts = []
         for lo, hi in zip(bounds, bounds[1:]):
             starts.append(rng.bit_generator.state)
             self.sample_batch(rng, hi - lo)
 
-        def redrawer():
+        def redraw(k):
             gen = np.random.Generator(type(rng.bit_generator)())
-
-            def redraw(k):
-                gen.bit_generator.state = starts[k]
-                return self.sample_batch(gen, bounds[k + 1] - bounds[k])
-            return redraw
-        return redrawer
+            gen.bit_generator.state = starts[k]
+            return self.sample_batch(gen, bounds[k + 1] - bounds[k])
+        return redraw
 
     def gyr_perm(self, a, b):
         return self.gyr_perms[self.gyr_index[a, b]]

@@ -93,11 +93,7 @@ class PairGyrogroup(GyrogroupCarrier):
         ``core``), as ``sample_batch`` draws the points, then the indices."""
         plans = (self.ball.draw_plan(rng, count, bounds),
                  self.rotations.draw_plan(rng, count, bounds))
-
-        def redrawer():
-            redraws = [plan() for plan in plans]
-            return lambda k: PairElement(*(redraw(k) for redraw in redraws))
-        return redrawer
+        return lambda k: PairElement(*(plan(k) for plan in plans))
 
     # -- B_hat coset machinery -------------------------------------------
 

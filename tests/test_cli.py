@@ -317,11 +317,11 @@ def test_pairs_failing_law_reports_its_worst_triple_as_pairs(capsys,
                                                             monkeypatch):
     import gyrokit.cli
     from gyrokit import PairGyrogroup
-    from gyrokit.core import _sample_triples
 
     from conftest import WrongGyrationBall
     samples, seed, k = 500, 6, 321
-    _, _, a, b, c = _sample_triples(PairGyrogroup(m=6), samples, seed)
+    rng = np.random.default_rng(seed)
+    a, b, c = (PairGyrogroup(m=6).sample_batch(rng, samples) for _ in range(3))
 
     def wrong_pairs(**kw):
         carrier = PairGyrogroup(**kw)

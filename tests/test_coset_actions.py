@@ -371,6 +371,83 @@ def test_sampled_criteria_use_the_carrier_gyration(monkeypatch):
         assert report.passed == (ok1 and ok2)
 
 
+def _whole_draw_coset_checks(carrier, in_subgroup, sample_subgroup, samples,
+                             seed):
+    """The two sampled coset checks, on the carrier's own gyrations, with
+    every draw held whole: (possible, witness) of the self-action check and
+    the criterion's two conditions."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (carrier.sample_batch(rng, samples) for _ in range(3))
+    h = sample_subgroup(rng, samples)
+    moved = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
+    i = int(np.argmax(moved))
+    possible = bool(moved[i] <= carrier.eps)
+    witness = None if possible else (a[i], b[i], c[i])
+    img = carrier.gyration(a, b, h)
+    defect = carrier.oplus(carrier.oinv(c), carrier.gyration(a, b, c))
+    ok = [bool(np.all(in_subgroup(y)) and np.all(carrier.contains(y)))
+          for y in (img, defect)]
+    return possible, witness, ok
+
+
+def _block_drawn_cases():
+    """name -> (carrier, in_subgroup, sample_subgroup, whether the
+    criterion holds)."""
+    from gyrokit import BallGyrogroup
+    from gyrokit.catalog import twisted21
+    out = {}
+    for variant in ("mobius", "einstein"):
+        ball = BallGyrogroup(dim=3, variant=variant)
+        out[f"{variant}-ball"] = (ball, ball.contains, ball.sample_batch, True)
+        out[f"{variant}-zero"] = (
+            ball, lambda y, b=ball: np.linalg.norm(y, axis=-1) <= b.eps,
+            lambda rng, n, d=ball.dim: np.zeros((n, d)), False)
+    pairs = PairGyrogroup(m=6)
+    out["pairs-hat"] = (pairs, pairs.in_hat, pairs.sample_hat, True)
+    # B² × {0, 2, 4}: the gyrations keep every index, so condition 2 holds,
+    # but an odd index is drawn into h, so condition 1 fails
+    out["pairs-even"] = (pairs, lambda x: np.asarray(x.r) % 2 == 0,
+                         pairs.sample_batch, False)
+    t21 = validate_gyrogroup(twisted21())
+    out["twisted21"] = (t21, t21.contains, t21.sample_batch, True)
+    out["twisted21-zero"] = (t21, lambda x: np.asarray(x) == 0,
+                             lambda rng, n: np.zeros(n, dtype=np.int64), False)
+    return out
+
+
+def _witness_bits(witness):
+    if witness is None:
+        return None
+    return [(np.asarray(getattr(p, "u", p)).tobytes(),
+             np.asarray(getattr(p, "r", 0)).tolist()) for p in witness]
+
+
+@pytest.mark.parametrize("name", sorted(_block_drawn_cases()))
+def test_sampled_coset_checks_equal_their_whole_draw_reference(monkeypatch,
+                                                               name):
+    from gyrokit import core
+    carrier, inside, sample, holds = _block_drawn_cases()[name]
+    for seed, samples in ((0, 1), (1, 300), (2, 700)):
+        possible, witness, (ok1, ok2) = _whole_draw_coset_checks(
+            carrier, inside, sample, samples, seed)
+        if samples > 1:
+            assert (ok1 and ok2) == holds and not possible
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_cpus", lambda: cpus)
+            for block in (7, 50, 2 ** 15):
+                monkeypatch.setattr(core, "_BLOCK_TRIPLES", block)
+                got, got_witness = self_action_possible_sampled(
+                    carrier, samples, seed)
+                assert got == possible
+                assert _witness_bits(got_witness) == _witness_bits(witness)
+                report = coset_criterion_sampled(carrier, inside, sample,
+                                                 samples, seed)
+                assert (report.condition_gyr_preserves_subgroup,
+                        report.condition_translate_defect_in_subgroup,
+                        report.passed) == (ok1, ok2, ok1 and ok2)
+                assert (report.samples, report.seed) == (samples, seed)
+
+
 @pytest.mark.parametrize("check", [
     lambda p, seed: coset_criterion_sampled(p, p.in_hat, p.sample_hat, 0, seed),
     lambda p, seed: p.verify_hat_criterion(0, seed),
