@@ -47,15 +47,14 @@ processes 1.00).  Plain ``out += u[i] * v[i]`` ran the 10^6-triple suite as
 fast as kept temporaries, and a one-triple block 5 % faster.
 
 A draw of ``sample_batch`` takes from its generator all the directions'
-normals, point by point, then all the radii, one 64-bit word each.
-``draw_plan`` gives the same draw by blocks without holding it: one pass
-draws and discards the normals, recording the generator state at each
-block's first normal (a normal takes a varying number of words), and
-reaches each block's first radius with the generator's ``advance``.  Each
-block is then drawn again from its states by the same ``_draw_directions``
-and ``_draw_radii`` that ``sample_batch`` runs, into a fresh array that
-lives as long as the check's work on that block, so the sampled checks
-need memory for a block, not for the draw.
+normals, point by point, then all the radii.  ``draw_plan`` gives the same
+draw by blocks without holding it: ``core._walk`` draws the normals, then
+the radii, a block at a time, recording the generator state at each
+block's first normal and first radius (a normal takes a varying number of
+words).  Each block is then drawn again from its states by the same
+``_draw_directions`` and ``_draw_radii`` that ``sample_batch`` runs, into
+a fresh array that lives as long as the check's work on that block, so
+the sampled checks need memory for a block, not for the draw.
 
 Equality is tolerance-based (``BallGyrogroup.eps`` = 1e-9); the boundary
 margin (``BallGyrogroup.delta`` = 1e-6) is enforced when elements are
@@ -154,16 +153,6 @@ def _draw_radii(rng, out, max_norm):
     for lo in range(0, out.shape[1], _DRAW_CHUNK):
         g = out[:, lo:lo + _DRAW_CHUNK]
         g *= max_norm * rng.random(g.shape[1]) ** (1.0 / len(g))
-
-
-def _advance(bit_generator, words):
-    """Skip ``words`` 64-bit words of ``bit_generator`` by ``advance``,
-    keeping the half word it holds for its next 32-bit draw, which
-    ``advance`` drops."""
-    state = bit_generator.state
-    bit_generator.advance(words)
-    state["state"] = bit_generator.state["state"]
-    bit_generator.state = state
 
 
 def _norm(u):
@@ -384,35 +373,17 @@ class BallGyrogroup(GyrogroupCarrier):
         return out.T
 
     def draw_plan(self, rng, count, bounds):
-        """The draw ``sample_batch(rng, count)``, planned by blocks
-        (the carrier contract of ``core``).
-
-        One pass over the directions' normals records the generator state
-        at the first normal of each block ``bounds[k]:bounds[k + 1]``: a
-        normal takes a varying number of words, so those states are found
-        by drawing.  A radius takes one word, so the radii of block k start
-        ``bounds[k]`` words after the first radius, and ``advance`` reaches
-        them, as it skips all ``count`` radii here.  Returns the redraw
-        function: it draws block k by ``_draw_directions`` and
-        ``_draw_radii``, as ``sample_batch`` draws, into a fresh array from
-        a generator of its own, and returns the array's point-major view."""
-        bit_generator = rng.bit_generator
-        starts = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            starts.append(bit_generator.state)
-            for s in range(lo, hi, _DRAW_CHUNK):
-                rng.standard_normal((min(hi - s, _DRAW_CHUNK), self.dim))
-        radii = bit_generator.state
-        _advance(bit_generator, count)
+        """The draw ``sample_batch(rng, count)`` planned by blocks (the
+        carrier contract of ``core``; see the module docstring).  The redraw
+        function returns block k drawn into a fresh array, point-major."""
+        normals = core._walk(rng, bounds, lambda gen, n:
+                             gen.standard_normal((n, self.dim)))
+        radii = core._walk(rng, bounds, lambda gen, n: gen.random(n))
 
         def redraw(k):
             out = np.empty((self.dim, bounds[k + 1] - bounds[k]))
-            gen = np.random.Generator(type(bit_generator)())
-            gen.bit_generator.state = starts[k]
-            _draw_directions(gen, out)
-            gen.bit_generator.state = radii
-            gen.bit_generator.advance(bounds[k])
-            _draw_radii(gen, out, SAMPLE_MAX_NORM)
+            _draw_directions(normals(k), out)
+            _draw_radii(radii(k), out, SAMPLE_MAX_NORM)
             return out.T
         return redraw
 

@@ -227,14 +227,14 @@ class GyrogroupCarrier:
     Every carrier also draws: ``sample_batch(rng, count)`` is a batch of
     ``count`` elements drawn from the generator ``rng``.  The sampled
     checks take their triples through ``draw_plan(rng, count, bounds)``
-    instead, which keeps no draw: it passes over the words one
-    ``sample_batch(rng, count)`` call would take, leaves ``rng`` where that
-    call would, and records generator states from which each block
-    ``bounds[k]:bounds[k + 1]`` of that draw can be drawn again.  It returns
-    the redraw function k -> that block, bit for bit as a slice of the
-    ``sample_batch`` draw.  Each call draws into a fresh array from a
-    generator of its own, so any thread may call it, and a check holds the
-    blocks being worked and a few recorded states per block, never a draw.
+    instead, which keeps no draw: it draws what ``sample_batch(rng, count)``
+    would, recording by :func:`_walk` the generator states from which each
+    block ``bounds[k]:bounds[k + 1]`` can be drawn again, under any NumPy
+    bit generator, and returns the redraw function k -> that block, bit for
+    bit as a slice of the ``sample_batch`` draw.  Each call draws into a
+    fresh array from a generator of its own, so any thread may call it; a
+    check holds the blocks being worked and a few states per block, never a
+    draw.
 
     Every operation broadcasts over batches, entry i of the result being
     the result on entry i; a batch of one stays a batch.  All operations
@@ -448,6 +448,26 @@ def _block_bounds(samples):
     if count > 1 and _cpus() >= 2:
         count += count % 2
     return [k * samples // count for k in range(count + 1)]
+
+
+# the seed of each bit generator whose state is then set: none takes entropy
+_OVERWRITTEN_SEED = np.random.SeedSequence(0)
+
+
+def _walk(rng, bounds, draw):
+    """Record the state of ``rng``'s bit generator at the start of each
+    block bounds[k]:bounds[k + 1], found by drawing the blocks in turn as
+    ``draw(rng, size)``.  Returns k -> a new generator at block k's state."""
+    kind, states = type(rng.bit_generator), []
+    for lo, hi in zip(bounds, bounds[1:]):
+        states.append(rng.bit_generator.state)
+        draw(rng, hi - lo)
+
+    def at(k):
+        gen = np.random.Generator(kind(_OVERWRITTEN_SEED))
+        gen.bit_generator.state = states[k]
+        return gen
+    return at
 
 
 def _plan_triples(carrier, samples, seed):

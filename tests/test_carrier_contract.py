@@ -8,7 +8,7 @@ import pytest
 
 from gyrokit import (BallGyrogroup, FiniteGyrogroup, InvalidElementError,
                      PairElement, PairGyrogroup, validate_gyrogroup)
-from gyrokit.catalog import twisted21
+from gyrokit.catalog import cyclic, twisted21
 
 CARRIERS = {
     "twisted21": lambda: validate_gyrogroup(twisted21()),
@@ -56,6 +56,38 @@ def test_finite_contains_rejects_what_is_not_an_element():
     assert g.contains(np.array([0, 20, 21, -1])).tolist() == \
         [True, True, False, False]
     assert g.contains(21) is False and g.contains(1.0) is False
+
+
+# unchecked, -1 indexed the last row (on Z_6, -1 + 0 was 5), 6 raised a bare
+# IndexError, 2.0 another, and True indexed a row as a mask
+@pytest.mark.parametrize("bad, shown", [(-1, "-1"), (6, "6"),
+                                        (np.int64(-3), "-3"), (2.0, "2.0"),
+                                        (True, "True")])
+def test_finite_operations_refuse_what_is_not_an_element(bad, shown):
+    g = validate_gyrogroup(cyclic(6))
+    calls = [lambda x: g.oplus(x, 0), lambda x: g.oplus(1, x),
+             lambda x: g.oinv(x), lambda x: g.gyration(0, 1, x),
+             lambda x: g.gyration(x, 1, 2), lambda x: g.gyr_perm(2, x)]
+    for call in calls:
+        for x in (bad, np.full(3, bad)):
+            with pytest.raises(InvalidElementError, match=re.escape(
+                    f"entry {shown} is not an element of 0..5")):
+                call(x)
+    with pytest.raises(InvalidElementError, match="^entry 7 "):
+        g.oplus(np.array([0, 7, -1]), 0)
+    assert g.oplus(np.int64(5), 1) == 0 and g.oinv(np.uint8(2)) == 4
+
+
+def test_pair_oplus_refuses_a_rotation_index_outside_z_m():
+    # unchecked, (u, -1) + (v, 2) read -1 as index 5 and returned index 1
+    pairs = PairGyrogroup(m=6)
+    bad = PairElement(np.array([0.1, 0.0]), -1)
+    good = PairElement(np.array([0.0, 0.2]), 2)
+    for call in (lambda: pairs.oplus(bad, good), lambda: pairs.oinv(bad),
+                 lambda: pairs.gyration(good, good, bad)):
+        with pytest.raises(InvalidElementError,
+                           match=re.escape("entry -1 is not an element of 0..5")):
+            call()
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])

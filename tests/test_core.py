@@ -335,15 +335,28 @@ def _bits(x):
     return np.ascontiguousarray(x).tobytes() + repr(x.shape).encode()
 
 
+def _same_state(x, y):
+    """Whether two bit generator states are equal, arrays entry by entry."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_state(x[k], y[k]) for k in x)
+    return np.array_equal(x, y)
+
+
+# the bit generators of NumPy; a PCG64 case keeps the carrier's name alone
+_BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64")
+
+
 # (triples per block, points per draw chunk, triples): counts on both sides
 # of a draw chunk, blocks shorter and longer than a chunk, and the chunk of
 # the program with a count just past it
 @pytest.mark.parametrize("block, chunk, samples", [
     (7, 64, 63), (7, 64, 130), (1000, 64, 2500), (7, None, 100),
     (1000, None, 2 ** 16 + 1)])
-@pytest.mark.parametrize("name", sorted(_draw_plan_carriers()))
+@pytest.mark.parametrize("name, bit_generator", [
+    pytest.param(name, kind, id=name if kind == "PCG64" else f"{name}-{kind}")
+    for name in sorted(_draw_plan_carriers()) for kind in _BIT_GENERATORS])
 def test_draw_plan_redraws_slices_of_three_sample_batch_draws(
-        monkeypatch, name, block, chunk, samples):
+        monkeypatch, name, bit_generator, block, chunk, samples):
     from gyrokit import ball as ball_module
     from gyrokit.core import _block_bounds
     carrier = _draw_plan_carriers()[name]
@@ -351,15 +364,18 @@ def test_draw_plan_redraws_slices_of_three_sample_batch_draws(
     if chunk is not None:
         monkeypatch.setattr(ball_module, "_DRAW_CHUNK", chunk)
     bounds = _block_bounds(samples)
-    drawn, planned = np.random.default_rng(21), np.random.default_rng(21)
+    kind = getattr(np.random, bit_generator)
+    drawn, planned = (np.random.Generator(kind(21)) for _ in range(2))
     draws = [carrier.sample_batch(drawn, samples) for _ in range(3)]
     plans = [carrier.draw_plan(planned, samples, bounds) for _ in range(3)]
-    # the generator ends where the three draws leave it, its spare 32-bit
+    # the generator ends where the three draws leave it, any spare 32-bit
     # half word included
-    assert planned.bit_generator.state == drawn.bit_generator.state
+    assert _same_state(planned.bit_generator.state, drawn.bit_generator.state)
     assert planned.integers(0, 7, size=5).tolist() == \
         drawn.integers(0, 7, size=5).tolist()
     assert planned.random() == drawn.random()
+    assert planned.standard_normal(3).tolist() == \
+        drawn.standard_normal(3).tolist()
     # the blocks taken last to first; block k drawn twice, the second call
     # leaving the first one's block as it was
     for k in reversed(range(len(bounds) - 1)):

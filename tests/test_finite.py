@@ -185,6 +185,18 @@ def test_order_zero_table_is_rejected():
             check(empty)
 
 
+def test_table_orders_that_are_not_integers_are_rejected():
+    # unchecked, CayleyTable(True, ...) was written as 'gyro True', which
+    # parse_cayley_table refuses
+    for order, table in ((True, [[0]]), (2.0, cyclic(2))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"order {order!r} is not an integer")):
+            CayleyTable(order, table)
+    ct = CayleyTable(np.int64(2), cyclic(2))
+    assert type(ct.order) is int and ct.order == 2
+    assert serialize_cayley_table(ct).startswith("gyro 2\n")
+
+
 def test_tables_that_are_not_integers_are_rejected():
     # a cast to int64 would truncate 2.7 and read bools as 0 and 1, and
     # certify a table other than the one passed in
