@@ -232,8 +232,9 @@ def twist_gyrations(group):
 
 
 # Reference oracle for the subgyrogroup lattice: the closure search over
-# Python sets, closing s + {x} for every found s and every x outside it.
-# It lives only here; the library extends by cyclic closures over masks.
+# Python sets, closing s + {x} for every found s and every x outside it
+# (one x per class of the sums h + x, h in s, which close alike).  It
+# lives only here; the library extends by cyclic closures over masks.
 
 def set_closure(g, seed):
     """Smallest subset containing seed and 0 closed under + and inverse."""
@@ -257,8 +258,12 @@ def closure_search_subgyrogroups(g):
     frontier = list(found)
     while frontier:
         s = frontier.pop()
+        # s + {h + x} closes to what s + {x} does for h in s, as each sum
+        # holds the other element: x = -h + (h + x) by left cancellation
+        done = set(s)
         for x in range(g.order):
-            if x not in s:
+            if x not in done:
+                done.update(table[h][x] for h in s)
                 c = _set_closure(table, inv, s + (x,))
                 if c not in found:
                     found.add(c)

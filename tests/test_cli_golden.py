@@ -28,6 +28,8 @@ CASES = {
     "validate_fail_text": (["validate", "{d}/bad.gyro"], 1, "out"),
     "gyr": (["gyr", "{d}/t21.gyro", "-a", "1", "-b", "3", "-c", "1"], 0, "out"),
     "subgyro": (["subgyro", "{d}/z6.gyro"], 0, "out"),
+    # a nondegenerate lattice: its order and both flags of every member
+    "subgyro_t21": (["subgyro", "{d}/t21.gyro"], 0, "out"),
     "cosets": (["cosets", "{d}/z6.gyro", "--subset", "0,3"], 0, "out"),
     "act": (["act", "{d}/s3.gyro", "{d}/conj.act"], 0, "out"),
     "act_text": (["act", "{d}/s3.gyro", "{d}/conj.act"], 0, "out"),

@@ -16,7 +16,7 @@ from gyrokit.catalog import (cyclic, dihedral, frobenius, frobenius21,
                              square_root_twist, symmetric, twisted21)
 
 from conftest import (GYRATION_CHECKS, LADDER_GROUPS, T21_NON_INVARIANT,
-                      closure_search_subgyrogroups,
+                      closure_search_subgyrogroups, defect_leak_loop,
                       dense_gyration_diagnostics, group_tables,
                       gyration_leak_loop, is_subgyrogroup_loop,
                       left_cosets_loop, nontrivial_gyration_loop, set_closure,
@@ -289,12 +289,17 @@ def test_t21_subgyrogroup_inventory(t21):
 
 def test_enumeration_matches_closure_search(fixture_carriers):
     # S4 has members of order 3 and 4, whose inverses the closure under +
-    # alone reaches only as sums; the oracle adds inverses explicitly
+    # alone reaches only as sums; the oracle adds inverses explicitly.  T57
+    # and T93 have 19 and 31 distinct gyrations, and D32 is at the cap
     carriers = dict(fixture_carriers, T39=validate_gyrogroup(twisted39()),
                     F57=validate_gyrogroup(frobenius(19, 3, 7)),
-                    S4=validate_gyrogroup(symmetric(4)))
+                    S4=validate_gyrogroup(symmetric(4)),
+                    D32=validate_gyrogroup(dihedral(32)))
+    for n in (57, 93):
+        carriers[f"T{n}"] = validate_gyrogroup(
+            square_root_twist(frobenius(*LADDER_GROUPS[n])))
     for name, g in carriers.items():
-        subs = enumerate_subgyrogroups(g)
+        subs = enumerate_subgyrogroups(g, cap=g.order)
         assert subs == closure_search_subgyrogroups(g), name
         # plain ints, as the CLI serialises them to JSON
         assert all(type(x) is int for h in subs for x in h), name
@@ -507,6 +512,52 @@ def test_nontrivial_gyration_matches_loop(fixture_carriers):
         assert (witness is None) == (name != "T21")
 
 
+def first_true(hits):
+    """Index tuple of the first True entry of ``hits`` in row-major order."""
+    at = np.argwhere(hits)
+    return tuple(map(int, at[0])) if len(at) else None
+
+
+@pytest.mark.parametrize("n", [57, 93])
+def test_gyration_queries_match_dense_oracle(n):
+    # the dense (n, n, n) gyrations, read off the group side; the queries
+    # answer from each distinct gyration's first pair, and some defect
+    # leaks lie past the first pair of the first nontrivial gyration
+    group = frobenius(*LADDER_GROUPS[n])
+    gyr = twist_gyrations(group)
+    t = square_root_twist(group)
+    g = validate_gyrogroup(t)
+    defects = t[two_sided_inverses(t), gyr]  # [a, b, x]: -x + gyr[a, b]x
+    moved = gyr != np.arange(n)
+    assert g.nontrivial_gyration() == first_true(moved)
+    # unions of orbits of the first nontrivial gyration gyr[a, b], which
+    # it leaves invariant; sets holding its defects, which leak only at a
+    # later gyration; and a set without 0, whose defects leak at gyr[0, 0]
+    a, b, _ = first_true(moved)
+    subsets = [(1, 2), *enumerate_subgyrogroups(g, cap=n)]
+    orbit = {0}
+    for x in (1, 2, n - 1):
+        while x not in orbit:
+            orbit.add(x)
+            x = int(gyr[a, b, x])
+        subsets.append(tuple(sorted(orbit)))
+        subsets.append(tuple(sorted(orbit | set(defects[a, b].tolist()))))
+    later = 0  # defect leaks found past the first pair (a, b)
+    for s in subsets:
+        h = np.array(s)
+        inside = np.isin(np.arange(n), h)
+        leak = first_true(~inside[defects])
+        assert g.defect_leak(s) == leak, s
+        later += leak is not None and leak[:2] > (a, b)
+        leak = first_true(~inside[gyr[:, :, h]])
+        want = None if leak is None else (leak[0], leak[1], s[leak[2]])
+        assert g.gyration_leak(s) == want, s
+        leak = first_true(~inside[gyr[:, h][:, :, h]])
+        want = None if leak is None else (leak[0], s[leak[1]], s[leak[2]])
+        assert g.gyration_leak(s, over=s) == want, s
+    assert later
+
+
 # -- the distinct-gyration store ------------------------------------------
 
 def test_validation_leaves_callers_array_writable():
@@ -531,6 +582,37 @@ def test_distinct_gyrations_are_stored_once(groups, t21):
     assert len(t21.gyr_perms) == 7
     for name, g in groups.items():
         assert len(g.gyr_perms) == 1, name
+
+
+def test_query_caches_are_read_only_and_per_carrier(t21):
+    # two carriers of one order keep their own translate defects and first
+    # pairs, each computed once and read-only
+    z21 = validate_gyrogroup(cyclic(21))
+    for g, d in ((z21, 1), (t21, 7)):
+        flat = g.gyr_index.ravel()
+        assert g._first_pairs.tolist() == [int(np.argmax(flat == k)) for k in range(d)]
+        assert np.array_equal(g._defects, g.table[g.inv, g.gyr_perms])
+        for cache in (g._defects, g._first_pairs):
+            assert not cache.flags.writeable
+        assert g._defects is g._defects and g._first_pairs is g._first_pairs
+    assert not z21._defects.any() and t21._defects.any()
+
+
+def test_trusting_constructor_carrier_gives_the_loop_witnesses(t21):
+    # as in test_core: the first nontrivial gyration replaced by the
+    # identity, so this store is no gyrogroup's and its first hits move on
+    identity = np.arange(21)
+    perms = t21.gyr_perms.copy()
+    perms[1] = identity
+    g = finite.FiniteGyrogroup(t21.table, t21.inv, t21.gyr_index, perms)
+    assert not np.array_equal(g._defects, t21._defects)
+    assert g.nontrivial_gyration() == nontrivial_gyration_loop(g) \
+        != t21.nontrivial_gyration()
+    for s in (*enumerate_subgyrogroups(t21), *T21_NON_INVARIANT):
+        assert g.defect_leak(s) == defect_leak_loop(g, s), s
+        for over in (None, s):
+            assert g.gyration_leak(s, over=over) \
+                == gyration_leak_loop(g, s, over=over), (s, over)
 
 
 def entry_transpositions(table, axis, count, seed):
