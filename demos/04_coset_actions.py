@@ -70,8 +70,7 @@ print("  sampled axiom residuals over 10^4 triples:")
 for law in ("gyroassociativity", "left_loop", "gyration_closed_form"):
     print(f"    {law:22s} {out[law]:.2e}")
 
-crit = coset_criterion_sampled(carrier, carrier.in_hat, carrier.sample_hat,
-                               10000, seed=42)
+crit = coset_criterion_sampled(carrier, carrier.hat, 10000, seed=42)
 print("\n  the coset criterion for the translation part B^ = B² × {0},"
       " on 10^4 samples:")
 print(f"    gyrations map B^ into B^:    "

@@ -313,8 +313,8 @@ def cmd_pairs(args):
     with _failing(USAGE_ERROR, "usage", ValueError):
         carrier = PairGyrogroup(m=args.m, variant=args.variant)
     checks = _law_checks(carrier, args)
-    crit = coset_criterion_sampled(carrier, carrier.in_hat, carrier.sample_hat,
-                                   args.samples, args.seed)
+    crit = coset_criterion_sampled(carrier, carrier.hat, args.samples,
+                                   args.seed)
     checks.append(Check("hat_coset_criterion", crit.passed, seed=args.seed,
                         samples=args.samples))
     # one representative (0, k) per rotation index k

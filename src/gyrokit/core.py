@@ -7,8 +7,8 @@ Ungar's closed forms, and the pair carrier B² × Z_m takes its factors'.
 Every carrier draws and broadcasts over batches, so the rest is derived
 from it as one batch expression: coaddition, conjugation, and the
 cancellation-law and axiom-residual check suites shared by all carriers.
-Every sampled check of triples draws them block by block through one
-driver, :func:`_plan_triples` and :func:`_run_blocks`, holding no draw.
+Every sampled check draws block by block through one driver,
+:func:`_plan_triples` and :func:`_run_blocks`, holding no draw.
 
 :func:`gyration` is the independent path, the gyrator identity
 
@@ -484,13 +484,13 @@ def _plan_triples(carrier, samples, seed):
 
 
 def _run_blocks(plans, bounds, work):
-    """[work(a, b, c, lo, hi) for each block], in block order, a, b and c
-    the triples lo to hi redrawn by the ``plans`` of :func:`_plan_triples`
-    and passed straight in, so that no block outlives its call.  With two
-    or more blocks and CPUs, the blocks (then of an even count and equal
-    sizes) are shared by stride between the calling thread and one worker
-    thread, always joined before this returns; carriers are pure, so they
-    need no lock.  An exception is re-raised from the earliest block that
+    """[work(*blocks, lo, hi) for each block], in block order, one argument
+    per plan: the draws lo to hi redrawn by the ``plans`` (those of
+    :func:`_plan_triples` and any appended) and passed straight in, so that
+    no block outlives its call.  With two or more blocks and CPUs, the
+    blocks (then of an even count and equal sizes) are shared by stride
+    between the calling thread and one worker thread, always joined before
+    this returns; carriers are pure, so they need no lock.  An exception is re-raised from the earliest block that
     raised, as one thread going through the blocks in order would meet it.
     """
     blocks = len(bounds) - 1

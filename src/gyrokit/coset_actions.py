@@ -11,14 +11,13 @@ gyr[a, b]h = h + (-h + gyr[a, b]h), a sum of two members of H.
 
 ``coset_criterion`` decides (2) exhaustively for finite carriers and
 computes (1) only to name a witness when (2) fails;
-``coset_criterion_sampled`` covers sampleable carriers.  It and
-``self_action_possible_sampled`` take their triples block by block, as the
-law suites do (``core._run_blocks``), holding no draw of them; the
-criterion's subgroup sample h is still one draw, held whole.  When the
-criterion holds, ``build_coset_action`` constructs the action and
-re-verifies the whole theorem package: well-definedness, the action
-axioms, transitivity, stab(x+H) = conjugate of H by x, non-semiregularity
-for H != {0}, and the index formula.
+``coset_criterion_sampled`` covers sampleable carriers, H given as a
+carrier.  It and ``self_action_possible_sampled`` take their draws block
+by block, as the law suites do (``core._run_blocks``), holding none of
+them.  When the criterion holds, ``build_coset_action`` constructs the
+action and re-verifies the whole theorem package: well-definedness, the
+action axioms, transitivity, stab(x+H) = conjugate of H by x,
+non-semiregularity for H != {0}, and the index formula.
 """
 
 import copy
@@ -94,26 +93,24 @@ def coset_criterion(g, members):
                            witness1=w1, witness2=w2)
 
 
-def coset_criterion_sampled(carrier, in_subgroup, sample_subgroup,
-                            samples, seed):
+def coset_criterion_sampled(carrier, subgroup, samples, seed):
     """Sampled criterion for carriers that cannot be enumerated, on the
     carrier's own gyrations.
 
-    ``in_subgroup``     -- vectorised membership predicate
-    ``sample_subgroup`` -- (rng, count) -> batch of subgroup elements
-
-    The triples (a, b, x) are the law suites'; h is one whole draw after
-    them, held, and each block of triples is paired with its slice of h.
-    Raises ValueError unless ``samples`` is an integer >= 1.
+    ``subgroup`` is a carrier whose elements are elements of ``carrier``;
+    its ``contains`` is the whole membership test, and it draws the
+    subgroup sample h.  The triples (a, b, x) are the law suites'; h is
+    drawn after them, a fourth ``draw_plan``, so each block of triples
+    comes with its block of h and no draw is held.  Raises ValueError
+    unless ``samples`` is an integer >= 1.
     """
     rng, samples, bounds, plans = _plan_triples(carrier, samples, seed)
-    h = sample_subgroup(rng, samples)
+    plans.append(subgroup.draw_plan(rng, samples, bounds))
 
-    def conditions(a, b, x, lo, hi):
-        img = carrier.gyration(a, b, h[lo:hi])
+    def conditions(a, b, x, h, lo, hi):
+        img = carrier.gyration(a, b, h)
         defect = carrier.oplus(carrier.oinv(x), carrier.gyration(a, b, x))
-        return [bool(np.all(in_subgroup(y)) and np.all(carrier.contains(y)))
-                for y in (img, defect)]
+        return [bool(np.all(subgroup.contains(y))) for y in (img, defect)]
 
     ok1, ok2 = map(all, zip(*_run_blocks(plans, bounds, conditions)))
     return CriterionReport(passed=ok1 and ok2, mode="sampled",

@@ -15,8 +15,10 @@ in which (a, j) is "rotate by 2*pi*j/m, then translate by a", so that
 
 B_hat = B² × {0}, the kernel of the projection onto Z_m, has exactly m
 left cosets, one per index, on which left gyroaddition acts as Z_m acts on
-itself.
+itself.  It is the carrier ``PairGyrogroup(1, variant)``, ``hat``.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -97,24 +99,21 @@ class PairGyrogroup(GyrogroupCarrier):
 
     # -- B_hat coset machinery -------------------------------------------
 
-    def in_hat(self, x):
-        """Membership in B_hat = B² × {0}."""
-        return np.asarray(x.r) == 0
+    @cached_property
+    def hat(self):
+        """B_hat = B² × {0} as a carrier, ``PairGyrogroup(1, variant)``: it
+        draws the ball's points, all at index 0, as Z_1 draws nothing."""
+        return PairGyrogroup(1, self.ball.variant)
 
     def hat_coset_index(self, x):
         """Index of the left coset x + B_hat: its rotation index, since
         (a, k) + (w, 0) = (a + w, k), so there are m cosets."""
         return x.r
 
-    def sample_hat(self, rng, count):
-        """A batch of ``count`` elements of B_hat, ball points at index 0."""
-        return PairElement(self.ball.sample_batch(rng, count),
-                           np.zeros(count, dtype=np.int64))
-
     def verify_hat_criterion(self, samples, seed):
-        """The sampled coset criterion for B_hat, as a report dict: that of
-        ``coset_criterion_sampled(self, self.in_hat, self.sample_hat,
-        samples, seed)``.
+        """The sampled coset criterion for B_hat, ``PairGyrogroup(1,
+        variant)``, as a report dict: that of
+        ``coset_criterion_sampled(self, self.hat, samples, seed)``.
 
         Condition 1: gyrations map B_hat into B_hat.
         Condition 2: -z + gyr[x, y]z lands in B_hat for all x, y, z.
@@ -124,13 +123,12 @@ class PairGyrogroup(GyrogroupCarrier):
         p(gyr[x, y]z) = p(z) and p(-z + gyr[x, y]z) = 0.  The sampled check
         is a numeric cross-check of the implementation.
         """
-        return coset_criterion_sampled(self, self.in_hat, self.sample_hat,
-                                       samples, seed).as_dict()
+        return coset_criterion_sampled(self, self.hat, samples, seed).as_dict()
 
     def hat_coset_action(self, g, coset_index):
         """Left gyroaddition on the coset space: g = (a, j) sends coset k to
-        j + k.  That this is an action is the coset criterion for B_hat,
-        which ``verify_hat_criterion`` checks."""
+        j + k.  That this is an action is the coset criterion for B_hat =
+        PairGyrogroup(1, variant), which ``verify_hat_criterion`` checks."""
         return (np.asarray(g.r) + coset_index) % self.m
 
     def __repr__(self):

@@ -5,7 +5,7 @@ from gyrokit import BallGyrogroup, validate_action, validate_gyrogroup
 from gyrokit.catalog import (cyclic, dihedral, frobenius, klein_four,
                              quaternion, square_root_twist, symmetric,
                              twisted21)
-from gyrokit.core import violation
+from gyrokit.core import GyrogroupCarrier, violation
 from gyrokit.finite import MAX_WITNESSES
 
 
@@ -314,3 +314,30 @@ class WrongGyrationBall(BallGyrogroup):
     def gyration(self, a, b, c):
         hit = np.all(np.asarray(a) == self.bad, axis=-1)[..., None]
         return super().gyration(a, b, c) + 1e-3 * hit * np.eye(self.dim)[0]
+
+
+class SubsetCarrier(GyrogroupCarrier):
+    """The members of ``carrier`` that satisfy ``predicate``, in the carrier
+    form ``coset_criterion_sampled`` takes for its subgroup: ``contains``
+    is ``carrier.contains`` and ``predicate`` together.  It draws what
+    ``carrier`` draws or, with ``zero_only``, ``carrier.zero`` alone,
+    drawing nothing from the generator.  The subset need not be a
+    subgroup, so that a failing criterion can be checked."""
+
+    def __init__(self, carrier, predicate, zero_only=False):
+        self.carrier, self.predicate = carrier, predicate
+        self.zero_only = zero_only
+
+    def contains(self, x):
+        return self.carrier.contains(x) & self.predicate(x)
+
+    def sample_batch(self, rng, count):
+        if self.zero_only:
+            zero = self.carrier.zero
+            return np.full((count, *np.shape(zero)), zero)
+        return self.carrier.sample_batch(rng, count)
+
+    def draw_plan(self, rng, count, bounds):
+        if self.zero_only:
+            return lambda k: self.sample_batch(rng, bounds[k + 1] - bounds[k])
+        return self.carrier.draw_plan(rng, count, bounds)

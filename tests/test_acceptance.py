@@ -284,7 +284,7 @@ def test_criterion_8_pair_carrier():
                          np.asarray(carrier.hat_coset_action(batch, 0))))
     assert reached == list(range(6))
     stabilizing = np.asarray(carrier.hat_coset_action(batch, 0)) == 0
-    assert np.all(carrier.in_hat(batch)[stabilizing.nonzero()])
+    assert np.all(carrier.hat.contains(batch)[stabilizing.nonzero()])
     elapsed = time.perf_counter() - start
     worst = max(out[k] for k in ("gyroassociativity", "left_loop"))
     report(8, "pair carrier", elapsed < 10.0,

@@ -49,6 +49,9 @@ CASES = {
                    0, "out"),
     "pairs": (["pairs", "--m", "6", "--samples", "300", "--seed", "42"],
               0, "out"),
+    # two blocks of triples, each with its block of the B_hat sample
+    "pairs_einstein": (["pairs", "--variant", "einstein", "--m", "4",
+                        "--samples", "40000", "--seed", "7"], 0, "out"),
     "usage_error": (["ball", "--u", "0.1 0.2"], 2, "err"),
     "cosets_bad_subset": (["cosets", "{d}/z6.gyro", "--subset", "x"], 2,
                           "err"),

@@ -387,6 +387,32 @@ def test_draw_plan_redraws_slices_of_three_sample_batch_draws(
             assert _bits(first) == _bits(draw[s]), k
 
 
+def test_hat_draws_the_ball_at_index_zero():
+    # B_hat = PairGyrogroup(1, variant) is the criterion's subgroup draw: the
+    # ball's points with every index 0, Z_1 drawing nothing
+    from gyrokit import PairGyrogroup
+    samples, bounds = 1000, [0, 7, 300, 301, 1000]
+    for variant in ("mobius", "einstein"):
+        hat = PairGyrogroup(1, variant)
+        ball = BallGyrogroup(dim=2, variant=variant)
+        for bit_generator in _BIT_GENERATORS:
+            kind = getattr(np.random, bit_generator)
+            alone, drawn, planned = (np.random.Generator(kind(5))
+                                     for _ in range(3))
+            u = ball.sample_batch(alone, samples)
+            zero = np.zeros(samples, np.int64)
+            plan = hat.draw_plan(planned, samples, bounds)
+            assert _bits(hat.sample_batch(drawn, samples)) == \
+                _bits(u) + _bits(zero), bit_generator
+            for gen in (drawn, planned):
+                assert _same_state(gen.bit_generator.state,
+                                   alone.bit_generator.state), bit_generator
+            for k in range(len(bounds) - 1):
+                s = slice(bounds[k], bounds[k + 1])
+                assert _bits(plan(k)) == _bits(u[s]) + _bits(zero[s]), \
+                    (variant, bit_generator, k)
+
+
 def _sampled_checks():
     """name -> ((carrier, bytes per point), ...), check(carrier, samples,
     seed), and the points per triple that the check holds by design."""
@@ -398,10 +424,9 @@ def _sampled_checks():
         "sampled_law_residuals": ((ball, pairs), sampled_law_residuals, 0),
         "self_action_possible_sampled":
             ((ball, pairs), self_action_possible_sampled, 0),
-        # the subgroup sample h is one whole draw
         "verify_hat_criterion":
             ((pairs,), lambda p, samples, seed: p.verify_hat_criterion(
-                samples, seed), 1)}
+                samples, seed), 0)}
 
 
 @pytest.mark.parametrize("name", sorted(_sampled_checks()))

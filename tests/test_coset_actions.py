@@ -17,8 +17,8 @@ from gyrokit.catalog import (dihedral, frobenius, quaternion,
                              square_root_twist, symmetric)
 from gyrokit.finite import _defect_closure, _lattice, _quotient
 
-from conftest import (LADDER_GROUPS, classical_coset_table, defect_leak_loop,
-                      gyration_leak_loop, trivial_action)
+from conftest import (LADDER_GROUPS, SubsetCarrier, classical_coset_table,
+                      defect_leak_loop, gyration_leak_loop, trivial_action)
 
 
 def test_self_action_possible_for_groups(groups):
@@ -318,7 +318,7 @@ def test_induced_action_gyration_hypothesis_witness(t21):
     assert "hypothesis failed" in str(exc.value)
 
 
-def _gyrator_verdicts(carrier, in_subgroup, sample_subgroup, samples, seed):
+def _gyrator_verdicts(carrier, subgroup, samples, seed):
     """The two sampled verdicts computed through the gyrator identity
     ``core.gyration``, on the draws the sampled functions make."""
     from gyrokit import core
@@ -328,26 +328,30 @@ def _gyrator_verdicts(carrier, in_subgroup, sample_subgroup, samples, seed):
     moved = np.max(carrier.distance(core.gyration(carrier, a, b, c), c))
     rng = np.random.default_rng(seed)
     a, b, x = (carrier.sample_batch(rng, samples) for _ in range(3))
-    h = sample_subgroup(rng, samples)
+    h = subgroup.sample_batch(rng, samples)
     img = core.gyration(carrier, a, b, h)
     defect = carrier.oplus(carrier.oinv(x), core.gyration(carrier, a, b, x))
-    ok = [bool(np.all(in_subgroup(y)) and np.all(carrier.contains(y)))
-          for y in (img, defect)]
+    ok = [bool(np.all(subgroup.contains(y))) for y in (img, defect)]
     return bool(moved <= tol), ok
 
 
+def _ball_zero(ball):
+    """{0} of ``ball`` as a subgroup carrier."""
+    return SubsetCarrier(ball, lambda y: np.linalg.norm(y, axis=-1) <= ball.eps,
+                         zero_only=True)
+
+
 def _sampled_subgroups():
-    """(carrier, in_subgroup, sample_subgroup) for the ball and pair
-    carriers: the whole ball, {0}, and the translation part B_hat."""
+    """(carrier, subgroup) for the ball and pair carriers: the whole ball,
+    {0}, and the translation part B_hat."""
     from gyrokit import BallGyrogroup, PairGyrogroup
     out = []
     for variant in ("mobius", "einstein"):
         ball = BallGyrogroup(dim=3, variant=variant)
-        out.append((ball, ball.contains, ball.sample_batch))
-        out.append((ball, lambda y, b=ball: np.linalg.norm(y, axis=-1) <= b.eps,
-                    lambda rng, n, d=ball.dim: np.zeros((n, d))))
+        out.append((ball, ball))
+        out.append((ball, _ball_zero(ball)))
         pairs = PairGyrogroup(m=6, variant=variant)
-        out.append((pairs, pairs.in_hat, pairs.sample_hat))
+        out.append((pairs, pairs.hat))
     return out
 
 
@@ -362,56 +366,51 @@ def test_sampled_criteria_use_the_carrier_gyration(monkeypatch):
         raise AssertionError("core.gyration called")
 
     monkeypatch.setattr(core, "gyration", refuse)
-    for seed, ((carrier, inside, sample), (possible, (ok1, ok2))) in enumerate(cases):
+    for seed, ((carrier, subgroup), (possible, (ok1, ok2))) in enumerate(cases):
         got, witness = self_action_possible_sampled(carrier, 3000, seed)
         assert got == possible and not got and witness is not None
-        report = coset_criterion_sampled(carrier, inside, sample, 3000, seed)
+        report = coset_criterion_sampled(carrier, subgroup, 3000, seed)
         assert (report.condition_gyr_preserves_subgroup,
                 report.condition_translate_defect_in_subgroup) == (ok1, ok2)
         assert report.passed == (ok1 and ok2)
 
 
-def _whole_draw_coset_checks(carrier, in_subgroup, sample_subgroup, samples,
-                             seed):
+def _whole_draw_coset_checks(carrier, subgroup, samples, seed):
     """The two sampled coset checks, on the carrier's own gyrations, with
     every draw held whole: (possible, witness) of the self-action check and
     the criterion's two conditions."""
     rng = np.random.default_rng(seed)
     a, b, c = (carrier.sample_batch(rng, samples) for _ in range(3))
-    h = sample_subgroup(rng, samples)
+    h = subgroup.sample_batch(rng, samples)
     moved = np.asarray(carrier.distance(carrier.gyration(a, b, c), c))
     i = int(np.argmax(moved))
     possible = bool(moved[i] <= carrier.eps)
     witness = None if possible else (a[i], b[i], c[i])
     img = carrier.gyration(a, b, h)
     defect = carrier.oplus(carrier.oinv(c), carrier.gyration(a, b, c))
-    ok = [bool(np.all(in_subgroup(y)) and np.all(carrier.contains(y)))
-          for y in (img, defect)]
+    ok = [bool(np.all(subgroup.contains(y))) for y in (img, defect)]
     return possible, witness, ok
 
 
 def _block_drawn_cases():
-    """name -> (carrier, in_subgroup, sample_subgroup, whether the
-    criterion holds)."""
+    """name -> (carrier, subgroup, whether the criterion holds)."""
     from gyrokit import BallGyrogroup
     from gyrokit.catalog import twisted21
     out = {}
     for variant in ("mobius", "einstein"):
         ball = BallGyrogroup(dim=3, variant=variant)
-        out[f"{variant}-ball"] = (ball, ball.contains, ball.sample_batch, True)
-        out[f"{variant}-zero"] = (
-            ball, lambda y, b=ball: np.linalg.norm(y, axis=-1) <= b.eps,
-            lambda rng, n, d=ball.dim: np.zeros((n, d)), False)
+        out[f"{variant}-ball"] = (ball, ball, True)
+        out[f"{variant}-zero"] = (ball, _ball_zero(ball), False)
     pairs = PairGyrogroup(m=6)
-    out["pairs-hat"] = (pairs, pairs.in_hat, pairs.sample_hat, True)
+    out["pairs-hat"] = (pairs, pairs.hat, True)
     # B² × {0, 2, 4}: the gyrations keep every index, so condition 2 holds,
     # but an odd index is drawn into h, so condition 1 fails
-    out["pairs-even"] = (pairs, lambda x: np.asarray(x.r) % 2 == 0,
-                         pairs.sample_batch, False)
+    out["pairs-even"] = (pairs, SubsetCarrier(
+        pairs, lambda x: np.asarray(x.r) % 2 == 0), False)
     t21 = validate_gyrogroup(twisted21())
-    out["twisted21"] = (t21, t21.contains, t21.sample_batch, True)
-    out["twisted21-zero"] = (t21, lambda x: np.asarray(x) == 0,
-                             lambda rng, n: np.zeros(n, dtype=np.int64), False)
+    out["twisted21"] = (t21, t21, True)
+    out["twisted21-zero"] = (t21, SubsetCarrier(
+        t21, lambda x: np.asarray(x) == 0, zero_only=True), False)
     return out
 
 
@@ -426,10 +425,10 @@ def _witness_bits(witness):
 def test_sampled_coset_checks_equal_their_whole_draw_reference(monkeypatch,
                                                                name):
     from gyrokit import core
-    carrier, inside, sample, holds = _block_drawn_cases()[name]
+    carrier, subgroup, holds = _block_drawn_cases()[name]
     for seed, samples in ((0, 1), (1, 300), (2, 700)):
         possible, witness, (ok1, ok2) = _whole_draw_coset_checks(
-            carrier, inside, sample, samples, seed)
+            carrier, subgroup, samples, seed)
         if samples > 1:
             assert (ok1 and ok2) == holds and not possible
         for cpus in (1, 2):
@@ -440,8 +439,8 @@ def test_sampled_coset_checks_equal_their_whole_draw_reference(monkeypatch,
                     carrier, samples, seed)
                 assert got == possible
                 assert _witness_bits(got_witness) == _witness_bits(witness)
-                report = coset_criterion_sampled(carrier, inside, sample,
-                                                 samples, seed)
+                report = coset_criterion_sampled(carrier, subgroup, samples,
+                                                 seed)
                 assert (report.condition_gyr_preserves_subgroup,
                         report.condition_translate_defect_in_subgroup,
                         report.passed) == (ok1, ok2, ok1 and ok2)
@@ -449,7 +448,7 @@ def test_sampled_coset_checks_equal_their_whole_draw_reference(monkeypatch,
 
 
 @pytest.mark.parametrize("check", [
-    lambda p, seed: coset_criterion_sampled(p, p.in_hat, p.sample_hat, 0, seed),
+    lambda p, seed: coset_criterion_sampled(p, p.hat, 0, seed),
     lambda p, seed: p.verify_hat_criterion(0, seed),
     lambda p, seed: self_action_possible_sampled(p, 0, seed)],
     ids=["coset_criterion_sampled", "verify_hat_criterion",
@@ -467,10 +466,10 @@ def test_sampled_checks_read_samples_as_integers(samples):
     p = PairGyrogroup(m=6)
     message = f"^samples {samples!r} is not an integer$"
     for check in (
-            lambda: coset_criterion_sampled(p, p.in_hat, p.sample_hat, samples, 1),
+            lambda: coset_criterion_sampled(p, p.hat, samples, 1),
             lambda: self_action_possible_sampled(p, samples, 1),
             lambda: check_pair_axioms(p, samples, 1)):
         with pytest.raises(ValueError, match=message):
             check()
-    report = coset_criterion_sampled(p, p.in_hat, p.sample_hat, np.int64(4), 1)
+    report = coset_criterion_sampled(p, p.hat, np.int64(4), 1)
     assert type(report.samples) is int and report.samples == 4

@@ -165,7 +165,7 @@ def test_stabilizer_of_each_coset_is_hat(carrier):
     batch = carrier.sample_batch(rng, 2000)
     acted = carrier.hat_coset_action(batch, np.asarray(batch.r) * 0)
     stabilizing = np.asarray(acted) == 0
-    assert np.array_equal(stabilizing, carrier.in_hat(batch))
+    assert np.array_equal(stabilizing, carrier.hat.contains(batch))
     # not semiregular: a nonidentity stabilizing element for every coset
     w = carrier.element([0.5, 0.0], 0)
     for k in range(6):
@@ -185,8 +185,8 @@ def test_conjugate_of_hat_by_rotation_stays_hat(carrier):
 
 
 def test_sampled_criterion_for_hat(carrier):
-    report = coset_criterion_sampled(
-        carrier, carrier.in_hat, carrier.sample_hat, samples=5000, seed=21)
+    report = coset_criterion_sampled(carrier, carrier.hat, samples=5000,
+                                     seed=21)
     assert report.passed
     assert report.mode == "sampled"
     assert report.samples == 5000 and report.seed == 21
