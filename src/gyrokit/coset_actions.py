@@ -123,8 +123,10 @@ def build_coset_action(g, members, criterion=None):
     """The transitive action of g on G/H by left gyroaddition.
 
     Refuses (CriterionError) unless the criterion holds -- in particular for
-    non-L-subgyrogroups, whose cosets overlap.  All theorem-level
-    postconditions are re-verified on the constructed table.
+    non-L-subgyrogroups, whose cosets overlap.  ``criterion``, when given,
+    is taken as H's report instead of computing it; all theorem-level
+    postconditions are re-verified on the constructed table, so with a
+    passing report of another H they refuse (GyroError) an H that fails.
     """
     members = tuple(members)
     report = criterion or coset_criterion(g, members)

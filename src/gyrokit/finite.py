@@ -19,9 +19,10 @@ through an n^2 table of the pairs (x, y) with x + (-x + y) != y, so a valid
 table makes no n^3 comparison for that law.  Other modules read gyrations
 through the ``FiniteGyrogroup`` queries, each of which works on the d
 distinct maps: ``gyration`` for elements or batches of them, ``gyr_perm``
-for one map, ``gyration_leak`` for gyration invariance of a subset,
-``defect_leak`` for the translate defect -x + gyr[a, b]x, and
-``nontrivial_gyration`` for a gyration that is not the identity.
+for one map, ``gyration_leak`` for invariance of a subset under every
+gyr[a, b] with a, b in G, ``defect_leak`` for the translate defect
+-x + gyr[a, b]x, and ``nontrivial_gyration`` for a gyration that is not the
+identity.
 
 Subgyrogroups are boolean masks over 0..n-1 inside this module.  A mask is
 closed by plain rounds under +: each round adds every sum of two members,
@@ -45,8 +46,8 @@ the exit is exact.  The lattice is enumerated by cyclic extension, joining
 the distinct one-generated closures <x> onto the subgyrogroups found so
 far; a closure depends only on the union s | <x> it starts from, so each
 union is closed once, and each <x>, its own join with {0}, is closed only
-as <x>.  A query over all pairs of G answers from the first pair of each
-distinct gyration, cached per carrier, in O(dn) without an n^2 scan.
+as <x>.  The leak queries range over all pairs of G and answer from the
+first pair of each distinct gyration, cached per carrier, in O(dn).
 
 Table file format (UTF-8 text)::
 
@@ -279,18 +280,17 @@ class FiniteGyrogroup(GyrogroupCarrier):
         self._refuse_non_elements(a, b)
         return self.gyr_perms[self.gyr_index[a, b]]
 
-    def gyration_leak(self, members, over=None):
-        """The first (a, b, h), in row-major order over a in G, b in ``over``
-        (all of G by default) and h in sorted H = ``members``, with
-        gyr[a, b]h outside H; None if every such gyration maps H into H.
-        Over all of G the pair comes from the first pairs, with no n^2 scan."""
+    def gyration_leak(self, members):
+        """The first (a, b, h), in row-major order over a, b in G and h in
+        sorted H = ``members``, with gyr[a, b]h outside H; None if every
+        gyration maps H into H.  The pair comes from the first pairs, with no
+        n^2 scan."""
         h, inside = self._member_mask(members)
-        bs = None if over is None else self._member_mask(over)[0]
-        leak = self._first_hit(~inside[self.gyr_perms[:, h]], bs)
+        leak = self._first_hit(~inside[self.gyr_perms[:, h]])
         if leak is None:
             return None
-        a, j, i = leak
-        return (a, j if bs is None else int(bs[j]), int(h[i]))
+        a, b, i = leak
+        return (a, b, int(h[i]))
 
     def defect_leak(self, members):
         """The first (a, b, x) in row-major order with the translate defect
@@ -320,24 +320,19 @@ class FiniteGyrogroup(GyrogroupCarrier):
         """True iff every gyration is the identity, i.e. the table is a group."""
         return self.nontrivial_gyration() is None
 
-    def _first_hit(self, hits, bs=None):
-        """The first (a, j, i) in row-major order with hits[k, i] True for
-        the distinct gyration k = gyr[a, bs[j]] (bs = all of G by default).
+    def _first_hit(self, hits):
+        """The first (a, b, i) in row-major order over a, b in G with
+        hits[k, i] True for the distinct gyration k = gyr[a, b], or None.
         ``hits`` has one row per distinct gyration, so each question is
-        answered on d rows and only its first pair is expanded.  Over all of
-        G it is the first pair of the first k with a hit: gyrations are
-        numbered by first appearance, so ``_first_pairs`` rise with k."""
+        answered on d rows and only one pair is expanded: the first pair of
+        the first k with a hit, as gyrations are numbered by first
+        appearance, so ``_first_pairs`` rise with k."""
         hit = hits.any(axis=1)
-        if bs is None:
-            k = int(np.argmax(hit))
-            pair = divmod(int(self._first_pairs[k]), self.order) if hit[k] else None
-        else:
-            pair = _first_true(hit[self.gyr_index[:, bs]])
-        if pair is None:
+        k = int(np.argmax(hit))
+        if not hit[k]:
             return None
-        a, j = pair
-        k = self.gyr_index[a, j if bs is None else bs[j]]
-        return (a, j, int(np.argmax(hits[k])))
+        a, b = divmod(int(self._first_pairs[k]), self.order)
+        return (a, b, int(np.argmax(hits[k])))
 
     def _member_mask(self, members):
         h = np.array(_read_members(self, members), dtype=np.int64)
@@ -356,17 +351,6 @@ class FiniteGyrogroup(GyrogroupCarrier):
 def _frozen(arr):
     arr.flags.writeable = False
     return arr
-
-
-def _first_true(mask):
-    """Index tuple of the first True entry of ``mask`` in row-major order,
-    or None; found by a flat argmax, so no list of all hits is built."""
-    if not mask.size:
-        return None
-    k = int(np.argmax(mask))
-    if not mask.flat[k]:
-        return None
-    return tuple(int(i) for i in np.unravel_index(k, mask.shape))
 
 
 # Cells of one block of the (n, n, n) gyration values; a block holds whole
@@ -689,11 +673,14 @@ def _defect_closure(g):
 
 
 def is_l_subgyrogroup(g, members):
-    """True iff gyr[a, h](H) = H for all a in G and h in H."""
+    """True iff gyr[a, h](H) = H for all a in G and h in H: every distinct
+    gyration that occurs in a column h maps H into H, so onto H, as a
+    gyration is a bijection of a finite set."""
     members = tuple(members)
     if not is_subgyrogroup(g, members):
         return False
-    return g.gyration_leak(members, over=members) is None
+    h, inside = g._member_mask(members)
+    return bool(inside[g.gyr_perms[:, h]].all(axis=1)[g.gyr_index[:, h]].all())
 
 
 class CosetPartition(Record):

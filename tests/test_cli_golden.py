@@ -31,6 +31,9 @@ CASES = {
     # a nondegenerate lattice: its order and both flags of every member
     "subgyro_t21": (["subgyro", "{d}/t21.gyro"], 0, "out"),
     "cosets": (["cosets", "{d}/z6.gyro", "--subset", "0,3"], 0, "out"),
+    # cosets that overlap: their witnesses, and both flags false
+    "cosets_t21_overlap": (["cosets", "{d}/t21.gyro", "--subset", "0,1,2"],
+                           1, "out"),
     "act": (["act", "{d}/s3.gyro", "{d}/conj.act"], 0, "out"),
     "act_text": (["act", "{d}/s3.gyro", "{d}/conj.act"], 0, "out"),
     "burnside": (["burnside", "{d}/s3.gyro", "{d}/conj.act"], 0, "out"),

@@ -244,6 +244,29 @@ def test_build_refuses_without_criterion(t21):
     assert "overlap" in str(exc.value)
 
 
+def test_build_with_a_given_criterion_report(t21):
+    # a report of H's own gives the same G-set as the criterion computed
+    # inside; a passing report of another H does not get a failing H past
+    # the exhaustive checks, which refuse it
+    whole = coset_criterion(t21, range(21))
+    refused = []
+    for h in enumerate_subgyrogroups(t21):
+        own = coset_criterion(t21, h)
+        if own.passed:
+            gset = build_coset_action(t21, h, criterion=own)
+            plain = build_coset_action(t21, h)
+            assert np.array_equal(gset.table, plain.table), h
+            assert gset.point_labels == plain.point_labels, h
+            continue
+        with pytest.raises(GyroError) as exc:
+            build_coset_action(t21, h, criterion=whole)
+        refused.append((len(h), exc.type, str(exc.value)))
+    assert len(refused) == 8
+    assert refused[0][:2] == (1, ValidationError)  # the action law, on {0}
+    assert all(n == 3 and "do not partition" in msg
+               for n, _, msg in refused[1:])
+
+
 def test_converse_direction_small_fixtures(groups, t21):
     """If the coset table validates as an action, the criterion passes."""
     carriers = list(groups.values()) + [t21]

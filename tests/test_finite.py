@@ -490,18 +490,22 @@ def test_left_cosets_rejects_non_subgyrogroup(z6):
 # -- gyration queries against the reference loops ------------------------
 
 def test_gyration_leak_matches_loop(fixture_carriers):
-    leaks = []
+    leaks, non_l = [], 0
     for name, g in fixture_carriers.items():
         subsets = list(enumerate_subgyrogroups(g))
         if name == "T21":
             subsets += T21_NON_INVARIANT
         for s in subsets:
-            for over in (None, s):
-                leak = g.gyration_leak(s, over=over)
-                assert leak == gyration_leak_loop(g, s, over=over), (name, s, over)
-                leaks.append(leak)
+            leak = g.gyration_leak(s)
+            assert leak == gyration_leak_loop(g, s), (name, s)
+            leaks.append(leak)
+            # the L-verdict against the loop over the pairs (a, h), h in H
+            want = is_subgyrogroup(g, s) and gyration_leak_loop(g, s, over=s) is None
+            assert is_l_subgyrogroup(g, s) == want, (name, s)
+            non_l += not want
     # the non-L order-3 subgroups and the non-invariant subsets do leak
-    assert sum(leak is not None for leak in leaks) == 2 * (7 + len(T21_NON_INVARIANT))
+    assert sum(leak is not None for leak in leaks) == 7 + len(T21_NON_INVARIANT)
+    assert non_l == 7 + len(T21_NON_INVARIANT)
 
 
 def test_nontrivial_gyration_matches_loop(fixture_carriers):
@@ -553,8 +557,7 @@ def test_gyration_queries_match_dense_oracle(n):
         want = None if leak is None else (leak[0], leak[1], s[leak[2]])
         assert g.gyration_leak(s) == want, s
         leak = first_true(~inside[gyr[:, h][:, :, h]])
-        want = None if leak is None else (leak[0], s[leak[1]], s[leak[2]])
-        assert g.gyration_leak(s, over=s) == want, s
+        assert is_l_subgyrogroup(g, s) == (is_subgyrogroup(g, s) and leak is None), s
     assert later
 
 
@@ -610,9 +613,9 @@ def test_trusting_constructor_carrier_gives_the_loop_witnesses(t21):
         != t21.nontrivial_gyration()
     for s in (*enumerate_subgyrogroups(t21), *T21_NON_INVARIANT):
         assert g.defect_leak(s) == defect_leak_loop(g, s), s
-        for over in (None, s):
-            assert g.gyration_leak(s, over=over) \
-                == gyration_leak_loop(g, s, over=over), (s, over)
+        assert g.gyration_leak(s) == gyration_leak_loop(g, s), s
+        assert is_l_subgyrogroup(g, s) == (
+            is_subgyrogroup(g, s) and gyration_leak_loop(g, s, over=s) is None), s
 
 
 def entry_transpositions(table, axis, count, seed):
