@@ -8,7 +8,9 @@ Every carrier draws and broadcasts over batches, so the rest is derived
 from it as one batch expression: coaddition, conjugation, and the
 cancellation-law and axiom-residual check suites shared by all carriers.
 Every sampled check draws block by block through one driver,
-:func:`_plan_triples` and :func:`_run_blocks`, holding no draw.
+:func:`_plan_triples` and :func:`_run_blocks`, holding no draw and making
+no generator or seed before it draws, so that importing the package loads
+no ``numpy.random``.  Every verdict is a :class:`Check` record.
 
 :func:`gyration` is the independent path, the gyrator identity
 
@@ -21,6 +23,7 @@ identity on every sample as ``gyration_closed_form``.
 
 import contextvars
 import copy
+import inspect
 import os
 import threading
 
@@ -52,14 +55,6 @@ class CriterionError(GyroError):
     """A construction was requested whose precondition check failed."""
 
 
-class _Fresh:
-    """The default of a Record field that is ``factory()``, made anew for
-    each record."""
-
-    def __init__(self, factory):
-        self.factory = factory
-
-
 class Record:
     """A frozen record whose fields are the annotated names of its class, in
     order (a subclass's new ones after its base's).
@@ -69,15 +64,17 @@ class Record:
     the package is imported.  These methods are written once, here, and read
     the field names from ``_fields``; no code is made at run time.
 
-    A record is built from positional or keyword arguments.  A field's class
-    attribute is its default; a ``_Fresh(factory)`` default is
-    ``factory()``, called for each record.  ``__post_init__``, if the class
-    has one, runs after the fields are set, and may set a field with
-    ``object.__setattr__``.  Equality, hashing and ``repr`` are those of a
-    frozen dataclass: records of one class are equal when their field
-    tuples are, and assignment or deletion raises AttributeError.  Fields
-    live in the instance ``__dict__``, so ``functools.cached_property``
-    works.  ``dataclasses.asdict``, ``replace`` and ``fields`` do not apply.
+    A record is built from positional or keyword arguments, bound as they
+    bind to a function with the fields as parameters, and refused with the
+    TypeError that the function's ``inspect.Signature`` raises.  A field's
+    class attribute is its default, shared by every record that takes it.
+    ``__post_init__``, if the class has one, runs after the fields are set,
+    and may set a field with ``object.__setattr__``.  Equality, hashing and
+    ``repr`` are those of a frozen dataclass: records of one class are equal
+    when their field tuples are, and assignment or deletion raises
+    AttributeError.  Fields live in the instance ``__dict__``, so
+    ``functools.cached_property`` works.  ``dataclasses.asdict``,
+    ``replace`` and ``fields`` do not apply.
     """
 
     _fields = ()
@@ -107,43 +104,29 @@ class Record:
 
     def _bind(self, fields, args, kwargs):
         """Set ``fields`` in order from any other arguments, a field not
-        given taking its default."""
-        names = self._fields
-        used = len(args)
-        if used > len(names):
-            self._refuse(args, kwargs)
+        given taking its default, or :meth:`_refuse` them."""
+        names, defaults = self._fields, self._defaults
         fields.update(zip(names, args))
-        for key in names[len(args):]:
+        used = min(len(args), len(names))
+        for key in names[used:]:
             if key in kwargs:
                 fields[key] = kwargs[key]
                 used += 1
-            elif key in self._defaults:
-                default = self._defaults[key]
-                fields[key] = (default.factory() if isinstance(default, _Fresh)
-                               else default)
-            else:
-                self._refuse(args, kwargs)
-        if used != len(args) + len(kwargs):
+            elif key in defaults:
+                fields[key] = defaults[key]
+        if len(fields) < len(names) or used < len(args) + len(kwargs):
             self._refuse(args, kwargs)
 
     def _refuse(self, args, kwargs):
-        """Raise the TypeError that a function with the fields as parameters
-        would raise for these arguments: too many, an unknown or repeated
-        keyword, or a field with no default missing."""
-        names = self._fields
-        unknown = [k for k in kwargs if k not in names]
-        repeated = [k for k in kwargs if k in names[:len(args)]]
-        missing = [k for k in names[len(args):]
-                   if k not in kwargs and k not in self._defaults]
-        if len(args) > len(names):
-            why = f"takes at most {len(names)} arguments ({len(args)} given)"
-        elif unknown:
-            why = f"got an unexpected keyword argument {unknown[0]!r}"
-        elif repeated:
-            why = f"got multiple values for argument {repeated[0]!r}"
-        else:
-            why = f"missing required argument {missing[0]!r}"
-        raise TypeError(f"{type(self).__qualname__}() {why}")
+        """Raise the fields' ``inspect.Signature``'s TypeError for these."""
+        param = inspect.Parameter
+        try:
+            inspect.Signature([param(name, param.POSITIONAL_OR_KEYWORD,
+                                     default=self._defaults.get(name, param.empty))
+                               for name in self._fields]).bind(*args, **kwargs)
+        except TypeError as exc:
+            raise TypeError(f"{type(self).__qualname__}() {exc}") from None
+        raise AssertionError("arguments that bind were refused")
 
     def _values(self):
         return tuple([getattr(self, name) for name in self._fields])
@@ -172,8 +155,9 @@ class Check(Record):
 
     ``check`` names the law or property and ``passed`` gives the verdict;
     ``witness`` shows a failure; ``seed``, ``samples`` and ``tolerance`` say
-    how a sampled verdict was reached; ``detail`` holds any further fields
-    (a violated law's ``message``, a law suite's ``worst`` residual, ...).
+    how a sampled verdict was reached; ``detail``, a dict if not None,
+    holds any further fields (a violated law's ``message``, a law suite's
+    ``worst`` residual, ...).
     """
 
     check: str
@@ -182,16 +166,16 @@ class Check(Record):
     seed: int | None = None
     samples: int | None = None
     tolerance: float | None = None
-    detail: dict = _Fresh(dict)
+    detail: dict | None = None
 
     def as_dict(self):
-        """The six stable report keys, then the ``detail`` items."""
+        """The six stable report keys, then the ``detail`` items, if any."""
         witness = None if self.witness is None else list(self.witness)
         return {"check": self.check,
                 "status": "pass" if self.passed else "fail",
                 "witness": witness,
                 "seed": self.seed, "samples": self.samples,
-                "tolerance": self.tolerance, **self.detail}
+                "tolerance": self.tolerance, **(self.detail or {})}
 
 
 def violation(check, witness, message):
@@ -450,21 +434,19 @@ def _block_bounds(samples):
     return [k * samples // count for k in range(count + 1)]
 
 
-# the seed of each bit generator whose state is then set: none takes entropy
-_OVERWRITTEN_SEED = np.random.SeedSequence(0)
-
-
 def _walk(rng, bounds, draw):
     """Record the state of ``rng``'s bit generator at the start of each
     block bounds[k]:bounds[k + 1], found by drawing the blocks in turn as
-    ``draw(rng, size)``.  Returns k -> a new generator at block k's state."""
-    kind, states = type(rng.bit_generator), []
+    ``draw(rng, size)``.  Returns k -> a new generator at block k's state,
+    its bit generator seeded first by the fixed ``SeedSequence(0)``, never
+    from entropy, made here so that no import loads ``numpy.random``."""
+    kind, states, seed = type(rng.bit_generator), [], np.random.SeedSequence(0)
     for lo, hi in zip(bounds, bounds[1:]):
         states.append(rng.bit_generator.state)
         draw(rng, hi - lo)
 
     def at(k):
-        gen = np.random.Generator(kind(_OVERWRITTEN_SEED))
+        gen = np.random.Generator(kind(seed))
         gen.bit_generator.state = states[k]
         return gen
     return at

@@ -376,10 +376,10 @@ def _gyration_blocks(t, inv):
         yield a0, gyr
 
 
-# Fingerprint weights for gyration rows: a row's fingerprint is its dot
-# product with these, wrapping mod 2^64.  Drawn by the stdlib generator,
-# which numpy imports anyway; numpy.random would cost about 6 MB of resident
-# memory.  Orders beyond the array's length reuse the weights cyclically.
+# Fingerprint weights for gyration rows: a row's dot product with them, mod
+# 2^64, reused cyclically past 4096 columns.  Drawn by the stdlib generator,
+# which numpy imports anyway: no import loads numpy.random, about 6 MB of
+# resident memory (test_importing_gyrokit_loads_no_numpy_random).
 _FINGERPRINT_WEIGHTS = np.frombuffer(
     random.Random(0x67797231).randbytes(8 * 4096), dtype="<i8")
 

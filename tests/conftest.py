@@ -302,6 +302,60 @@ def left_cosets_loop(g, h):
             tuple(hit[x] for x in range(g.order)) if partition else None)
 
 
+# Independent models of the two ball carriers, written from their textbook
+# formulas (Ungar, Analytic Hyperbolic Geometry, 2005) and sharing no
+# expression with gyrokit.ball.  Each takes point batches (N, dim) and
+# returns (u + v, gyr[u, v]w), both (N, dim).
+
+def lorentz_boost(u):
+    """The boosts L(u) in SO(1, n) of the velocities u, with c = 1, as
+    (N, n + 1, n + 1) matrices: time first, then space."""
+    u = np.asarray(u, dtype=float)
+    n = u.shape[-1]
+    gamma = 1 / np.sqrt(1 - np.sum(u * u, axis=-1))
+    out = np.empty((len(u), n + 1, n + 1))
+    out[:, 0, 0] = gamma
+    out[:, 0, 1:] = out[:, 1:, 0] = gamma[:, None] * u
+    out[:, 1:, 1:] = np.eye(n) + ((gamma * gamma / (1 + gamma))[:, None, None]
+                                  * u[:, :, None] * u[:, None, :])
+    return out
+
+
+def einstein_boost_model(u, v, w):
+    """Einstein by Lorentz boosts: u + v is the velocity of L(u)L(v), the
+    frame it moves the rest frame to, and gyr[u, v] is the Thomas-Wigner
+    rotation, the spatial block of L(u + v)^-1 L(u)L(v) = L(-(u + v))L(u)L(v)."""
+    product = lorentz_boost(u) @ lorentz_boost(v)
+    s = product[:, 1:, 0] / product[:, :1, 0]
+    rotation = (lorentz_boost(-s) @ product)[:, 1:, 1:]
+    return s, np.einsum("nij,nj->ni", rotation, w)
+
+
+def mobius_disk_model(u, v, w):
+    """Mobius in dimension 1 or 2 by the complex disk (dimension 1 its real
+    diameter): u + v = (u + v)/(1 + conj(u) v), and gyr[u, v] multiplies by
+    (1 + u conj(v))/(1 + conj(u) v)."""
+    dim = np.shape(u)[-1]
+    a, b, c = (p[:, 0] + 1j * p[:, 1] if dim == 2 else p[:, 0] + 0j
+               for p in (u, v, w))
+    s = (a + b) / (1 + np.conj(a) * b)
+    g = (1 + a * np.conj(b)) / (1 + np.conj(a) * b) * c
+    return tuple(np.stack([z.real, z.imag], axis=-1)[:, :dim] for z in (s, g))
+
+
+def mobius_phi_model(u, v, w):
+    """Mobius in every dimension through the isomorphism phi(x) =
+    2x/(1 + |x|^2) onto the Einstein ball: u + v = phi^-1(phi(u) + phi(v))
+    and gyr[u, v]w = phi^-1(gyr[phi(u), phi(v)]phi(w)), evaluated by the
+    boost model, with phi^-1(y) = y/(1 + sqrt(1 - |y|^2))."""
+    def phi(x):
+        return 2 * x / (1 + np.sum(x * x, axis=-1, keepdims=True))
+
+    def phi_inverse(y):
+        return y / (1 + np.sqrt(1 - np.sum(y * y, axis=-1, keepdims=True)))
+    return tuple(map(phi_inverse, einstein_boost_model(phi(u), phi(v), phi(w))))
+
+
 class WrongGyrationBall(BallGyrogroup):
     """A ball whose gyr[a, b] is off by 1e-3 in the first coordinate exactly
     when a is the point ``bad``: every law that reads gyr[a, b] fails at

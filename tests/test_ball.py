@@ -98,6 +98,19 @@ def test_operations_reject_points_outside_ball():
 
 
 @pytest.mark.parametrize("variant", ["mobius", "einstein"])
+def test_a_sum_that_rounds_onto_the_boundary_is_refused(variant):
+    # in dimension 1 both sums are (u + v)/(1 + uv), which rounds to 1 here
+    u = np.array([0.999999999999999])
+    with pytest.raises(NumericalError, match=f"^{variant} sum left the ball$"):
+        BallGyrogroup(dim=1, variant=variant).oplus(u, u)
+
+
+def test_ball_repr_names_dimension_and_variant():
+    assert (repr(BallGyrogroup(dim=3, variant="einstein"))
+            == "BallGyrogroup(dim=3, variant='einstein')")
+
+
+@pytest.mark.parametrize("variant", ["mobius", "einstein"])
 @pytest.mark.parametrize("short, got", [([0.1, 0.2], 2), ([0.5], 1)])
 def test_operations_reject_points_of_another_dimension(variant, short, got):
     # unchecked, a 2-vector is added as a 2-vector and a 1-vector

@@ -413,6 +413,20 @@ def test_hat_draws_the_ball_at_index_zero():
                     (variant, bit_generator, k)
 
 
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+def test_walked_generators_are_seeded_by_no_entropy(bit_generator):
+    # each redraw generator is seeded by SeedSequence(0) before its state is
+    # set, never from the operating system's entropy (``_seed_seq`` before
+    # numpy 1.25)
+    kind = getattr(np.random, bit_generator)
+    at = core._walk(np.random.Generator(kind(3)), [0, 4, 9],
+                    lambda gen, n: gen.random(n))
+    for k in range(2):
+        bits = at(k).bit_generator
+        seq = getattr(bits, "seed_seq", None) or bits._seed_seq
+        assert (seq.entropy, seq.spawn_key) == (0, ())
+
+
 def _sampled_checks():
     """name -> ((carrier, bytes per point), ...), check(carrier, samples,
     seed), and the points per triple that the check holds by design."""

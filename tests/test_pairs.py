@@ -14,6 +14,12 @@ def carrier():
     return PairGyrogroup(m=6, variant="mobius")
 
 
+def test_pair_repr_names_m_and_variant(carrier):
+    assert repr(carrier) == "PairGyrogroup(m=6, variant='mobius')"
+    assert (repr(PairGyrogroup(m=4, variant="einstein"))
+            == "PairGyrogroup(m=4, variant='einstein')")
+
+
 def test_identity_element(carrier):
     x = carrier.element([0.3, -0.2], 4)
     assert carrier.distance(carrier.oplus(carrier.zero, x), x) <= carrier.eps
